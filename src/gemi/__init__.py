@@ -6,8 +6,6 @@ evaluates label-conditioned top-K recommendation quality against
 synthetic or real user preference profiles.
 """
 
-from .kernels import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
 EPS_NORM = 1e-12
 
 
@@ -78,7 +76,7 @@ def matmul(a, b) -> np.ndarray:
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions disagree ({a.shape} @ {b.shape})")
-    return kernels.matmul(a, b)
+    return np.matmul(a, b)
 
 
 @dataclass(frozen=True)
@@ -141,11 +139,14 @@ class SparseAdjacency:
 
 
 def spmm(adj: SparseAdjacency, x) -> np.ndarray:
-    """Sparse-dense product; bit-identical to matmul(adj.to_dense(), x)."""
+    """Sparse-dense product adj @ x in O(nnz * cols); deterministic per input."""
+    # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
+    from scipy.sparse import csr_array
+
     x = as_matrix(x)
     if x.shape[0] != adj.n:
         raise ValueError(f"spmm: adjacency is {adj.n}x{adj.n}, features have {x.shape[0]} rows")
-    return kernels.csr_matmul(adj.indptr, adj.indices, adj.weights, x)
+    return csr_array((adj.weights, adj.indices, adj.indptr), shape=(adj.n, adj.n)) @ x
 
 
 def l2_normalize_rows(x, eps: float = EPS_NORM) -> np.ndarray:

@@ -174,20 +174,13 @@ def _inductive_test_reps(kind, params, B, s, X_train, X_test, adj_train):
     enters anywhere, so predictions are per-item independent.
     """
     s_col = s[:, None]
-    if kind == "gcn":
-        w0, w_out = params.w0, params.w1
-    elif kind == "gae":
-        w0, w_out = params.w0, params.w1
-    else:
-        w0, w_out = params.w0, params.w_mu
-    m1_train = spmm(adj_train, X_train)
-    h1_train = np.maximum(matmul(m1_train, w0), 0.0)
     agg1_test = matmul(B, X_train) + s_col * X_test
-    h1_test = np.maximum(matmul(agg1_test, w0), 0.0)
-    agg2_test = matmul(B, h1_train) + s_col * h1_test
+    h1_test = np.maximum(matmul(agg1_test, params.w0), 0.0)
     if kind == "gcn":
         return h1_test  # penultimate representation, as on the train side
-    return matmul(agg2_test, w_out)
+    h1_train = np.maximum(matmul(spmm(adj_train, X_train), params.w0), 0.0)
+    agg2_test = matmul(B, h1_train) + s_col * h1_test
+    return matmul(agg2_test, params.w1 if kind == "gae" else params.w_mu)
 
 
 def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
@@ -262,8 +255,11 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
                 params, cache, d_logits, d_scores, beta * d_mu_kl, beta * d_ls_kl
             )
         grads, grad_norm = clip_global_norm(grads, m_cfg["clip_norm"])
-        adam_step(adam, weights, grads, m_cfg["lr"], m_cfg["weight_decay"])
         report["grad_norm"] = float(grad_norm)
+        for part, value in report.items():
+            if not np.isfinite(value):
+                raise FloatingPointError(f"epoch {epoch}: non-finite {part} ({value})")
+        adam_step(adam, weights, grads, m_cfg["lr"], m_cfg["weight_decay"])
         epoch_logs.append(report)
     return params, base_graph, epoch_logs
 

@@ -82,6 +82,16 @@ class TestRun:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["seed"] == 99
 
+    def test_nonfinite_loss_exit_1(self, dataset, tmp_path, monkeypatch, capsys):
+        from gemi import train
+
+        monkeypatch.setattr(train, "supervised_loss", lambda *a, **k: float("nan"))
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        out = tmp_path / "nan"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "epoch 0: non-finite sup" in capsys.readouterr().err
+        assert not (out / "train_report.json").exists()
+
     def test_resolved_config_written_first(self, dataset, tmp_path):
         # even a failing run leaves the resolved config for debugging
         cfg_path, cfg = write_cfg(tmp_path, dataset)
@@ -169,6 +179,14 @@ class TestUsers:
         prefs = open(prefix + ".preferences.csv").read().strip().split("\n")
         assert len(prefs) == 4
 
+    @pytest.mark.parametrize("seed", ["abc", "-5"])
+    def test_bad_seed_env_exit_2(self, dataset, tmp_path, monkeypatch, capsys, seed):
+        monkeypatch.setenv("GEMI_SEED", seed)
+        code = main(["users", "synth", "--labels", dataset["labels"],
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "GEMI_SEED" in capsys.readouterr().err
+
     def test_missing_labels_exit_2(self, tmp_path):
         assert main(["users", "synth", "--labels", str(tmp_path / "no.csv"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -180,6 +198,8 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+        assert "PASS  spmm within 1e-12 of the dense product" in out
+        assert "PASS  spmm bit-identical across two calls" in out
 
 
 class TestEntryPoint:

@@ -201,8 +201,8 @@ class TestVgae:
 
 
 def test_forward_spmm_consistency(small, rng):
-    # the sparse path must agree with the dense formula bit-for-bit is
-    # checked in test_kernels; here the model-level product agrees to fp
+    # spmm itself is checked against the dense oracle in test_numerics;
+    # here the model caches exactly what spmm returns
     X, adj = small
     p = init_params("gcn", d=4, hidden=5, latent=0, c=3, dropout=0.0, rng=rng)
     logits, cache = gcn_forward(p, adj, X)

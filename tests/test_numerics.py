@@ -1,14 +1,19 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gemi.graph import ItemGraph, knn_graph_symmetric, normalize_adjacency
 from gemi.numerics import (
     SeededRng,
     SparseAdjacency,
     cosine_similarity_matrix,
     finite_difference_gradient,
     l2_normalize_rows,
+    matmul,
     spmm,
 )
 
@@ -70,10 +75,42 @@ class TestSparseAdjacency:
         adj = SparseAdjacency.from_entries(2, [0, 1, 0, 1], [0, 1, 1, 0], [1.0, 1.0, 0.0, 0.0])
         assert adj.nnz == 2
 
-    def test_spmm_equals_dense_product(self):
-        adj = self._square()
-        x = np.arange(12, dtype=np.float64).reshape(3, 4)
-        np.testing.assert_allclose(spmm(adj, x), adj.to_dense() @ x, rtol=1e-14)
+    @pytest.mark.parametrize(
+        "case", ["square", "knn-seed0", "knn-seed1", "knn-seed2", "no-edges"]
+    )
+    def test_spmm_equals_dense_product(self, case):
+        # oracle: the densified product; spmm must match it closely and
+        # repeat itself bit for bit
+        if case == "square":
+            adj = self._square()
+            x = np.arange(12, dtype=np.float64).reshape(3, 4)
+        elif case == "no-edges":
+            adj = ItemGraph.from_pairs(7, [], []).to_adjacency()
+            x = SeededRng(3).normal(size=(7, 4))
+        else:
+            rng = SeededRng(int(case[-1]))
+            adj = normalize_adjacency(knn_graph_symmetric(rng.normal(size=(20, 6)), 4))
+            x = rng.normal(size=(20, 5))
+        got = spmm(adj, x)
+        np.testing.assert_allclose(got, adj.to_dense() @ x, rtol=0, atol=1e-12)
+        assert np.array_equal(got, spmm(adj, x))
+
+    def test_spmm_rejects_row_mismatch(self):
+        with pytest.raises(ValueError):
+            spmm(self._square(), np.ones((4, 2)))
+
+
+def test_matmul_rejects_shape_mismatch(rng):
+    with pytest.raises(ValueError):
+        matmul(rng.normal(size=(3, 4)), rng.normal(size=(5, 2)))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # spmm imports scipy.sparse lazily so CLI startup stays cheap
+    code = "import sys, gemi.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_l2_normalize_rows_unit_norm(rng):
