@@ -249,7 +249,6 @@ def loss_config_from(cfg: dict) -> LossConfig:
         lambda_sup=lo["lambda_sup"],
         lambda_ssl=lo["lambda_ssl"],
         beta_max=lo["beta_max"],
-        clip_norm=cfg["model"]["clip_norm"],
     )
 
 

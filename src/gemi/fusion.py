@@ -1,9 +1,8 @@
-"""Multimodal panel representations: fusion rules and contrastive losses.
+"""Multimodal panel representations: fusion rules.
 
 The encoders that produce the per-modality vectors live upstream; this
 module only combines their outputs (mean fusion, chunk averaging,
-precision-weighted Product-of-Experts) and scores matched batches with
-the softmax and sigmoid contrastive objectives.
+precision-weighted Product-of-Experts).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import GaussianTable
-from .numerics import as_matrix, l2_normalize_rows, matmul
+from .numerics import as_matrix, l2_normalize_rows
 
 
 @dataclass(frozen=True)
@@ -34,45 +33,27 @@ class GaussianPosterior:
         object.__setattr__(self, "variance", variance)
 
 
-@dataclass(frozen=True)
-class ContrastiveBatch:
-    """Row-aligned matched image/text embeddings; rows are normalized."""
-
-    image: np.ndarray
-    text: np.ndarray
-    temperature: float
-    bias: float = 0.0
-
-    def __post_init__(self):
-        image = l2_normalize_rows(as_matrix(self.image))
-        text = l2_normalize_rows(as_matrix(self.text))
-        if image.shape != text.shape:
-            raise ValueError("image and text batches must have the same shape")
-        if image.shape[0] < 1:
-            raise ValueError("batch must contain at least one pair")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "text", text)
-
-
-def mean_fuse(x, y) -> np.ndarray:
-    """Average of the ℓ2-normalized inputs, ½(x̂ + ŷ)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("mean_fuse expects two vectors of the same length")
-    xn = l2_normalize_rows(x[None, :])[0]
-    yn = l2_normalize_rows(y[None, :])[0]
-    return 0.5 * (xn + yn)
-
-
 def chunk_average(chunks) -> np.ndarray:
     """Arithmetic mean of chunk embedding vectors."""
     if len(chunks) == 0:
         raise ValueError("chunk_average requires at least one chunk")
     stacked = np.stack([np.asarray(c, dtype=np.float64) for c in chunks])
     return stacked.mean(axis=0)
+
+
+def _poe(means, variances) -> tuple[np.ndarray, np.ndarray]:
+    """Precision-weighted product of experts given as equal-shape arrays.
+
+    Returns the fused (mean, variance): variance = 1 / Σ 1/var_k and
+    mean = Σ (mu_k / var_k) / Σ 1/var_k.
+    """
+    precision = np.zeros_like(means[0])
+    weighted = np.zeros_like(means[0])
+    for mu, var in zip(means, variances):
+        prec = 1.0 / var
+        precision += prec
+        weighted += prec * mu
+    return weighted / precision, 1.0 / precision
 
 
 def poe_fuse(posteriors) -> GaussianPosterior:
@@ -84,47 +65,8 @@ def poe_fuse(posteriors) -> GaussianPosterior:
     for p in posteriors:
         if p.mean.shape[0] != d:
             raise ValueError("posterior dimensions disagree")
-    precision = np.zeros(d)
-    weighted_mean = np.zeros(d)
-    for p in posteriors:
-        prec = 1.0 / p.variance
-        precision += prec
-        weighted_mean += prec * p.mean
-    variance = 1.0 / precision
-    return GaussianPosterior(mean=variance * weighted_mean, variance=variance)
-
-
-def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def clip_softmax_loss(batch: ContrastiveBatch) -> float:
-    """Symmetric InfoNCE over the batch similarity matrix.
-
-    −(1/2B) Σ_i (log p_ii over row i + log p_ii over column i) with
-    logits t·x_i·y_j, both softmaxes computed with stable log-sum-exp.
-    """
-    logits = batch.temperature * matmul(batch.image, np.ascontiguousarray(batch.text.T))
-    rows = _log_softmax(logits, axis=1)
-    cols = _log_softmax(logits, axis=0)
-    diag = np.arange(logits.shape[0])
-    return float(-(rows[diag, diag] + cols[diag, diag]).sum() / (2.0 * logits.shape[0]))
-
-
-def sigclip_loss(batch: ContrastiveBatch) -> float:
-    """Pairwise sigmoid objective: every (i, j) is a binary problem.
-
-    −(1/B) Σ_ij log σ(z_ij ℓ_ij) with ℓ_ij = t·x_i·y_j + b and z_ij
-    equal to +1 on the matched diagonal, −1 elsewhere.
-    """
-    b = batch.image.shape[0]
-    logits = batch.temperature * matmul(batch.image, np.ascontiguousarray(batch.text.T)) + batch.bias
-    signs = -np.ones((b, b))
-    np.fill_diagonal(signs, 1.0)
-    # log sigma(u) = -log(1 + exp(-u)), stable via logaddexp
-    log_sig = -np.logaddexp(0.0, -signs * logits)
-    return float(-log_sig.sum() / b)
+    mean, variance = _poe([p.mean for p in posteriors], [p.variance for p in posteriors])
+    return GaussianPosterior(mean=mean, variance=variance)
 
 
 def _align(ref_ids, ids, matrix, role: str) -> np.ndarray:
@@ -174,13 +116,7 @@ def build_panel_features(mode: str, tables: dict) -> tuple[tuple[str, ...], np.n
         if not all(isinstance(e, GaussianTable) for e in experts):
             raise ValueError("poe experts must be Gaussian posterior tables")
         ids = experts[0].ids
-        aligned_mean = [_align(ids, e.ids, e.mean, "expert mean") for e in experts]
-        aligned_var = [_align(ids, e.ids, e.var, "expert var") for e in experts]
-        precision = np.zeros_like(aligned_mean[0])
-        weighted = np.zeros_like(aligned_mean[0])
-        for mu, var in zip(aligned_mean, aligned_var):
-            prec = 1.0 / var
-            precision += prec
-            weighted += prec * mu
-        return ids, weighted / precision
+        means = [_align(ids, e.ids, e.mean, "expert mean") for e in experts]
+        variances = [_align(ids, e.ids, e.var, "expert var") for e in experts]
+        return ids, _poe(means, variances)[0]
     raise ValueError(f"unknown feature mode {mode!r}")

@@ -83,22 +83,6 @@ class ItemGraph:
         return SparseAdjacency.from_entries(self.n, rows, cols, ones, validate=False)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """User-item interaction structure over a trained item graph.
-
-    Carries the item-item subgraph unchanged plus one undirected edge
-    per (user, interacted item); user node features are the mean of the
-    interacted items' feature rows (zero vector for an empty profile).
-    """
-
-    num_users: int
-    num_items: int
-    edges: np.ndarray  # (m, 2) int64 rows (user, item)
-    item_graph: ItemGraph
-    user_features: np.ndarray  # (num_users, d)
-
-
 def _top_k_rows(sims: np.ndarray, k: int) -> np.ndarray:
     """Per-row indices of the k largest entries, ties by ascending index."""
     n_cols = sims.shape[1]
@@ -268,36 +252,6 @@ def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int) -> ItemGr
         [train_graph.tags, np.full(src.size, "attachment", dtype=object)]
     )
     return ItemGraph.from_pairs(n_train + n_test, pairs, tags)
-
-
-def build_user_item_graph(profiles, item_graph: ItemGraph, features) -> BipartiteGraph:
-    """Assemble the user-item bipartite structure over a trained item graph.
-
-    One undirected (user, item) edge per interacted item; user node
-    features are the mean of the interacted items' feature rows so
-    collaborative models can consume the graph directly.  An empty
-    profile yields an isolated user with a zero feature vector.
-    """
-    features = as_matrix(features)
-    if features.shape[0] != item_graph.n:
-        raise ValueError("features and item_graph disagree on item count")
-    edges = []
-    user_features = np.zeros((len(profiles), features.shape[1]), dtype=np.float64)
-    for u, profile in enumerate(profiles):
-        items = np.asarray(sorted(profile.items), dtype=np.int64)
-        if items.size:
-            if items.min() < 0 or items.max() >= item_graph.n:
-                raise ValueError(f"profile {profile.user_id!r} references an invalid item")
-            user_features[u] = features[items].mean(axis=0)
-            edges.extend((u, int(i)) for i in items)
-    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return BipartiteGraph(
-        num_users=len(profiles),
-        num_items=item_graph.n,
-        edges=edge_arr,
-        item_graph=item_graph,
-        user_features=user_features,
-    )
 
 
 def attachment_blocks(

@@ -27,7 +27,6 @@ class LossConfig:
     lambda_sup: float = 0.60
     lambda_ssl: float = 0.60
     beta_max: float = 1.0
-    clip_norm: float = 2.0
 
     def __post_init__(self):
         if self.kind not in ("focal", "wbce", "bce"):
@@ -165,21 +164,12 @@ def edge_pos_weight(targets) -> float:
     return float((t.size - pos) / pos)
 
 
-def recon_loss(targets, probs, pos_weight: float) -> float:
-    """Weighted mean BCE between edge probabilities and A + I targets."""
-    t = np.asarray(targets, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    if t.shape != p.shape:
-        raise ValueError("targets and probs must have the same shape")
-    if t.sum() == 0:
-        raise ValueError("reconstruction targets contain no positive entries")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -pos_weight * t * np.log(p) - (1.0 - t) * np.log1p(-p)
-    return float(np.where(np.isnan(terms), 0.0, terms).mean())
-
-
 def recon_loss_from_scores(targets, scores, pos_weight: float) -> float:
-    """Same objective evaluated from decoder logits (stable at extremes)."""
+    """Weighted mean BCE between sigma(scores) and the A + I targets.
+
+    Evaluated from the decoder logits through softplus, so it stays
+    finite when the edge probabilities saturate.
+    """
     t = np.asarray(targets, dtype=np.float64)
     z = np.asarray(scores, dtype=np.float64)
     terms = pos_weight * t * _softplus(-z) + (1.0 - t) * _softplus(z)

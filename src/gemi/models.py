@@ -17,7 +17,7 @@ backward call never recomputes a forward quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,77 +114,54 @@ def draw_feature_masks(rng: SeededRng, n: int, d: int, hidden: int, rate: float)
     return dropout_mask(rng, (n, d), rate), dropout_mask(rng, (n, hidden), rate)
 
 
-def _encode_two_layer(w0, w_out, adj: SparseAdjacency, X, masks):
-    """Shared skeleton: out = A~ drop(ReLU(A~ drop(X) W0)) W_out."""
+def propagate(params, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
+    """Shared skeleton of all three kinds: m2 = A~ drop(ReLU(A~ drop(X) W0)).
+
+    Returns (m2, cache); each model applies its own output matmuls to m2.
+    """
+    X = as_matrix(X)
+    if not training:
+        masks = (None, None)
+    elif masks is None:
+        if rng is None:
+            raise ValueError("training forward needs an rng or explicit masks")
+        masks = draw_feature_masks(rng, X.shape[0], X.shape[1], params.w0.shape[1], params.dropout)
     mask_in, mask_hidden = masks
     X0 = X * mask_in if mask_in is not None else X
     m1 = spmm(adj, X0)
-    h_pre = matmul(m1, w0)
+    h_pre = matmul(m1, params.w0)
     h = np.maximum(h_pre, 0.0)
     hd = h * mask_hidden if mask_hidden is not None else h
     m2 = spmm(adj, hd)
-    out = matmul(m2, w_out)
     cache = {"adj": adj, "m1": m1, "h_pre": h_pre, "h": h, "hd": hd, "m2": m2, "masks": masks}
-    return out, cache
+    return m2, cache
 
 
-def _encode_backward(cache, w_out, d_out):
-    """Gradients of the two-layer skeleton: returns (dW0, dW_out)."""
-    d_w_out = matmul(np.ascontiguousarray(cache["m2"].T), d_out)
-    d_m2 = matmul(d_out, np.ascontiguousarray(w_out.T))
+def _propagate_backward(cache, d_m2) -> np.ndarray:
+    """Gradient of the shared skeleton: d_m2 -> dW0."""
     d_hd = spmm(cache["adj"], d_m2)  # A~ is symmetric
     mask_in, mask_hidden = cache["masks"]
     d_h = d_hd * mask_hidden if mask_hidden is not None else d_hd
     d_h_pre = d_h * (cache["h_pre"] > 0.0)
-    d_w0 = matmul(np.ascontiguousarray(cache["m1"].T), d_h_pre)
-    return d_w0, d_w_out
+    return matmul(np.ascontiguousarray(cache["m1"].T), d_h_pre)
 
 
-def _resolve_masks(n, d, hidden, rate, training, rng, masks):
-    if not training:
-        return (None, None)
-    if masks is not None:
-        return masks
-    if rng is None:
-        raise ValueError("training forward needs an rng or explicit masks")
-    return draw_feature_masks(rng, n, d, hidden, rate)
+def _linear_backward(x, w, d_out):
+    """Gradients of out = x @ w: returns (dW, dx)."""
+    d_w = matmul(np.ascontiguousarray(x.T), d_out)
+    d_x = matmul(d_out, np.ascontiguousarray(w.T))
+    return d_w, d_x
 
 
 def gcn_forward(params: GcnParams, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
     """Two-layer GCN logits; cache carries all backprop intermediates."""
-    X = as_matrix(X)
-    masks = _resolve_masks(X.shape[0], X.shape[1], params.w0.shape[1], params.dropout, training, rng, masks)
-    logits, cache = _encode_two_layer(params.w0, params.w1, adj, X, masks)
-    return logits, cache
+    m2, cache = propagate(params, adj, X, rng, training, masks)
+    return matmul(m2, params.w1), cache
 
 
 def gcn_backward(params: GcnParams, cache, d_logits) -> dict[str, np.ndarray]:
-    d_w0, d_w1 = _encode_backward(cache, params.w1, d_logits)
-    return {"w0": d_w0, "w1": d_w1}
-
-
-def gcn_hidden(cache) -> np.ndarray:
-    """Penultimate representation (post-ReLU hidden activations)."""
-    return cache["h"]
-
-
-def encode_gcn2(w0, w_out, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
-    """GAE/VGAE-style encoder: the GCN skeleton with a latent output dim."""
-    X = as_matrix(X)
-    masks = _resolve_masks(X.shape[0], X.shape[1], w0.shape[1], 0.0, training, rng, masks)
-    return _encode_two_layer(w0, w_out, adj, X, masks)
-
-
-def decode_adjacency(Z) -> np.ndarray:
-    """Edge probabilities sigma(Z Z^T); symmetric, entries in (0, 1)."""
-    Z = as_matrix(Z)
-    scores = matmul(Z, np.ascontiguousarray(Z.T))
-    out = np.empty_like(scores)
-    pos = scores >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
-    ez = np.exp(scores[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    d_w1, d_m2 = _linear_backward(cache["m2"], params.w1, d_logits)
+    return {"w0": _propagate_backward(cache, d_m2), "w1": d_w1}
 
 
 def decode_scores(Z) -> np.ndarray:
@@ -193,67 +170,42 @@ def decode_scores(Z) -> np.ndarray:
     return matmul(Z, np.ascontiguousarray(Z.T))
 
 
-def classify_head(Z, head) -> np.ndarray:
-    """Linear label head on the latent representation."""
-    return matmul(as_matrix(Z), head)
+def _head_decoder_backward(params, cache, d_logits, d_scores):
+    """Pull of the label head and the inner-product decoder on Z.
+
+    Returns (d_head, dZ); d_scores is dL/d(Z Z^T), whose contribution
+    to Z is (G + G^T) Z.
+    """
+    Z = cache["Z"]
+    d_head, dZ = _linear_backward(Z, params.head, d_logits)
+    if d_scores is not None:
+        sym = d_scores + d_scores.T
+        dZ = dZ + matmul(np.ascontiguousarray(sym), Z)
+    return d_head, dZ
 
 
 def gae_forward(params: GaeParams, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
-    X = as_matrix(X)
-    masks = _resolve_masks(X.shape[0], X.shape[1], params.w0.shape[1], params.dropout, training, rng, masks)
-    Z, cache = _encode_two_layer(params.w0, params.w1, adj, X, masks)
+    m2, cache = propagate(params, adj, X, rng, training, masks)
+    Z = matmul(m2, params.w1)
     cache["Z"] = Z
-    logits = classify_head(Z, params.head)
+    logits = matmul(Z, params.head)
     return {"Z": Z, "logits": logits, "scores": decode_scores(Z)}, cache
 
 
 def gae_backward(params: GaeParams, cache, d_logits, d_scores) -> dict[str, np.ndarray]:
-    """Combine supervised and reconstruction pull on the latent.
-
-    d_scores is dL/d(Z Z^T); its contribution to Z is (G + G^T) Z.
-    """
-    Z = cache["Z"]
-    d_head = matmul(np.ascontiguousarray(Z.T), d_logits)
-    dZ = matmul(d_logits, np.ascontiguousarray(params.head.T))
-    if d_scores is not None:
-        sym = d_scores + d_scores.T
-        dZ = dZ + matmul(np.ascontiguousarray(sym), Z)
-    d_w0, d_w1 = _encode_backward(cache, params.w1, dZ)
-    return {"w0": d_w0, "w1": d_w1, "head": d_head}
-
-
-def reparameterize(mu, log_sigma, rng: SeededRng) -> np.ndarray:
-    """Z = mu + exp(log_sigma) * eps with eps ~ N(0, I) from rng."""
-    eps = rng.normal(size=np.asarray(mu).shape)
-    return np.asarray(mu) + np.exp(np.asarray(log_sigma)) * eps
+    """Combine supervised and reconstruction pull on the latent."""
+    d_head, dZ = _head_decoder_backward(params, cache, d_logits, d_scores)
+    d_w1, d_m2 = _linear_backward(cache["m2"], params.w1, dZ)
+    return {"w0": _propagate_backward(cache, d_m2), "w1": d_w1, "head": d_head}
 
 
 def vgae_encode(params: VgaeParams, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
     """Shared-first-layer encoder: returns (mu, log_sigma, cache)."""
-    X = as_matrix(X)
-    masks = _resolve_masks(X.shape[0], X.shape[1], params.w0.shape[1], params.dropout, training, rng, masks)
-    mask_in, mask_hidden = masks
-    X0 = X * mask_in if mask_in is not None else X
-    m1 = spmm(adj, X0)
-    h_pre = matmul(m1, params.w0)
-    h = np.maximum(h_pre, 0.0)
-    hd = h * mask_hidden if mask_hidden is not None else h
-    m2 = spmm(adj, hd)  # shared A~ H, feeds both branches
+    m2, cache = propagate(params, adj, X, rng, training, masks)  # m2 feeds both branches
     mu = matmul(m2, params.w_mu)
     ls_pre = matmul(m2, params.w_sigma)
     log_sigma = np.clip(ls_pre, -params.clamp, params.clamp)
-    cache = {
-        "adj": adj,
-        "m1": m1,
-        "h_pre": h_pre,
-        "h": h,
-        "hd": hd,
-        "m2": m2,
-        "masks": masks,
-        "mu": mu,
-        "ls_pre": ls_pre,
-        "log_sigma": log_sigma,
-    }
+    cache.update(mu=mu, ls_pre=ls_pre, log_sigma=log_sigma)
     return mu, log_sigma, cache
 
 
@@ -265,7 +217,7 @@ def vgae_forward(params: VgaeParams, adj: SparseAdjacency, X, rng, training=Fals
     Z = mu + np.exp(log_sigma) * eps
     cache["eps"] = eps
     cache["Z"] = Z
-    logits = classify_head(Z, params.head)
+    logits = matmul(Z, params.head)
     return {"mu": mu, "log_sigma": log_sigma, "Z": Z, "logits": logits, "scores": decode_scores(Z)}, cache
 
 
@@ -276,13 +228,8 @@ def vgae_backward(params: VgaeParams, cache, d_logits, d_scores, d_mu_extra=None
     eps is the frozen constant of the pathwise estimator; the hard
     clamp zeroes gradients where log_sigma saturated.
     """
-    Z = cache["Z"]
-    d_head = matmul(np.ascontiguousarray(Z.T), d_logits)
-    dZ = matmul(d_logits, np.ascontiguousarray(params.head.T))
-    if d_scores is not None:
-        sym = d_scores + d_scores.T
-        dZ = dZ + matmul(np.ascontiguousarray(sym), Z)
-    d_mu = dZ.copy()
+    d_head, dZ = _head_decoder_backward(params, cache, d_logits, d_scores)
+    d_mu = dZ
     d_ls = dZ * cache["eps"] * np.exp(cache["log_sigma"])
     if d_mu_extra is not None:
         d_mu = d_mu + d_mu_extra
@@ -290,14 +237,7 @@ def vgae_backward(params: VgaeParams, cache, d_logits, d_scores, d_mu_extra=None
         d_ls = d_ls + d_log_sigma_extra
     inside = np.abs(cache["ls_pre"]) < params.clamp
     d_ls_pre = d_ls * inside
-    d_w_mu = matmul(np.ascontiguousarray(cache["m2"].T), d_mu)
-    d_w_sigma = matmul(np.ascontiguousarray(cache["m2"].T), d_ls_pre)
-    d_m2 = matmul(d_mu, np.ascontiguousarray(params.w_mu.T)) + matmul(
-        d_ls_pre, np.ascontiguousarray(params.w_sigma.T)
-    )
-    d_hd = spmm(cache["adj"], d_m2)
-    mask_in, mask_hidden = cache["masks"]
-    d_h = d_hd * mask_hidden if mask_hidden is not None else d_hd
-    d_h_pre = d_h * (cache["h_pre"] > 0.0)
-    d_w0 = matmul(np.ascontiguousarray(cache["m1"].T), d_h_pre)
+    d_w_mu, d_m2_mu = _linear_backward(cache["m2"], params.w_mu, d_mu)
+    d_w_sigma, d_m2_sigma = _linear_backward(cache["m2"], params.w_sigma, d_ls_pre)
+    d_w0 = _propagate_backward(cache, d_m2_mu + d_m2_sigma)
     return {"w0": d_w0, "w_mu": d_w_mu, "w_sigma": d_w_sigma, "head": d_head}

@@ -44,7 +44,7 @@ from .losses import (
     supervised_loss,
     supervised_loss_grad,
 )
-from .numerics import SeededRng, matmul, spmm
+from .numerics import SeededRng, finite_difference_gradient, matmul, spmm
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -158,7 +158,7 @@ def _forward_eval(kind, params, adj, X):
     """Clean (dropout-free) forward returning the model representation."""
     if kind == "gcn":
         _, cache = models.gcn_forward(params, adj, X, training=False)
-        return models.gcn_hidden(cache)
+        return cache["h"]
     if kind == "gae":
         out, _ = models.gae_forward(params, adj, X, training=False)
         return out["Z"]
@@ -181,6 +181,51 @@ def _inductive_test_reps(kind, params, B, s, X_train, X_test, adj_train):
     h1_train = np.maximum(matmul(spmm(adj_train, X_train), params.w0), 0.0)
     agg2_test = matmul(B, h1_train) + s_col * h1_test
     return matmul(agg2_test, params.w1 if kind == "gae" else params.w_mu)
+
+
+def recon_targets(graph: ItemGraph) -> tuple[np.ndarray, float]:
+    """Dense A + I reconstruction targets and their positive-entry weight."""
+    targets = graph.to_adjacency().to_dense()
+    np.fill_diagonal(targets, 1.0)
+    return targets, edge_pos_weight(targets)
+
+
+def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta):
+    """The training objective of one model kind and its analytic gradient.
+
+    Training calls this once per epoch and the gradient check calls it
+    with frozen inputs, so the check verifies the code that trains.
+    ``masks`` are the feature-dropout masks, ``eps`` the VGAE noise,
+    ``recon`` the (targets, w_edge) pair from :func:`recon_targets` and
+    ``beta`` the KL weight; gcn ignores the last three, gae the last
+    one.  Returns (total, report of loss parts, grads per weight).
+    """
+    if kind == "gcn":
+        logits, cache = models.gcn_forward(params, adj, X, training=True, masks=masks)
+        sup = supervised_loss(loss_cfg, logits, Y, pos_w, mask)
+        total, report = joint_objective("gcn", {"sup": sup})
+        d_logits = supervised_loss_grad(loss_cfg, logits, Y, pos_w, mask)
+        return total, report, models.gcn_backward(params, cache, d_logits)
+    targets, w_edge = recon
+    if kind == "gae":
+        out, cache = models.gae_forward(params, adj, X, training=True, masks=masks)
+    else:
+        out, cache = models.vgae_forward(params, adj, X, None, training=True, masks=masks, eps=eps)
+    sup = supervised_loss(loss_cfg, out["logits"], Y, pos_w, mask)
+    rec = recon_loss_from_scores(targets, out["scores"], w_edge)
+    d_scores = recon_loss_scores_grad(targets, out["scores"], w_edge)
+    if kind == "gae":
+        total, report = joint_objective("gae", {"rec": rec, "sup": sup, "lambda_sup": loss_cfg.lambda_sup})
+        d_logits = loss_cfg.lambda_sup * supervised_loss_grad(loss_cfg, out["logits"], Y, pos_w, mask)
+        return total, report, models.gae_backward(params, cache, d_logits, d_scores)
+    kl = kl_standard_normal(out["mu"], out["log_sigma"])
+    total, report = joint_objective(
+        "vgae", {"rec": rec, "kl": kl, "beta": beta, "sup": sup, "lambda_ssl": loss_cfg.lambda_ssl}
+    )
+    d_logits = loss_cfg.lambda_ssl * supervised_loss_grad(loss_cfg, out["logits"], Y, pos_w, mask)
+    d_mu_kl, d_ls_kl = kl_standard_normal_grads(out["mu"], out["log_sigma"])
+    grads = models.vgae_backward(params, cache, d_logits, d_scores, beta * d_mu_kl, beta * d_ls_kl)
+    return total, report, grads
 
 
 def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
@@ -206,11 +251,7 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     drop_rng = rng.substream("feature_dropout")
     noise_rng = rng.substream("noise")
 
-    needs_recon = kind in ("gae", "vgae")
-    if needs_recon:
-        targets = base_graph.to_adjacency().to_dense()
-        np.fill_diagonal(targets, 1.0)
-        w_edge = edge_pos_weight(targets)
+    recon = recon_targets(base_graph) if kind in ("gae", "vgae") else None
     ramp = max(1, int(round(m_cfg["kl_ramp_fraction"] * m_cfg["epochs"])))
     exempt = ("label-augment",) if cfg["graph"]["augment_exempt_from_dropout"] else ()
 
@@ -218,42 +259,12 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     for epoch in range(m_cfg["epochs"]):
         g_epoch = edge_dropout(base_graph, cfg["graph"]["edge_dropout"], edge_rng, exempt)
         adj = normalize_adjacency(g_epoch)
-        if kind == "gcn":
-            logits, cache = models.gcn_forward(params, adj, X, rng=drop_rng, training=True)
-            sup = supervised_loss(loss_cfg, logits, Y, pos_w, train_mask_local)
-            total, report = joint_objective("gcn", {"sup": sup})
-            d_logits = supervised_loss_grad(loss_cfg, logits, Y, pos_w, train_mask_local)
-            grads = models.gcn_backward(params, cache, d_logits)
-        elif kind == "gae":
-            out, cache = models.gae_forward(params, adj, X, rng=drop_rng, training=True)
-            sup = supervised_loss(loss_cfg, out["logits"], Y, pos_w, train_mask_local)
-            rec = recon_loss_from_scores(targets, out["scores"], w_edge)
-            total, report = joint_objective(
-                "gae", {"rec": rec, "sup": sup, "lambda_sup": loss_cfg.lambda_sup}
-            )
-            d_logits = loss_cfg.lambda_sup * supervised_loss_grad(
-                loss_cfg, out["logits"], Y, pos_w, train_mask_local
-            )
-            d_scores = recon_loss_scores_grad(targets, out["scores"], w_edge)
-            grads = models.gae_backward(params, cache, d_logits, d_scores)
-        else:
-            out, cache = models.vgae_forward(params, adj, X, rng=drop_rng, training=True, eps=noise_rng.normal(size=(n, m_cfg["latent"])))
-            sup = supervised_loss(loss_cfg, out["logits"], Y, pos_w, train_mask_local)
-            rec = recon_loss_from_scores(targets, out["scores"], w_edge)
-            kl = kl_standard_normal(out["mu"], out["log_sigma"])
-            beta = kl_anneal(epoch, ramp, loss_cfg.beta_max)
-            total, report = joint_objective(
-                "vgae",
-                {"rec": rec, "kl": kl, "beta": beta, "sup": sup, "lambda_ssl": loss_cfg.lambda_ssl},
-            )
-            d_logits = loss_cfg.lambda_ssl * supervised_loss_grad(
-                loss_cfg, out["logits"], Y, pos_w, train_mask_local
-            )
-            d_scores = recon_loss_scores_grad(targets, out["scores"], w_edge)
-            d_mu_kl, d_ls_kl = kl_standard_normal_grads(out["mu"], out["log_sigma"])
-            grads = models.vgae_backward(
-                params, cache, d_logits, d_scores, beta * d_mu_kl, beta * d_ls_kl
-            )
+        masks = models.draw_feature_masks(drop_rng, n, d, m_cfg["hidden"], m_cfg["dropout"])
+        eps = noise_rng.normal(size=(n, m_cfg["latent"])) if kind == "vgae" else None
+        beta = kl_anneal(epoch, ramp, loss_cfg.beta_max)
+        _, report, grads = objective_and_grads(
+            kind, params, adj, X, Y, train_mask_local, pos_w, loss_cfg, masks, eps, recon, beta
+        )
         grads, grad_norm = clip_global_norm(grads, m_cfg["clip_norm"])
         report["grad_norm"] = float(grad_norm)
         for part, value in report.items():
@@ -373,89 +384,42 @@ def _check_instance(kind: str, loss_kind: str, seed: int, n: int = 9, d: int = 4
         masks = models.draw_feature_masks(inst.substream("drop"), n, d, hidden, 0.2)
         eps = inst.substream("noise").normal(size=(n, latent))
         # reject draws whose pre-activations sit within finite-difference
-        # reach of the ReLU kink
-        if kind == "gcn":
-            _, cache = models.gcn_forward(params, adj, X, training=True, masks=masks)
-        elif kind == "gae":
-            _, cache = models.gae_forward(params, adj, X, training=True, masks=masks)
-        else:
-            _, cache = models.vgae_forward(params, adj, X, rng=None, training=True, masks=masks, eps=eps)
+        # reach of the ReLU kink; every kind shares the first layer
+        _, cache = models.propagate(params, adj, X, training=True, masks=masks)
         if np.abs(cache["h_pre"]).min() > 1e-3:
             break
     loss_cfg = LossConfig(kind=loss_kind)
     if not Y[mask].sum():
         Y[np.flatnonzero(mask)[0], 0] = 1
     pos_w = positive_weights(Y[mask])
-    targets = g.to_adjacency().to_dense()
-    np.fill_diagonal(targets, 1.0)
-    w_edge = edge_pos_weight(targets)
-    return X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, targets, w_edge
-
-
-def _objective_and_grads(kind, X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, targets, w_edge, beta=0.7):
-    if kind == "gcn":
-        logits, cache = models.gcn_forward(params, adj, X, training=True, masks=masks)
-        total = supervised_loss(loss_cfg, logits, Y, pos_w, mask)
-        d_logits = supervised_loss_grad(loss_cfg, logits, Y, pos_w, mask)
-        grads = models.gcn_backward(params, cache, d_logits)
-    elif kind == "gae":
-        out, cache = models.gae_forward(params, adj, X, training=True, masks=masks)
-        sup = supervised_loss(loss_cfg, out["logits"], Y, pos_w, mask)
-        rec = recon_loss_from_scores(targets, out["scores"], w_edge)
-        total, _ = joint_objective("gae", {"rec": rec, "sup": sup, "lambda_sup": loss_cfg.lambda_sup})
-        d_logits = loss_cfg.lambda_sup * supervised_loss_grad(loss_cfg, out["logits"], Y, pos_w, mask)
-        d_scores = recon_loss_scores_grad(targets, out["scores"], w_edge)
-        grads = models.gae_backward(params, cache, d_logits, d_scores)
-    else:
-        out, cache = models.vgae_forward(params, adj, X, rng=None, training=True, masks=masks, eps=eps)
-        sup = supervised_loss(loss_cfg, out["logits"], Y, pos_w, mask)
-        rec = recon_loss_from_scores(targets, out["scores"], w_edge)
-        kl = kl_standard_normal(out["mu"], out["log_sigma"])
-        total, _ = joint_objective(
-            "vgae", {"rec": rec, "kl": kl, "beta": beta, "sup": sup, "lambda_ssl": loss_cfg.lambda_ssl}
-        )
-        d_logits = loss_cfg.lambda_ssl * supervised_loss_grad(loss_cfg, out["logits"], Y, pos_w, mask)
-        d_scores = recon_loss_scores_grad(targets, out["scores"], w_edge)
-        d_mu_kl, d_ls_kl = kl_standard_normal_grads(out["mu"], out["log_sigma"])
-        grads = models.vgae_backward(params, cache, d_logits, d_scores, beta * d_mu_kl, beta * d_ls_kl)
-    return total, grads
+    return X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, recon_targets(g)
 
 
 def gradient_check(kind: str, loss_kind: str = "focal", seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> GradientCheckResult:
-    """Compare analytic gradients with central differences.
+    """Compare analytic gradients of objective_and_grads with central differences.
 
     Dropout masks and reparameterization noise are frozen, so the
     objective is a smooth deterministic function of the parameters.  A
     failure is reported in the result, never raised.
     """
-    X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, targets, w_edge = _check_instance(
-        kind, loss_kind, seed
-    )
-    _, analytic = _objective_and_grads(
-        kind, X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, targets, w_edge
-    )
+    X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, recon = _check_instance(kind, loss_kind, seed)
+    beta = 0.7  # a nonzero KL weight, so the KL gradient is checked too
+    args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta)
+    _, _, analytic = objective_and_grads(*args)
+    flat_analytic = models.flatten_weights(analytic)
     weights = params.weights()
-    flat_analytic = models.flatten_weights({k: analytic[k] for k in weights})
     x0 = models.flatten_weights(weights)
 
     def f(vec):
-        set_weights_params = {k: w for k, w in weights.items()}
-        models.set_weights_from_vector(set_weights_params, vec)
-        total, _ = _objective_and_grads(
-            kind, X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, targets, w_edge
-        )
-        return total
+        models.set_weights_from_vector(weights, vec)
+        return objective_and_grads(*args)[0]
 
-    fd = np.empty_like(x0)
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp[i] += h
-        fp = f(xp)
-        xm = x0.copy()
-        xm[i] -= h
-        fm = f(xm)
-        fd[i] = (fp - fm) / (2.0 * h)
-    f(x0)  # restore original weights
+    try:
+        fd = finite_difference_gradient(f, x0, h)
+    except FloatingPointError:
+        return GradientCheckResult(kind=kind, loss_kind=loss_kind, seed=seed, max_rel_err=float("inf"), passed=False)
+    finally:
+        models.set_weights_from_vector(weights, x0)
     denom = np.maximum(np.maximum(np.abs(flat_analytic), np.abs(fd)), 1e-6)
     max_rel = float(np.max(np.abs(flat_analytic - fd) / denom))
     return GradientCheckResult(

@@ -4,14 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemi.fusion import (
-    ContrastiveBatch,
     GaussianPosterior,
     build_panel_features,
     chunk_average,
-    clip_softmax_loss,
-    mean_fuse,
     poe_fuse,
-    sigclip_loss,
 )
 from gemi.ingest import GaussianTable
 from gemi.numerics import SeededRng
@@ -52,16 +48,21 @@ class TestGaussianPosterior:
             GaussianPosterior(mean=np.zeros(2), variance=np.ones(3))
 
 
+def mean_mode_row(x, y):
+    """Mean-mode features for one-row image and text tables."""
+    return build_panel_features("mean", {"image": (("a",), [x]), "text": (("a",), [y])})[1][0]
+
+
 class TestMeanFuse:
     def test_against_manual(self):
         x = np.array([3.0, 4.0])
         y = np.array([0.0, 2.0])
-        np.testing.assert_allclose(mean_fuse(x, y), [0.3, 0.9])
+        np.testing.assert_allclose(mean_mode_row(x, y), [0.3, 0.9])
 
     def test_scale_invariant(self, rng):
         x = rng.normal(size=5)
         y = rng.normal(size=5)
-        np.testing.assert_allclose(mean_fuse(x, y), mean_fuse(10 * x, 0.1 * y), atol=1e-12)
+        np.testing.assert_allclose(mean_mode_row(x, y), mean_mode_row(10 * x, 0.1 * y), atol=1e-12)
 
 
 def test_chunk_average_matches_mean(rng):
@@ -107,55 +108,6 @@ class TestPoeFuse:
             ])
 
 
-class TestContrastiveLosses:
-    def _batch(self, rng, b=4, d=6, temperature=10.0, bias=0.0):
-        return ContrastiveBatch(
-            image=rng.normal(size=(b, d)),
-            text=rng.normal(size=(b, d)),
-            temperature=temperature,
-            bias=bias,
-        )
-
-    def test_clip_matches_naive(self, rng):
-        batch = self._batch(rng)
-        logits = batch.temperature * batch.image @ batch.text.T
-        b = logits.shape[0]
-        total = 0.0
-        for i in range(b):
-            row = np.exp(logits[i] - logits[i].max())
-            col = np.exp(logits[:, i] - logits[:, i].max())
-            total += np.log(row[i] / row.sum()) + np.log(col[i] / col.sum())
-        np.testing.assert_allclose(clip_softmax_loss(batch), -total / (2 * b), rtol=1e-12)
-
-    def test_sigclip_matches_naive(self, rng):
-        batch = self._batch(rng, bias=-2.0)
-        logits = batch.temperature * batch.image @ batch.text.T + batch.bias
-        b = logits.shape[0]
-        total = 0.0
-        for i in range(b):
-            for j in range(b):
-                z = 1.0 if i == j else -1.0
-                total += np.log(1.0 / (1.0 + np.exp(-z * logits[i, j])))
-        np.testing.assert_allclose(sigclip_loss(batch), -total / b, rtol=1e-10)
-
-    def test_clip_loss_large_logits_stable(self, rng):
-        batch = self._batch(rng, temperature=500.0)
-        assert np.isfinite(clip_softmax_loss(batch))
-        assert np.isfinite(sigclip_loss(batch))
-
-    def test_perfect_alignment_is_low(self, rng):
-        x = rng.normal(size=(5, 8))
-        aligned = ContrastiveBatch(image=x, text=x, temperature=50.0)
-        shuffled = ContrastiveBatch(image=x, text=x[::-1], temperature=50.0)
-        assert clip_softmax_loss(aligned) < clip_softmax_loss(shuffled)
-
-    def test_batch_validation(self, rng):
-        with pytest.raises(ValueError):
-            ContrastiveBatch(image=rng.normal(size=(2, 3)), text=rng.normal(size=(3, 3)), temperature=1.0)
-        with pytest.raises(ValueError):
-            ContrastiveBatch(image=rng.normal(size=(2, 3)), text=rng.normal(size=(2, 3)), temperature=0.0)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_poe_commutes_property(seed):
@@ -186,7 +138,10 @@ class TestBuildPanelFeatures:
         _, feats = build_panel_features(
             "mean", {"image": (ids, ximg), "text": (("b", "a"), xtxt[::-1])}
         )
-        expect = np.stack([mean_fuse(ximg[0], xtxt[0]), mean_fuse(ximg[1], xtxt[1])])
+        expect = np.stack([
+            0.5 * (ximg[i] / np.linalg.norm(ximg[i]) + xtxt[i] / np.linalg.norm(xtxt[i]))
+            for i in range(2)
+        ])
         np.testing.assert_allclose(feats, expect)
 
     def test_mean_mode_id_mismatch(self, rng):

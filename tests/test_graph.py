@@ -8,14 +8,12 @@ from gemi.graph import (
     attach_test_items,
     attachment_blocks,
     augment_label_edges,
-    build_user_item_graph,
     edge_dropout,
     epsilon_graph,
     knn_graph_symmetric,
     normalize_adjacency,
 )
 from gemi.numerics import SeededRng, cosine_similarity_matrix
-from gemi.users import UserProfile
 
 
 def brute_force_knn_edges(X, k, floor=0.0):
@@ -319,22 +317,6 @@ class TestAttachment:
                     assert B[t, i] == 1.0 / np.sqrt(dh_t * dh_train[i])
                 else:
                     assert B[t, i] == 0.0
-
-
-class TestUserItemGraph:
-    def test_user_features_and_edges(self, rng):
-        X = rng.normal(size=(10, 4))
-        g = knn_graph_symmetric(X, 2)
-        profiles = [
-            UserProfile(user_id="u0", items=(1, 3), preferences=np.array([1.0, 0.0, 0.0])),
-            UserProfile(user_id="u1", items=(), preferences=np.array([0.0, 1.0, 0.0])),
-        ]
-        bg = build_user_item_graph(profiles, g, X)
-        assert bg.num_users == 2
-        assert bg.num_items == 10
-        np.testing.assert_allclose(bg.user_features[0], X[[1, 3]].mean(axis=0))
-        assert np.array_equal(bg.user_features[1], np.zeros(4))
-        assert {tuple(e) for e in bg.edges.tolist()} == {(0, 1), (0, 3)}
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,7 +13,6 @@ from gemi.losses import (
     kl_standard_normal,
     kl_standard_normal_grads,
     positive_weights,
-    recon_loss,
     recon_loss_from_scores,
     recon_loss_scores_grad,
     supervised_loss,
@@ -196,7 +195,9 @@ class TestRecon:
         t, z = self._setup(rng)
         w = edge_pos_weight(t)
         p = 1.0 / (1.0 + np.exp(-z))
-        np.testing.assert_allclose(recon_loss(t, p, w), recon_loss_from_scores(t, z, w), rtol=1e-10)
+        # oracle: the probability form of the weighted BCE
+        naive = np.mean(-w * t * np.log(p) - (1.0 - t) * np.log1p(-p))
+        np.testing.assert_allclose(recon_loss_from_scores(t, z, w), naive, rtol=1e-10)
 
     def test_edge_pos_weight_ratio(self):
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -207,16 +208,18 @@ class TestRecon:
             edge_pos_weight(np.zeros((3, 3)))
 
     def test_saturated_probs_finite(self):
-        # exact 0/1 probabilities hit 0·inf in the naive formula; the
-        # limit value of those terms is 0
+        # scores this large saturate sigma to exact 0/1, where the
+        # probability form hits 0·inf; the logit form stays finite
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
-        p = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert recon_loss(t, p, 1.0) == 0.0
+        z = np.array([[800.0, -800.0], [-800.0, 800.0]])
+        assert recon_loss_from_scores(t, z, 1.0) == 0.0
+        assert np.all(np.isfinite(recon_loss_scores_grad(t, z, 1.0)))
+        assert recon_loss_from_scores(t, -z, 1.0) == 800.0
 
     def test_mismatched_probs_large_loss(self):
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = np.array([[0.01, 0.99], [0.99, 0.01]])
-        assert recon_loss(t, p, 1.0) > 1.0
+        assert recon_loss_from_scores(t, np.log(p / (1.0 - p)), 1.0) > 1.0
 
     def test_scores_grad_matches_fd(self, rng):
         t, z = self._setup(rng, n=4)

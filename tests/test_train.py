@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gemi import train
 from gemi.config import default_config
 from gemi.datasets import make_planted_panels
 from gemi.numerics import SeededRng
@@ -186,9 +187,42 @@ class TestInductiveLeakage:
 
 class TestGradientCheck:
     @pytest.mark.parametrize("kind,loss_kind", [
-        ("gcn", "focal"), ("gcn", "wbce"), ("gae", "focal"), ("vgae", "focal"),
+        ("gcn", "focal"), ("gcn", "wbce"), ("gcn", "bce"),
+        ("gae", "focal"), ("gae", "wbce"), ("vgae", "focal"), ("vgae", "wbce"),
     ])
     def test_analytic_matches_fd(self, kind, loss_kind):
         res = gradient_check(kind, loss_kind, seed=0)
         assert res.passed, f"max rel err {res.max_rel_err:.2e}"
         assert res.max_rel_err <= 1e-4
+
+    def test_training_and_check_share_one_objective(self, table, monkeypatch):
+        calls = []
+        real = train.objective_and_grads
+
+        def spy(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(train, "objective_and_grads", spy)
+        train_transductive(table.features, table.labels, table.train_mask, tiny_cfg("vgae", epochs=4), SeededRng(1))
+        assert calls == ["vgae"] * 4
+        calls.clear()
+        gradient_check("gae", "focal", seed=0)
+        assert calls and set(calls) == {"gae"}
+
+    def test_non_finite_objective_is_a_failed_result(self, monkeypatch):
+        real = train.objective_and_grads
+        seen = []
+
+        def nan_after_first(*args):
+            total, report, grads = real(*args)
+            seen.append((args[1], {k: w.copy() for k, w in args[1].weights().items()}))
+            return (total if len(seen) == 1 else float("nan")), report, grads
+
+        monkeypatch.setattr(train, "objective_and_grads", nan_after_first)
+        res = gradient_check("gcn", "focal", seed=0)
+        assert not res.passed
+        assert res.max_rel_err == float("inf")
+        params, before = seen[0]
+        for k, w in params.weights().items():
+            assert np.array_equal(w, before[k])  # restored after the aborted sweep
