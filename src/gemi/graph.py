@@ -5,6 +5,13 @@ provenance tag (``knn``, ``epsilon``, ``label-augment``, ``attachment``)
 so augmentation and attachment edges stay distinguishable from the base
 similarity structure.  Self-loops enter only through
 :func:`normalize_adjacency`.
+
+The builders never hold the full n×n cosine matrix: they score
+:data:`BLOCK_ROWS` rows at a time (``Xn[I] @ Rn.T``), so the similarity
+work space is O(BLOCK_ROWS · n) floats.  A per-row top-k keeps every
+entry above the row's k-th largest value, then the lowest column indices
+among the entries equal to it, which is the order (similarity
+descending, index ascending) cut after k.
 """
 
 from __future__ import annotations
@@ -17,12 +24,15 @@ from .numerics import (
     SeededRng,
     SparseAdjacency,
     as_matrix,
-    cosine_similarity_matrix,
     l2_normalize_rows,
     matmul,
 )
 
 EDGE_TAGS = ("knn", "epsilon", "label-augment", "attachment")
+
+# Similarity rows scored at once.  At n = 50 000 one block is ~100 MB of
+# float64 per work array; at the benchmark's n it is a few MB.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -70,9 +80,6 @@ class ItemGraph:
             np.add.at(deg, self.pairs[:, 1], 1)
         return deg
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.pairs}
-
     def to_adjacency(self) -> SparseAdjacency:
         """Binary symmetric adjacency (weight 1 per direction)."""
         if self.m == 0:
@@ -83,15 +90,52 @@ class ItemGraph:
         return SparseAdjacency.from_entries(self.n, rows, cols, ones, validate=False)
 
 
-def _top_k_rows(sims: np.ndarray, k: int) -> np.ndarray:
-    """Per-row indices of the k largest entries, ties by ascending index."""
-    n_cols = sims.shape[1]
-    cols = np.arange(n_cols)
-    out = np.empty((sims.shape[0], k), dtype=np.int64)
-    for i in range(sims.shape[0]):
-        order = np.lexsort((cols, -sims[i]))
-        out[i] = order[:k]
-    return out
+def _similarity_blocks(Qn: np.ndarray, Rn: np.ndarray):
+    """Yield (start, Qn[start:start + BLOCK_ROWS] @ Rn.T) over the rows of Qn."""
+    Rt = np.ascontiguousarray(Rn.T)
+    for start in range(0, Qn.shape[0], BLOCK_ROWS):
+        yield start, matmul(Qn[start : start + BLOCK_ROWS], Rt)
+
+
+def _top_k_pairs(
+    Qn: np.ndarray, Rn: np.ndarray, k: int, floor: float | None = None, exclude_self: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k most similar columns of Qn @ Rn.T, one row block at a time.
+
+    Similarities are clamped up to ``floor`` when given; ``exclude_self``
+    (Qn and Rn the same rows) sets each row's own column to -inf.  Ties
+    at the k-th value go to the lowest column indices.  Returns
+    (rows, cols) with exactly k entries per row; memory is
+    O(BLOCK_ROWS · Rn rows).
+    """
+    m = Rn.shape[0]
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for start, sims in _similarity_blocks(Qn, Rn):
+        b = sims.shape[0]
+        if floor is not None:
+            np.maximum(sims, floor, out=sims)
+        if exclude_self:
+            sims[np.arange(b), start + np.arange(b)] = -np.inf
+        # k-th largest per row; the list index copies, so the partitioned block is freed
+        kth = np.partition(sims, m - k, axis=1)[:, [m - k]]
+        above = sims > kth
+        r_hi, c_hi = np.nonzero(above)
+        need = k - np.count_nonzero(above, axis=1)
+        r_eq, c_eq = np.nonzero(sims == kth)  # row-major: columns ascend within a row
+        rank = np.arange(r_eq.size) - np.searchsorted(r_eq, r_eq)
+        take = rank < need[r_eq]
+        rows += [start + r_hi, start + r_eq[take]]
+        cols += [c_hi, c_eq[take]]
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _unique_pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Sorted, duplicate-free keys min·n + max of the undirected pairs (a, b)."""
+    return np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+
+
+def _pairs_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    return np.column_stack([keys // n, keys % n])
 
 
 def knn_graph_symmetric(
@@ -102,9 +146,12 @@ def knn_graph_symmetric(
     Each node links to its top-k most similar distinct nodes (after
     clamping similarities up to ``similarity_floor``); the union of
     directed picks closes symmetrically, so every node ends with degree
-    at least k.  Rank ties break by ascending node index.  With
-    ``node_subset`` the graph is built over those rows only, with local
-    indices following the subset order.
+    at least k.  Rank ties break by ascending node index: a node takes
+    every neighbor above its k-th largest similarity, then the lowest
+    indices among those equal to it.  With ``node_subset`` the graph is
+    built over those rows only, with local indices following the subset
+    order.  Similarities are scored in row blocks, so memory is
+    O(BLOCK_ROWS · n) plus the O(n·k) edges.
     """
     X = as_matrix(X)
     if node_subset is not None:
@@ -114,14 +161,9 @@ def knn_graph_symmetric(
         raise ValueError("k must be at least 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
-    sims = np.maximum(cosine_similarity_matrix(X), similarity_floor)
-    np.fill_diagonal(sims, -np.inf)
-    picks = _top_k_rows(sims, k)
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = picks.reshape(-1)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    pairs = np.unique(np.column_stack([lo, hi]), axis=0)
+    Xn = l2_normalize_rows(X)
+    src, dst = _top_k_pairs(Xn, Xn, k, floor=similarity_floor, exclude_self=True)
+    pairs = _pairs_from_keys(_unique_pair_keys(src, dst, n), n)
     return ItemGraph.from_pairs(n, pairs, np.full(pairs.shape[0], "knn", dtype=object))
 
 
@@ -130,14 +172,20 @@ def epsilon_graph(X, epsilon: float) -> ItemGraph:
 
     Negative similarities are suppressed to 0 first; an edge requires
     suppressed similarity ≥ ε and > 0, so ε = 0 keeps exactly the pairs
-    with strictly positive similarity.
+    with strictly positive similarity.  Similarities are scored in row
+    blocks (O(BLOCK_ROWS · n) work space); the edges themselves can
+    number O(n²) for a small ε.
     """
     X = as_matrix(X)
-    sims = np.maximum(cosine_similarity_matrix(X), 0.0)
-    keep = (sims >= epsilon) & (sims > 0.0)
-    iu, ju = np.triu_indices(X.shape[0], k=1)
-    mask = keep[iu, ju]
-    pairs = np.column_stack([iu[mask], ju[mask]])
+    Xn = l2_normalize_rows(X)
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    for start, sims in _similarity_blocks(Xn, Xn):
+        np.maximum(sims, 0.0, out=sims)
+        # keep j > i only: block row r is global row start + r
+        keep = np.triu((sims >= epsilon) & (sims > 0.0), k=start + 1)
+        r, c = np.nonzero(keep)
+        chunks.append(np.column_stack([start + r, c]))
+    pairs = np.concatenate(chunks)
     return ItemGraph.from_pairs(
         X.shape[0], pairs, np.full(pairs.shape[0], "epsilon", dtype=object)
     )
@@ -157,9 +205,10 @@ def augment_label_edges(
 
     The positive set is randomly subsampled to ``max_nodes`` if larger;
     within the subsample each node links to its top-``k_label`` most
-    cosine-similar positives.  New edges are tagged ``label-augment``;
-    existing edges keep their tags.  Fewer than two positives leave the
-    graph unchanged.
+    cosine-similar positives (ties by ascending index, as in
+    :func:`knn_graph_symmetric`, scored in row blocks).  New edges are
+    tagged ``label-augment``; existing edges keep their tags.  Fewer than
+    two positives leave the graph unchanged.
     """
     if k_label < 1:
         raise ValueError("k_label must be at least 1")
@@ -170,21 +219,13 @@ def augment_label_edges(
         return g
     if pos.size > max_nodes:
         pos = np.sort(rng.choice(pos, size=max_nodes, replace=False))
-    X = as_matrix(X)
-    sims = cosine_similarity_matrix(X[pos])
-    np.fill_diagonal(sims, -np.inf)
-    kk = min(k_label, pos.size - 1)
-    picks = _top_k_rows(sims, kk)
-    src = np.repeat(pos, kk)
-    dst = pos[picks.reshape(-1)]
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    new_pairs = np.unique(np.column_stack([lo, hi]), axis=0)
-    existing = g.edge_set()
-    fresh = np.array(
-        [row for row in new_pairs if (int(row[0]), int(row[1])) not in existing],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    Xp = l2_normalize_rows(as_matrix(X)[pos])
+    src, dst = _top_k_pairs(Xp, Xp, min(k_label, pos.size - 1), exclude_self=True)
+    new_keys = _unique_pair_keys(pos[src], pos[dst], g.n)
+    # sentinel n² exceeds every pair key, so searchsorted stays in range
+    existing = np.append(np.sort(g.pairs[:, 0] * g.n + g.pairs[:, 1]), g.n * g.n)
+    seen = existing[np.searchsorted(existing, new_keys)] == new_keys
+    fresh = _pairs_from_keys(new_keys[~seen], g.n)
     pairs = np.concatenate([g.pairs, fresh])
     tags = np.concatenate([g.tags, np.full(fresh.shape[0], "label-augment", dtype=object)])
     return ItemGraph.from_pairs(g.n, pairs, tags)
@@ -228,7 +269,8 @@ def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int) -> ItemGr
 
     Nodes 0..n_train-1 keep the training structure unchanged; test item
     t becomes node n_train + t with edges to its top-k most similar
-    training nodes only (ties by ascending training index).  Test-test
+    training nodes only (ties by ascending training index, scored in
+    blocks of test rows: O(BLOCK_ROWS · n_train) work space).  Test-test
     edges never exist, so unseen items cannot influence each other.
     """
     X_train = as_matrix(X_train)
@@ -240,26 +282,20 @@ def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int) -> ItemGr
         raise ValueError("k must be at least 1")
     if k > n_train:
         raise ValueError(f"k={k} exceeds the training count {n_train}")
-    sims = matmul(
-        l2_normalize_rows(X_test), np.ascontiguousarray(l2_normalize_rows(X_train).T)
-    )
-    picks = _top_k_rows(sims, k)
+    src, dst = _top_k_pairs(l2_normalize_rows(X_test), l2_normalize_rows(X_train), k)
     n_test = X_test.shape[0]
-    src = n_train + np.repeat(np.arange(n_test, dtype=np.int64), k)
-    dst = picks.reshape(-1)
-    pairs = np.concatenate([train_graph.pairs, np.column_stack([dst, src])])
+    pairs = np.concatenate([train_graph.pairs, np.column_stack([dst, n_train + src])])
     tags = np.concatenate(
         [train_graph.tags, np.full(src.size, "attachment", dtype=object)]
     )
     return ItemGraph.from_pairs(n_train + n_test, pairs, tags)
 
 
-def attachment_blocks(
-    extended: ItemGraph, train_graph: ItemGraph
-) -> tuple[np.ndarray, np.ndarray]:
+def attachment_blocks(extended: ItemGraph, train_graph: ItemGraph):
     """Normalized read-only weights for attached test nodes.
 
-    Returns (B, s) where row i of B holds test node i's normalized
+    Returns (B, s) where B is an n_test × n_train
+    ``scipy.sparse.csr_array`` whose row i holds test node i's normalized
     weights onto training nodes, and s[i] is its self-loop weight.
     Messages flow train → test only: a test node aggregates training
     representations with weight 1/sqrt(dh_i · dh_t) (dh = degree + 1,
@@ -268,15 +304,17 @@ def attachment_blocks(
     This keeps every test prediction independent of all other test
     items.
     """
+    # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
+    from scipy.sparse import csr_array
+
     n_train = train_graph.n
     n_test = extended.n - n_train
     attach = extended.pairs[extended.tags == "attachment"]
-    deg_test = np.zeros(n_test, dtype=np.int64)
-    np.add.at(deg_test, attach[:, 1] - n_train, 1)
-    dh_test = deg_test + 1.0
-    dh_train = train_graph.degrees() + 1.0
-    B = np.zeros((n_test, n_train), dtype=np.float64)
     ti = attach[:, 1] - n_train
     tr = attach[:, 0]
-    B[ti, tr] = 1.0 / np.sqrt(dh_test[ti] * dh_train[tr])
-    return B, 1.0 / dh_test
+    deg_test = np.zeros(n_test, dtype=np.int64)
+    np.add.at(deg_test, ti, 1)
+    dh_test = deg_test + 1.0
+    dh_train = train_graph.degrees() + 1.0
+    w = 1.0 / np.sqrt(dh_test[ti] * dh_train[tr])
+    return csr_array((w, (ti, tr)), shape=(n_test, n_train)), 1.0 / dh_test

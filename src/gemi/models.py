@@ -237,7 +237,10 @@ def vgae_backward(params: VgaeParams, cache, d_logits, d_scores, d_mu_extra=None
         d_ls = d_ls + d_log_sigma_extra
     inside = np.abs(cache["ls_pre"]) < params.clamp
     d_ls_pre = d_ls * inside
-    d_w_mu, d_m2_mu = _linear_backward(cache["m2"], params.w_mu, d_mu)
-    d_w_sigma, d_m2_sigma = _linear_backward(cache["m2"], params.w_sigma, d_ls_pre)
+    m2_t = np.ascontiguousarray(cache["m2"].T)  # one copy serves both branches
+    d_w_mu = matmul(m2_t, d_mu)
+    d_w_sigma = matmul(m2_t, d_ls_pre)
+    d_m2_mu = matmul(d_mu, np.ascontiguousarray(params.w_mu.T))
+    d_m2_sigma = matmul(d_ls_pre, np.ascontiguousarray(params.w_sigma.T))
     d_w0 = _propagate_backward(cache, d_m2_mu + d_m2_sigma)
     return {"w0": d_w0, "w_mu": d_w_mu, "w_sigma": d_w_sigma, "head": d_head}

@@ -68,13 +68,19 @@ def user_embedding(items, reps) -> np.ndarray:
     return as_matrix(reps)[idx].mean(axis=0)
 
 
+def _row_norms(test_reps: np.ndarray) -> np.ndarray:
+    return np.sqrt((test_reps**2).sum(axis=1)) + EPS_NORM
+
+
+def _cosine(user_vec: np.ndarray, test_reps: np.ndarray, t_norm: np.ndarray) -> np.ndarray:
+    u_norm = np.sqrt((user_vec**2).sum()) + EPS_NORM
+    return (test_reps @ user_vec) / (u_norm * t_norm)
+
+
 def score(user_vec, test_reps) -> np.ndarray:
     """Cosine similarity between the user vector and each candidate row."""
-    user_vec = np.asarray(user_vec, dtype=np.float64)
     test_reps = as_matrix(test_reps)
-    u_norm = np.sqrt((user_vec**2).sum()) + EPS_NORM
-    t_norm = np.sqrt((test_reps**2).sum(axis=1)) + EPS_NORM
-    return (test_reps @ user_vec) / (u_norm * t_norm)
+    return _cosine(np.asarray(user_vec, dtype=np.float64), test_reps, _row_norms(test_reps))
 
 
 def top_k(scores, k_rec: int) -> np.ndarray:
@@ -129,8 +135,12 @@ def aggregate(per_user: np.ndarray, *, model: str, representation: str, k_rec: i
 
 def recommend_for_profile(profile, reps, test_indices, k_rec: int) -> Recommendation:
     test_reps = as_matrix(reps)[test_indices]
-    u_vec = user_embedding(profile.items, reps)
-    s = score(u_vec, test_reps)
+    return _recommend(profile, reps, test_indices, test_reps, _row_norms(test_reps), k_rec)
+
+
+def _recommend(profile, reps, test_indices, test_reps, t_norm, k_rec: int) -> Recommendation:
+    """recommend_for_profile with the candidate rows and norms computed by the caller."""
+    s = _cosine(user_embedding(profile.items, reps), test_reps, t_norm)
     picks = top_k(s, k_rec)
     return Recommendation(
         user_id=profile.user_id,
@@ -161,9 +171,11 @@ def evaluate(
     if not profiles:
         raise ValueError("evaluation requires at least one user profile")
     Y = np.asarray(Y)
+    test_reps = as_matrix(reps)[test_indices]  # shared by every user
+    t_norm = _row_norms(test_reps)
     per_user = np.zeros((len(profiles), Y.shape[1]))
     for u, profile in enumerate(profiles):
-        rec = recommend_for_profile(profile, reps, test_indices, k_rec)
+        rec = _recommend(profile, reps, test_indices, test_reps, t_norm, k_rec)
         relevant = label_relevance(rec.items, profile.preferences, Y)
         for ell in range(Y.shape[1]):
             per_user[u, ell] = precision_at_k(rec.items, relevant[ell], k_rec)

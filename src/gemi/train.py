@@ -157,8 +157,8 @@ def _build_base_graph(cfg: dict, X, Y, train_mask_local, rng: SeededRng) -> Item
 def _forward_eval(kind, params, adj, X):
     """Clean (dropout-free) forward returning the model representation."""
     if kind == "gcn":
-        _, cache = models.gcn_forward(params, adj, X, training=False)
-        return cache["h"]
+        # first layer only: the representation is the hidden state h
+        return np.maximum(matmul(spmm(adj, X), params.w0), 0.0)
     if kind == "gae":
         out, _ = models.gae_forward(params, adj, X, training=False)
         return out["Z"]
@@ -171,15 +171,16 @@ def _inductive_test_reps(kind, params, B, s, X_train, X_test, adj_train):
 
     Layer 1 aggregates training features (and the item's own row); layer
     2 aggregates the training graph's hidden states.  No other test item
-    enters anywhere, so predictions are per-item independent.
+    enters anywhere, so predictions are per-item independent.  ``B`` is
+    the sparse test × train block from :func:`attachment_blocks`.
     """
     s_col = s[:, None]
-    agg1_test = matmul(B, X_train) + s_col * X_test
+    agg1_test = B @ X_train + s_col * X_test
     h1_test = np.maximum(matmul(agg1_test, params.w0), 0.0)
     if kind == "gcn":
         return h1_test  # penultimate representation, as on the train side
     h1_train = np.maximum(matmul(spmm(adj_train, X_train), params.w0), 0.0)
-    agg2_test = matmul(B, h1_train) + s_col * h1_test
+    agg2_test = B @ h1_train + s_col * h1_test
     return matmul(agg2_test, params.w1 if kind == "gae" else params.w_mu)
 
 

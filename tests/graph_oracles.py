@@ -1,0 +1,57 @@
+"""Brute-force graph oracles for the graph tests and acceptance gate 04.
+
+Each oracle spells its rule out over the full similarity matrix with a
+Python sort per row, independent of the row-blocked builders in
+``gemi.graph``.
+"""
+
+import numpy as np
+
+from gemi.numerics import cosine_similarity_matrix, l2_normalize_rows
+
+
+def edge_set(g) -> set[tuple[int, int]]:
+    """The graph's undirected edges as (i, j) tuples with i < j."""
+    return {(int(i), int(j)) for i, j in g.pairs}
+
+
+def tagged_edges(g) -> dict[tuple[int, int], str]:
+    return {(int(i), int(j)): str(t) for (i, j), t in zip(g.pairs, g.tags)}
+
+
+def ranked(sims_row, candidates, k) -> list[int]:
+    """The first k candidates by (similarity descending, index ascending)."""
+    return sorted(candidates, key=lambda j: (-sims_row[j], j))[:k]
+
+
+def brute_force_knn_edges(X, k, floor=0.0) -> set[tuple[int, int]]:
+    """Reference construction: per-node top-k picks, symmetric union."""
+    n = X.shape[0]
+    sims = np.maximum(cosine_similarity_matrix(X), floor)
+    edges = set()
+    for i in range(n):
+        for j in ranked(sims[i], (j for j in range(n) if j != i), k):
+            edges.add((min(i, j), max(i, j)))
+    return edges
+
+
+def brute_force_epsilon_edges(X, eps) -> set[tuple[int, int]]:
+    n = X.shape[0]
+    sims = np.maximum(cosine_similarity_matrix(X), 0.0)
+    return {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if sims[i, j] >= eps and sims[i, j] > 0.0
+    }
+
+
+def brute_force_attach_edges(X_train, X_test, k) -> set[tuple[int, int]]:
+    """(train node, n_train + t) for each test row t's top-k training rows."""
+    n_train = X_train.shape[0]
+    sims = l2_normalize_rows(X_test) @ l2_normalize_rows(X_train).T
+    return {
+        (j, n_train + t)
+        for t in range(X_test.shape[0])
+        for j in ranked(sims[t], range(n_train), k)
+    }

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gemi import graph
 from gemi.graph import (
     ItemGraph,
     attach_test_items,
@@ -14,19 +17,13 @@ from gemi.graph import (
     normalize_adjacency,
 )
 from gemi.numerics import SeededRng, cosine_similarity_matrix
-
-
-def brute_force_knn_edges(X, k, floor=0.0):
-    """Reference construction: per-node top-k picks, symmetric union."""
-    n = X.shape[0]
-    sims = np.maximum(cosine_similarity_matrix(X), floor)
-    edges = set()
-    for i in range(n):
-        # sort candidates by (similarity desc, index asc), skip self
-        cand = sorted((j for j in range(n) if j != i), key=lambda j: (-sims[i, j], j))
-        for j in cand[:k]:
-            edges.add((min(i, j), max(i, j)))
-    return edges
+from graph_oracles import (
+    brute_force_attach_edges,
+    brute_force_epsilon_edges,
+    brute_force_knn_edges,
+    edge_set,
+    tagged_edges,
+)
 
 
 class TestItemGraph:
@@ -64,7 +61,7 @@ class TestKnnGraph:
         rng = SeededRng(seed)
         X = rng.normal(size=(n, 5))
         g = knn_graph_symmetric(X, k)
-        assert g.edge_set() == brute_force_knn_edges(X, k)
+        assert edge_set(g) == brute_force_knn_edges(X, k)
 
     def test_min_degree_at_least_k(self, rng):
         X = rng.normal(size=(30, 4))
@@ -80,7 +77,7 @@ class TestKnnGraph:
         # the lowest-indexed other node
         X = np.tile([[1.0, 0.0]], (4, 1))
         g = knn_graph_symmetric(X, 1)
-        assert g.edge_set() == {(0, 1), (0, 2), (0, 3)}
+        assert edge_set(g) == {(0, 1), (0, 2), (0, 3)}
 
     def test_similarity_floor_changes_ranking(self):
         # floor lifts all negatives to the same value, making rank ties
@@ -88,15 +85,15 @@ class TestKnnGraph:
         X = np.array([[1.0, 0.0], [-1.0, 0.01], [-1.0, -0.01], [0.9, 0.1]])
         g_raw = knn_graph_symmetric(X, 1)
         g_floored = knn_graph_symmetric(X, 1, similarity_floor=0.0)
-        assert g_raw.edge_set() == brute_force_knn_edges(X, 1, floor=-np.inf)
-        assert g_floored.edge_set() == brute_force_knn_edges(X, 1, floor=0.0)
+        assert edge_set(g_raw) == brute_force_knn_edges(X, 1, floor=-np.inf)
+        assert edge_set(g_floored) == brute_force_knn_edges(X, 1, floor=0.0)
 
     def test_node_subset_uses_local_indices(self, rng):
         X = rng.normal(size=(20, 4))
         subset = np.array([3, 7, 11, 15, 19])
         g = knn_graph_symmetric(X, 2, node_subset=subset)
         assert g.n == 5
-        assert g.edge_set() == brute_force_knn_edges(X[subset], 2)
+        assert edge_set(g) == brute_force_knn_edges(X[subset], 2)
 
     def test_k_bounds(self, rng):
         X = rng.normal(size=(5, 3))
@@ -118,13 +115,13 @@ class TestEpsilonGraph:
             for j in range(i + 1, 15)
             if max(sims[i, j], 0.0) >= eps and max(sims[i, j], 0.0) > 0.0
         }
-        assert g.edge_set() == expect
+        assert edge_set(g) == expect
 
     def test_zero_epsilon_keeps_positive_only(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         g = epsilon_graph(X, 0.0)
         # orthogonal pair (0, 1) has similarity 0: no edge
-        assert g.edge_set() == {(0, 2), (1, 2)}
+        assert edge_set(g) == {(0, 2), (1, 2)}
 
     def test_epsilon_one_point_one(self, rng):
         g = epsilon_graph(rng.normal(size=(10, 3)), 1.1)
@@ -158,9 +155,9 @@ class TestAugmentLabelEdges:
     def test_existing_edges_keep_tags(self, rng):
         X, Y, g, train = self._setup(rng)
         out = augment_label_edges(g, X, Y, 0, 3, 100, train, rng.substream("aug"))
-        assert out.edge_set() >= g.edge_set()
+        assert edge_set(out) >= edge_set(g)
         kept = {tuple(p) for p, t in zip(out.pairs.tolist(), out.tags) if t == "knn"}
-        assert kept == g.edge_set()
+        assert kept == edge_set(g)
 
     def test_fewer_than_two_positives_is_identity(self, rng):
         X, Y, g, train = self._setup(rng)
@@ -188,7 +185,7 @@ class TestEdgeDropout:
     def test_p_zero_identity(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(12, 3)), 2)
         out = edge_dropout(g, 0.0, rng.substream("d"))
-        assert out.edge_set() == g.edge_set()
+        assert edge_set(out) == edge_set(g)
 
     def test_p_one_drops_all(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(12, 3)), 2)
@@ -213,10 +210,10 @@ class TestEdgeDropout:
         g2 = ItemGraph(n=g.n, pairs=g.pairs, tags=tags)
         out_plain = edge_dropout(g, 0.5, SeededRng(12))
         out_exempt = edge_dropout(g2, 0.5, SeededRng(12), exempt_tags=("label-augment",))
-        plain_kept = out_plain.edge_set()
+        plain_kept = edge_set(out_plain)
         for (i, j), tag in zip(g2.pairs.tolist(), g2.tags):
             if tag != "label-augment":
-                assert ((i, j) in out_exempt.edge_set()) == ((i, j) in plain_kept)
+                assert ((i, j) in edge_set(out_exempt)) == ((i, j) in plain_kept)
 
     def test_expected_keep_rate(self):
         g = ItemGraph.from_pairs(
@@ -276,7 +273,7 @@ class TestAttachment:
             for p, t in zip(extended.pairs.tolist(), extended.tags)
             if t != "attachment"
         }
-        assert kept == train_graph.edge_set()
+        assert kept == edge_set(train_graph)
 
     def test_each_test_node_links_topk_trains(self, rng):
         X_train, X_test, train_graph, extended = self._graphs(rng, k=3)
@@ -319,17 +316,128 @@ class TestAttachment:
                     assert B[t, i] == 0.0
 
 
+def tie_heavy_features(rng, n, d):
+    """Axis-aligned rows (many exact duplicates) and all-zero rows.
+
+    Every cosine is a single product or exactly 0, so the ties are exact
+    whatever order a matrix product sums in.
+    """
+    X = np.zeros((n, d))
+    X[np.arange(n), rng.integers(0, d, size=n)] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n)
+    X[rng.random(n) < 0.2] = 0.0
+    return X
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Seven rows per block: n = 10..40 spans 2..6 blocks and a short last one."""
+    monkeypatch.setattr(graph, "BLOCK_ROWS", 7)
+
+
+INPUTS = {
+    "normal": lambda rng, n: rng.normal(size=(n, 4)),
+    "tie-heavy": lambda rng, n: tie_heavy_features(rng, n, 3),
+}
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestRowBlocks:
+    @pytest.mark.parametrize("inputs", sorted(INPUTS))
+    @pytest.mark.parametrize("floor", [-np.inf, 0.0, 0.3])
+    @pytest.mark.parametrize("seed,n,k", [(0, 10, 3), (1, 22, 1), (2, 36, 5), (3, 15, 14), (4, 40, 39)])
+    def test_knn_matches_brute_force(self, inputs, floor, seed, n, k):
+        X = INPUTS[inputs](SeededRng(seed), n)
+        g = knn_graph_symmetric(X, k, similarity_floor=floor)
+        assert edge_set(g) == brute_force_knn_edges(X, k, floor=floor)
+        assert g.degrees().min() >= k
+
+    @pytest.mark.parametrize("inputs", sorted(INPUTS))
+    def test_k_n_minus_one_is_complete(self, inputs):
+        n = 17
+        g = knn_graph_symmetric(INPUTS[inputs](SeededRng(5), n), n - 1)
+        assert edge_set(g) == {(i, j) for i in range(n) for j in range(i + 1, n)}
+
+    @pytest.mark.parametrize("inputs", sorted(INPUTS))
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.99])
+    @pytest.mark.parametrize("seed,n", [(0, 10), (1, 23), (2, 40)])
+    def test_epsilon_matches_brute_force(self, inputs, eps, seed, n):
+        X = INPUTS[inputs](SeededRng(seed), n)
+        g = epsilon_graph(X, eps)
+        assert edge_set(g) == brute_force_epsilon_edges(X, eps)
+        assert set(g.tags) <= {"epsilon"}
+
+    @pytest.mark.parametrize("inputs", sorted(INPUTS))
+    @pytest.mark.parametrize("seed,n_train,n_test,k", [(0, 12, 9, 3), (1, 20, 15, 1), (2, 25, 8, 25), (3, 12, 0, 2)])
+    def test_attach_matches_brute_force(self, inputs, seed, n_train, n_test, k):
+        rng = SeededRng(seed)
+        X_train = INPUTS[inputs](rng, n_train)
+        X_test = INPUTS[inputs](rng, n_test)
+        train_graph = knn_graph_symmetric(X_train, 2)
+        extended = attach_test_items(train_graph, X_train, X_test, k)
+        expect = {e: "knn" for e in edge_set(train_graph)}
+        expect.update(dict.fromkeys(brute_force_attach_edges(X_train, X_test, k), "attachment"))
+        assert tagged_edges(extended) == expect
+
+    @pytest.mark.parametrize("inputs", sorted(INPUTS))
+    @pytest.mark.parametrize("seed,n,k_label", [(0, 30, 3), (1, 40, 6), (2, 25, 30)])
+    def test_augment_dedup_matches_set_oracle(self, inputs, seed, n, k_label):
+        rng = SeededRng(seed)
+        X = INPUTS[inputs](rng, n)
+        Y = (rng.random((n, 3)) < 0.6).astype(np.int64)
+        train = rng.random(n) < 0.8
+        g = knn_graph_symmetric(X, 2)
+        out = augment_label_edges(g, X, Y, 1, k_label, n, train, rng.substream("aug"))
+        pos = np.flatnonzero(train & (Y[:, 1] == 1))
+        kk = min(k_label, pos.size - 1)
+        local = brute_force_knn_edges(X[pos], kk, floor=-np.inf)
+        expect = {tuple(sorted((int(pos[a]), int(pos[b])))): "label-augment" for a, b in local}
+        expect.update(tagged_edges(g))  # existing edges keep their tags
+        assert tagged_edges(out) == expect
+
+    def test_sparse_blocks_equal_dense_formula(self):
+        rng = SeededRng(9)
+        X_train, X_test = tie_heavy_features(rng, 30, 3), rng.normal(size=(11, 3))
+        train_graph = knn_graph_symmetric(X_train, 4)
+        extended = attach_test_items(train_graph, X_train, X_test, 5)
+        B, s = attachment_blocks(extended, train_graph)
+        n_train = train_graph.n
+        dh_train = train_graph.degrees() + 1.0
+        dense = np.zeros((11, n_train))
+        for i, j in brute_force_attach_edges(X_train, X_test, 5):
+            dense[j - n_train, i] = 1.0 / np.sqrt(6.0 * dh_train[i])
+        assert B.format == "csr" and B.nnz == 11 * 5
+        np.testing.assert_allclose(B.toarray(), dense, rtol=0, atol=0)
+        assert np.array_equal(s, np.full(11, 1.0 / 6.0))
+
+
+def test_knn_build_memory_stays_below_one_dense_matrix():
+    # one 3000 x 3000 float64 cosine matrix is 72 MB; the row-blocked
+    # build must peak far below it
+    X = SeededRng(3).normal(size=(3000, 16))
+    tracemalloc.start()
+    try:
+        g = knn_graph_symmetric(X, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.degrees().min() >= 10
+    assert peak < 72e6 / 4
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=5, max_value=30),
     st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=31),
 )
-def test_knn_brute_force_property(seed, n, k):
+def test_knn_brute_force_property(seed, n, k, block_rows):
     if k >= n:
         k = n - 1
     rng = SeededRng(seed)
     X = rng.normal(size=(n, 4))
-    g = knn_graph_symmetric(X, k)
-    assert g.edge_set() == brute_force_knn_edges(X, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "BLOCK_ROWS", block_rows)
+        g = knn_graph_symmetric(X, k)
+    assert edge_set(g) == brute_force_knn_edges(X, k)
     assert g.degrees().min() >= k

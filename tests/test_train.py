@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gemi import train
+from gemi import models, train
 from gemi.config import default_config
 from gemi.datasets import make_planted_panels
+from gemi.graph import attachment_blocks, normalize_adjacency
 from gemi.numerics import SeededRng
 from gemi.train import (
     AdamState,
@@ -116,6 +117,29 @@ class TestTrainingLoop:
         assert gcn.representations.shape == (60, 8)  # penultimate hidden
         gae = train_transductive(table.features, table.labels, table.train_mask, tiny_cfg("gae"), SeededRng(2))
         assert gae.representations.shape == (60, 4)  # latent
+
+    def test_gcn_representation_is_the_clean_hidden_layer(self, table):
+        m = train_transductive(table.features, table.labels, table.train_mask, tiny_cfg("gcn"), SeededRng(2))
+        adj = normalize_adjacency(m.base_graph)
+        _, cache = models.gcn_forward(m.params, adj, table.features, training=False)
+        assert np.array_equal(m.representations, cache["h"])
+
+    @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
+    def test_sparse_attachment_matches_dense_formula(self, table, kind):
+        m = train_inductive(
+            table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg(kind), SeededRng(4)
+        )
+        B, s = attachment_blocks(m.extended_graph, m.base_graph)
+        dense_B = B.toarray()
+        X_tr, X_te = table.features[table.train_mask], table.features[table.test_mask]
+        h1_te = np.maximum((dense_B @ X_tr + s[:, None] * X_te) @ m.params.w0, 0.0)
+        expect = h1_te
+        if kind != "gcn":
+            A = normalize_adjacency(m.base_graph).to_dense()
+            h1_tr = np.maximum((A @ X_tr) @ m.params.w0, 0.0)
+            w_out = m.params.w1 if kind == "gae" else m.params.w_mu
+            expect = (dense_B @ h1_tr + s[:, None] * h1_te) @ w_out
+        np.testing.assert_allclose(m.representations[table.test_mask], expect, rtol=0, atol=1e-12)
 
     def test_empty_train_split_raises(self, table):
         cfg = tiny_cfg("gcn")
