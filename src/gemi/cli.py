@@ -304,7 +304,7 @@ def cmd_check(args) -> int:
     prod = spmm(adj, x)
     report(
         "spmm within 1e-12 of the dense product",
-        np.allclose(prod, adj.to_dense() @ x, rtol=0.0, atol=1e-12),
+        np.allclose(prod, adj.toarray() @ x, rtol=0.0, atol=1e-12),
     )
     report("spmm bit-identical across two calls", np.array_equal(prod, spmm(adj, x)))
 

@@ -2,8 +2,9 @@
 
 Forward formulas:
 
-* GCN:  Z = A~ ReLU(A~ X W0) W1, feature dropout on X and the hidden
-  activations while training (inverted scaling).
+* GCN:  Z = A~ ReLU(A~ X W0) W1, with optional inverted-dropout masks
+  on X and the hidden activations; the caller draws the masks, so a
+  forward never consumes randomness of its own.
 * GAE:  two-layer GCN encoder to a latent Z, inner-product decoder
   sigma(Z Z^T), linear label head on Z.
 * VGAE: shared first layer H = ReLU(A~ X W0), then mu = A~ H W_mu and
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, SparseAdjacency, as_matrix, matmul, spmm
+from .numerics import SeededRng, as_matrix, matmul, spmm
 
 LOG_SIGMA_CLAMP = 10.0
 
@@ -35,7 +36,6 @@ def glorot(rng: SeededRng, fan_in: int, fan_out: int) -> np.ndarray:
 class GcnParams:
     w0: np.ndarray  # d x h
     w1: np.ndarray  # h x c
-    dropout: float = 0.0
 
     def weights(self) -> dict[str, np.ndarray]:
         return {"w0": self.w0, "w1": self.w1}
@@ -46,7 +46,6 @@ class GaeParams:
     w0: np.ndarray  # d x h
     w1: np.ndarray  # h x d_z
     head: np.ndarray  # d_z x c
-    dropout: float = 0.0
 
     def weights(self) -> dict[str, np.ndarray]:
         return {"w0": self.w0, "w1": self.w1, "head": self.head}
@@ -58,23 +57,21 @@ class VgaeParams:
     w_mu: np.ndarray  # h x d_z
     w_sigma: np.ndarray  # h x d_z
     head: np.ndarray  # d_z x c
-    dropout: float = 0.0
     clamp: float = LOG_SIGMA_CLAMP
 
     def weights(self) -> dict[str, np.ndarray]:
         return {"w0": self.w0, "w_mu": self.w_mu, "w_sigma": self.w_sigma, "head": self.head}
 
 
-def init_params(kind: str, d: int, hidden: int, latent: int, c: int, dropout: float, rng: SeededRng):
+def init_params(kind: str, d: int, hidden: int, latent: int, c: int, rng: SeededRng):
     """Glorot-uniform initialization from a dedicated substream."""
     if kind == "gcn":
-        return GcnParams(w0=glorot(rng, d, hidden), w1=glorot(rng, hidden, c), dropout=dropout)
+        return GcnParams(w0=glorot(rng, d, hidden), w1=glorot(rng, hidden, c))
     if kind == "gae":
         return GaeParams(
             w0=glorot(rng, d, hidden),
             w1=glorot(rng, hidden, latent),
             head=glorot(rng, latent, c),
-            dropout=dropout,
         )
     if kind == "vgae":
         return VgaeParams(
@@ -82,7 +79,6 @@ def init_params(kind: str, d: int, hidden: int, latent: int, c: int, dropout: fl
             w_mu=glorot(rng, hidden, latent),
             w_sigma=glorot(rng, hidden, latent),
             head=glorot(rng, latent, c),
-            dropout=dropout,
         )
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -114,18 +110,17 @@ def draw_feature_masks(rng: SeededRng, n: int, d: int, hidden: int, rate: float)
     return dropout_mask(rng, (n, d), rate), dropout_mask(rng, (n, hidden), rate)
 
 
-def propagate(params, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
+def propagate(params, adj, X, masks=None):
     """Shared skeleton of all three kinds: m2 = A~ drop(ReLU(A~ drop(X) W0)).
 
-    Returns (m2, cache); each model applies its own output matmuls to m2.
+    ``adj`` is the normalized csr_array A~ and ``masks`` the (input,
+    hidden) dropout masks from :func:`draw_feature_masks`; ``None`` is
+    a clean evaluation pass.  Returns (m2, cache); each model applies
+    its own output matmuls to m2.
     """
     X = as_matrix(X)
-    if not training:
+    if masks is None:
         masks = (None, None)
-    elif masks is None:
-        if rng is None:
-            raise ValueError("training forward needs an rng or explicit masks")
-        masks = draw_feature_masks(rng, X.shape[0], X.shape[1], params.w0.shape[1], params.dropout)
     mask_in, mask_hidden = masks
     X0 = X * mask_in if mask_in is not None else X
     m1 = spmm(adj, X0)
@@ -153,9 +148,9 @@ def _linear_backward(x, w, d_out):
     return d_w, d_x
 
 
-def gcn_forward(params: GcnParams, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
+def gcn_forward(params: GcnParams, adj, X, masks=None):
     """Two-layer GCN logits; cache carries all backprop intermediates."""
-    m2, cache = propagate(params, adj, X, rng, training, masks)
+    m2, cache = propagate(params, adj, X, masks)
     return matmul(m2, params.w1), cache
 
 
@@ -184,8 +179,8 @@ def _head_decoder_backward(params, cache, d_logits, d_scores):
     return d_head, dZ
 
 
-def gae_forward(params: GaeParams, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
-    m2, cache = propagate(params, adj, X, rng, training, masks)
+def gae_forward(params: GaeParams, adj, X, masks=None):
+    m2, cache = propagate(params, adj, X, masks)
     Z = matmul(m2, params.w1)
     cache["Z"] = Z
     logits = matmul(Z, params.head)
@@ -199,9 +194,9 @@ def gae_backward(params: GaeParams, cache, d_logits, d_scores) -> dict[str, np.n
     return {"w0": _propagate_backward(cache, d_m2), "w1": d_w1, "head": d_head}
 
 
-def vgae_encode(params: VgaeParams, adj: SparseAdjacency, X, rng=None, training=False, masks=None):
+def vgae_encode(params: VgaeParams, adj, X, masks=None):
     """Shared-first-layer encoder: returns (mu, log_sigma, cache)."""
-    m2, cache = propagate(params, adj, X, rng, training, masks)  # m2 feeds both branches
+    m2, cache = propagate(params, adj, X, masks)  # m2 feeds both branches
     mu = matmul(m2, params.w_mu)
     ls_pre = matmul(m2, params.w_sigma)
     log_sigma = np.clip(ls_pre, -params.clamp, params.clamp)
@@ -209,11 +204,9 @@ def vgae_encode(params: VgaeParams, adj: SparseAdjacency, X, rng=None, training=
     return mu, log_sigma, cache
 
 
-def vgae_forward(params: VgaeParams, adj: SparseAdjacency, X, rng, training=False, masks=None, eps=None):
-    """Full VGAE pass; eps may be passed explicitly to freeze the noise."""
-    mu, log_sigma, cache = vgae_encode(params, adj, X, rng=rng, training=training, masks=masks)
-    if eps is None:
-        eps = rng.normal(size=mu.shape)
+def vgae_forward(params: VgaeParams, adj, X, eps, masks=None):
+    """Full VGAE pass with the reparameterization noise ``eps`` (n x d_z) given."""
+    mu, log_sigma, cache = vgae_encode(params, adj, X, masks)
     Z = mu + np.exp(log_sigma) * eps
     cache["eps"] = eps
     cache["Z"] = Z

@@ -3,8 +3,11 @@
 Conventions used throughout the package:
 
 * A dense matrix is a C-contiguous float64 2-D ndarray.
-* Sparse adjacency matrices are square, symmetric, hold finite positive
-  weights, and are stored in CSR with entries sorted by (row, col).
+* A sparse matrix is a ``scipy.sparse.csr_array`` in canonical form
+  (column indices sorted within each row, no duplicates).  Adjacency
+  matrices are square, symmetric and hold finite positive weights.
+  scipy is imported only inside the functions that build one, so
+  importing gemi does not load it.
 * All randomness flows through :class:`SeededRng`; independent concerns
   draw from named substreams so adding a consumer never shifts the
   stream of another.
@@ -13,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,74 +81,13 @@ def matmul(a, b) -> np.ndarray:
     return np.matmul(a, b)
 
 
-@dataclass(frozen=True)
-class SparseAdjacency:
-    """Symmetric square sparse matrix in CSR form.
-
-    Entries are sorted by (row, col) within the arrays; weights are
-    finite and strictly positive (zero-weight entries are dropped at
-    construction so the sparse product touches only real terms).
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-
-    @staticmethod
-    def from_entries(n, rows, cols, weights, validate: bool = True) -> "SparseAdjacency":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if not (rows.shape == cols.shape == weights.shape):
-            raise ValueError("entry arrays must have matching lengths")
-        if validate:
-            if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-                raise ValueError("entry index out of range")
-            if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-                raise ValueError("weights must be finite and nonnegative")
-        keep = weights != 0.0
-        rows, cols, weights = rows[keep], cols[keep], weights[keep]
-        order = np.lexsort((cols, rows))
-        rows, cols, weights = rows[order], cols[order], weights[order]
-        if validate:
-            if rows.size:
-                dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-                if np.any(dup):
-                    raise ValueError("duplicate entries")
-            # symmetry: the transposed entry list must sort to the same arrays
-            t_order = np.lexsort((rows, cols))
-            if not (
-                np.array_equal(cols[t_order], rows)
-                and np.array_equal(rows[t_order], cols)
-                and np.array_equal(weights[t_order], weights)
-            ):
-                raise ValueError("adjacency must be symmetric")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        indptr = np.cumsum(indptr)
-        return SparseAdjacency(n=n, indptr=indptr, indices=cols, weights=weights)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n), dtype=np.float64)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        dense[rows, self.indices] = self.weights
-        return dense
-
-
-def spmm(adj: SparseAdjacency, x) -> np.ndarray:
-    """Sparse-dense product adj @ x in O(nnz * cols); deterministic per input."""
-    # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
-    from scipy.sparse import csr_array
-
+def spmm(adj, x) -> np.ndarray:
+    """Sparse-dense product adj @ x (adj a csr_array) in O(nnz * cols); deterministic per input."""
     x = as_matrix(x)
-    if x.shape[0] != adj.n:
-        raise ValueError(f"spmm: adjacency is {adj.n}x{adj.n}, features have {x.shape[0]} rows")
-    return csr_array((adj.weights, adj.indices, adj.indptr), shape=(adj.n, adj.n)) @ x
+    n = adj.shape[0]
+    if x.shape[0] != n:
+        raise ValueError(f"spmm: adjacency is {n}x{n}, features have {x.shape[0]} rows")
+    return adj @ x
 
 
 def l2_normalize_rows(x, eps: float = EPS_NORM) -> np.ndarray:
@@ -154,12 +95,6 @@ def l2_normalize_rows(x, eps: float = EPS_NORM) -> np.ndarray:
     x = as_matrix(x)
     norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
     return x / (norms + eps)
-
-
-def cosine_similarity_matrix(x, eps: float = EPS_NORM) -> np.ndarray:
-    """Pairwise cosine similarities; symmetric, unit diagonal for nonzero rows."""
-    xn = l2_normalize_rows(x, eps)
-    return matmul(xn, np.ascontiguousarray(xn.T))
 
 
 def finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:

@@ -88,8 +88,7 @@ def top_k(scores, k_rec: int) -> np.ndarray:
     if k_rec < 1:
         raise ValueError("k_rec must be at least 1")
     scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return order[: min(k_rec, scores.size)]
+    return np.argsort(-scores, kind="stable")[:k_rec]
 
 
 def label_relevance(rec_items, preferences, Y) -> list[set[int]]:

@@ -160,9 +160,9 @@ def _forward_eval(kind, params, adj, X):
         # first layer only: the representation is the hidden state h
         return np.maximum(matmul(spmm(adj, X), params.w0), 0.0)
     if kind == "gae":
-        out, _ = models.gae_forward(params, adj, X, training=False)
+        out, _ = models.gae_forward(params, adj, X)
         return out["Z"]
-    mu, _, _ = models.vgae_encode(params, adj, X, training=False)
+    mu, _, _ = models.vgae_encode(params, adj, X)
     return mu
 
 
@@ -186,8 +186,9 @@ def _inductive_test_reps(kind, params, B, s, X_train, X_test, adj_train):
 
 def recon_targets(graph: ItemGraph) -> tuple[np.ndarray, float]:
     """Dense A + I reconstruction targets and their positive-entry weight."""
-    targets = graph.to_adjacency().to_dense()
-    np.fill_diagonal(targets, 1.0)
+    targets = np.eye(graph.n)
+    i, j = graph.pairs[:, 0], graph.pairs[:, 1]
+    targets[i, j] = targets[j, i] = 1.0
     return targets, edge_pos_weight(targets)
 
 
@@ -202,16 +203,16 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
     one.  Returns (total, report of loss parts, grads per weight).
     """
     if kind == "gcn":
-        logits, cache = models.gcn_forward(params, adj, X, training=True, masks=masks)
+        logits, cache = models.gcn_forward(params, adj, X, masks)
         sup = supervised_loss(loss_cfg, logits, Y, pos_w, mask)
         total, report = joint_objective("gcn", {"sup": sup})
         d_logits = supervised_loss_grad(loss_cfg, logits, Y, pos_w, mask)
         return total, report, models.gcn_backward(params, cache, d_logits)
     targets, w_edge = recon
     if kind == "gae":
-        out, cache = models.gae_forward(params, adj, X, training=True, masks=masks)
+        out, cache = models.gae_forward(params, adj, X, masks)
     else:
-        out, cache = models.vgae_forward(params, adj, X, None, training=True, masks=masks, eps=eps)
+        out, cache = models.vgae_forward(params, adj, X, eps, masks)
     sup = supervised_loss(loss_cfg, out["logits"], Y, pos_w, mask)
     rec = recon_loss_from_scores(targets, out["scores"], w_edge)
     d_scores = recon_loss_scores_grad(targets, out["scores"], w_edge)
@@ -240,9 +241,7 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     base_graph = _build_base_graph(cfg, X, Y, train_mask_local, rng)
     pos_w = positive_weights(Y[train_mask_local])
 
-    params = models.init_params(
-        kind, d, m_cfg["hidden"], m_cfg["latent"], c, m_cfg["dropout"], rng.substream("init")
-    )
+    params = models.init_params(kind, d, m_cfg["hidden"], m_cfg["latent"], c, rng.substream("init"))
     if kind == "vgae":
         params.clamp = m_cfg["logsig_clamp"]
     weights = params.weights()
@@ -381,12 +380,12 @@ def _check_instance(kind: str, loss_kind: str, seed: int, n: int = 9, d: int = 4
         g = knn_graph_symmetric(X, 2)
         adj = normalize_adjacency(g)
         hidden, latent = 5, 3
-        params = models.init_params(kind, d, hidden, latent, 3, 0.2, inst.substream("init"))
+        params = models.init_params(kind, d, hidden, latent, 3, inst.substream("init"))
         masks = models.draw_feature_masks(inst.substream("drop"), n, d, hidden, 0.2)
         eps = inst.substream("noise").normal(size=(n, latent))
         # reject draws whose pre-activations sit within finite-difference
         # reach of the ReLU kink; every kind shares the first layer
-        _, cache = models.propagate(params, adj, X, training=True, masks=masks)
+        _, cache = models.propagate(params, adj, X, masks)
         if np.abs(cache["h_pre"]).min() > 1e-3:
             break
     loss_cfg = LossConfig(kind=loss_kind)

@@ -2,12 +2,28 @@
 
 Each oracle spells its rule out over the full similarity matrix with a
 Python sort per row, independent of the row-blocked builders in
-``gemi.graph``.
+``gemi.graph``; the normalized adjacency is filled densely from the
+edge list, independent of the CSR that ``normalize_adjacency`` builds.
 """
 
 import numpy as np
 
-from gemi.numerics import cosine_similarity_matrix, l2_normalize_rows
+from gemi.numerics import EPS_NORM, l2_normalize_rows, matmul
+
+
+def cosine_similarity_matrix(x, eps: float = EPS_NORM) -> np.ndarray:
+    """Pairwise cosine similarities; symmetric, unit diagonal for nonzero rows."""
+    xn = l2_normalize_rows(x, eps)
+    return matmul(xn, np.ascontiguousarray(xn.T))
+
+
+def dense_normalized_adjacency(g) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} as a dense n × n matrix, from ``g.pairs``."""
+    a = np.eye(g.n)
+    for i, j in g.pairs:
+        a[i, j] = a[j, i] = 1.0
+    dhat = a.sum(axis=1)
+    return a / np.sqrt(np.outer(dhat, dhat))
 
 
 def edge_set(g) -> set[tuple[int, int]]:

@@ -35,11 +35,11 @@ from gemi.losses import (
     kl_standard_normal,
     weighted_bce,
 )
-from gemi.numerics import EPS_NORM, SeededRng, cosine_similarity_matrix, l2_normalize_rows
+from gemi.numerics import EPS_NORM, SeededRng, l2_normalize_rows
 from gemi.recommend import aggregate, evaluate, top_k
 from gemi.train import gradient_check_suite, train_model
 from gemi.users import sample_synthetic_users
-from graph_oracles import edge_set
+from graph_oracles import cosine_similarity_matrix, edge_set
 
 GRID_POINTS = 2001
 GRID_SPAN = 8.0
@@ -84,15 +84,15 @@ def test_02_loss_identities():
 
     # same encoder weights, zero noise: the variational forward collapses
     # onto the plain autoencoder, so the objectives must agree at beta=0
-    vg = models.init_params("vgae", 6, 5, 4, 3, 0.0, SeededRng(7).substream("init"))
-    ga = models.init_params("gae", 6, 5, 4, 3, 0.0, SeededRng(8).substream("init"))
+    vg = models.init_params("vgae", 6, 5, 4, 3, SeededRng(7).substream("init"))
+    ga = models.init_params("gae", 6, 5, 4, 3, SeededRng(8).substream("init"))
     ga.w0[...] = vg.w0
     ga.w1[...] = vg.w_mu
     ga.head[...] = vg.head
     X = SeededRng(9).normal(size=(10, 6))
     g = knn_graph_symmetric(X, 2)
     adj = normalize_adjacency(g)
-    out_v, _ = models.vgae_forward(vg, adj, X, None, eps=np.zeros((10, 4)))
+    out_v, _ = models.vgae_forward(vg, adj, X, eps=np.zeros((10, 4)))
     out_g, _ = models.gae_forward(ga, adj, X)
     assert np.array_equal(out_v["mu"], out_g["Z"])
     rec, sup = 1.375, 0.625

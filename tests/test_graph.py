@@ -16,11 +16,13 @@ from gemi.graph import (
     knn_graph_symmetric,
     normalize_adjacency,
 )
-from gemi.numerics import SeededRng, cosine_similarity_matrix
+from gemi.numerics import SeededRng
 from graph_oracles import (
     brute_force_attach_edges,
     brute_force_epsilon_edges,
     brute_force_knn_edges,
+    cosine_similarity_matrix,
+    dense_normalized_adjacency,
     edge_set,
     tagged_edges,
 )
@@ -48,11 +50,10 @@ class TestItemGraph:
         g = ItemGraph.from_pairs(4, [[0, 1], [0, 2], [0, 3]], ["a"] * 3)
         assert g.degrees().tolist() == [3, 1, 1, 1]
 
-    def test_to_adjacency_symmetric_binary(self):
-        g = ItemGraph.from_pairs(3, [[0, 1]], ["a"])
-        dense = g.to_adjacency().to_dense()
-        expect = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        assert np.array_equal(dense, expect)
+    def test_degrees_of_empty_graph(self):
+        g = ItemGraph.from_pairs(3, [], [])
+        assert g.degrees().tolist() == [0, 0, 0]
+        assert g.degrees().dtype == np.int64
 
 
 class TestKnnGraph:
@@ -226,19 +227,35 @@ class TestEdgeDropout:
 class TestNormalizeAdjacency:
     def test_matches_dense_formula(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(14, 4)), 3)
-        a = g.to_adjacency().to_dense() + np.eye(14)
-        dhat = a.sum(axis=1)
-        expect = a / np.sqrt(np.outer(dhat, dhat))
-        np.testing.assert_allclose(normalize_adjacency(g).to_dense(), expect, atol=1e-14)
+        expect = dense_normalized_adjacency(g)
+        np.testing.assert_allclose(normalize_adjacency(g).toarray(), expect, atol=1e-14)
 
     def test_isolated_node_self_entry(self):
         g = ItemGraph.from_pairs(3, [[0, 1]], ["knn"])
-        dense = normalize_adjacency(g).to_dense()
+        dense = normalize_adjacency(g).toarray()
         assert dense[2, 2] == 1.0
+
+    @pytest.mark.parametrize(
+        "pairs", [[[0, 1], [0, 3], [1, 3]], []], ids=["isolated-node", "no-edges"]
+    )
+    def test_canonical_csr(self, pairs):
+        g = ItemGraph.from_pairs(4, pairs, ["knn"] * len(pairs))
+        adj = normalize_adjacency(g)
+        assert adj.has_canonical_format
+        assert adj.shape == (4, 4)
+        assert adj.nnz == 2 * g.m + g.n
+        np.testing.assert_allclose(adj.toarray(), dense_normalized_adjacency(g), atol=1e-14)
+
+    def test_canonical_after_edge_dropout(self, rng):
+        g = knn_graph_symmetric(rng.normal(size=(40, 5)), 4)
+        dropped = edge_dropout(g, 0.5, SeededRng(3))
+        adj = normalize_adjacency(dropped)
+        assert adj.has_canonical_format
+        np.testing.assert_allclose(adj.toarray(), dense_normalized_adjacency(dropped), atol=1e-14)
 
     def test_spectrum_bounded_by_one(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(20, 4)), 4)
-        dense = normalize_adjacency(g).to_dense()
+        dense = normalize_adjacency(g).toarray()
         assert np.all(dense >= 0)
         assert np.array_equal(dense, dense.T)
         eigs = np.linalg.eigvalsh(dense)
@@ -441,3 +458,11 @@ def test_knn_brute_force_property(seed, n, k, block_rows):
         g = knn_graph_symmetric(X, k)
     assert edge_set(g) == brute_force_knn_edges(X, k)
     assert g.degrees().min() >= k
+
+
+def test_cosine_similarity_matches_manual(rng):
+    x = rng.normal(size=(5, 3))
+    sims = cosine_similarity_matrix(x)
+    xn = x / np.linalg.norm(x, axis=1, keepdims=True)
+    np.testing.assert_allclose(sims, xn @ xn.T, atol=1e-9)
+    np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-9)

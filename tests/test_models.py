@@ -4,6 +4,7 @@ import pytest
 from gemi.graph import knn_graph_symmetric, normalize_adjacency
 from gemi.models import (
     decode_scores,
+    draw_feature_masks,
     dropout_mask,
     flatten_weights,
     gae_forward,
@@ -38,7 +39,7 @@ class TestInit:
         ("vgae", {"w0", "w_mu", "w_sigma", "head"}),
     ])
     def test_param_shapes(self, kind, names, rng):
-        p = init_params(kind, d=7, hidden=5, latent=4, c=3, dropout=0.1, rng=rng)
+        p = init_params(kind, d=7, hidden=5, latent=4, c=3, rng=rng)
         assert set(p.weights().keys()) == names
         assert p.w0.shape == (7, 5)
         if kind == "gcn":
@@ -52,7 +53,7 @@ class TestInit:
             assert p.head.shape == (4, 3)
 
     def test_flatten_round_trip(self, rng):
-        p = init_params("gae", d=4, hidden=3, latent=2, c=3, dropout=0.0, rng=rng)
+        p = init_params("gae", d=4, hidden=3, latent=2, c=3, rng=rng)
         weights = p.weights()
         vec = flatten_weights(weights)
         before = {k: v.copy() for k, v in weights.items()}
@@ -81,42 +82,34 @@ class TestDropout:
 class TestGcn:
     def test_matches_manual_two_layer(self, small, rng):
         X, adj = small
-        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, dropout=0.0, rng=rng)
+        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
         logits, cache = gcn_forward(p, adj, X)
-        a = adj.to_dense()
+        a = adj.toarray()
         h = np.maximum(a @ X @ p.w0, 0.0)
         np.testing.assert_allclose(logits, a @ h @ p.w1, atol=1e-12)
         np.testing.assert_allclose(cache["h"], h, atol=1e-12)
 
     def test_eval_mode_deterministic(self, small, rng):
         X, adj = small
-        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, dropout=0.5, rng=rng)
+        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
         l1, _ = gcn_forward(p, adj, X)
         l2, _ = gcn_forward(p, adj, X)
         assert np.array_equal(l1, l2)
 
     def test_training_mode_uses_dropout(self, small, rng):
         X, adj = small
-        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, dropout=0.5, rng=rng)
-        l1, _ = gcn_forward(p, adj, X, rng=rng.substream("a"), training=True)
-        l2, _ = gcn_forward(p, adj, X, rng=rng.substream("b"), training=True)
+        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
+        l1, _ = gcn_forward(p, adj, X, draw_feature_masks(rng.substream("a"), 10, 4, 6, 0.5))
+        l2, _ = gcn_forward(p, adj, X, draw_feature_masks(rng.substream("b"), 10, 4, 6, 0.5))
         assert not np.array_equal(l1, l2)
 
     def test_frozen_masks_reproduce(self, small, rng):
         X, adj = small
-        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, dropout=0.5, rng=rng)
-        from gemi.models import draw_feature_masks
-
+        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
         masks = draw_feature_masks(rng.substream("m"), 10, 4, 6, 0.5)
-        l1, _ = gcn_forward(p, adj, X, training=True, masks=masks)
-        l2, _ = gcn_forward(p, adj, X, training=True, masks=masks)
+        l1, _ = gcn_forward(p, adj, X, masks=masks)
+        l2, _ = gcn_forward(p, adj, X, masks=masks)
         assert np.array_equal(l1, l2)
-
-    def test_training_needs_rng_or_masks(self, small, rng):
-        X, adj = small
-        p = init_params("gcn", d=4, hidden=6, latent=0, c=3, dropout=0.5, rng=rng)
-        with pytest.raises(ValueError):
-            gcn_forward(p, adj, X, training=True)
 
 
 class TestDecoder:
@@ -128,7 +121,7 @@ class TestDecoder:
 class TestGae:
     def test_forward_pieces_consistent(self, small, rng):
         X, adj = small
-        p = init_params("gae", d=4, hidden=6, latent=3, c=3, dropout=0.0, rng=rng)
+        p = init_params("gae", d=4, hidden=6, latent=3, c=3, rng=rng)
         out, cache = gae_forward(p, adj, X)
         np.testing.assert_allclose(out["logits"], out["Z"] @ p.head, atol=1e-12)
         np.testing.assert_allclose(out["scores"], out["Z"] @ out["Z"].T, atol=1e-12)
@@ -136,7 +129,7 @@ class TestGae:
 
     def test_latent_dimension(self, small, rng):
         X, adj = small
-        p = init_params("gae", d=4, hidden=6, latent=3, c=3, dropout=0.0, rng=rng)
+        p = init_params("gae", d=4, hidden=6, latent=3, c=3, rng=rng)
         out, _ = gae_forward(p, adj, X)
         assert out["Z"].shape == (10, 3)
 
@@ -144,9 +137,9 @@ class TestGae:
 class TestVgae:
     def test_encoder_shares_first_layer(self, small, rng):
         X, adj = small
-        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, dropout=0.0, rng=rng)
+        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
         mu, ls, cache = vgae_encode(p, adj, X)
-        a = adj.to_dense()
+        a = adj.toarray()
         h = np.maximum(a @ X @ p.w0, 0.0)
         m2 = a @ h
         np.testing.assert_allclose(mu, m2 @ p.w_mu, atol=1e-12)
@@ -154,10 +147,10 @@ class TestVgae:
 
     def test_log_sigma_clamped(self, small, rng):
         X, adj = small
-        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, dropout=0.0, rng=rng)
+        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
         big = type(p)(
             w0=p.w0 * 50.0, w_mu=p.w_mu, w_sigma=p.w_sigma * 50.0, head=p.head,
-            dropout=p.dropout, clamp=p.clamp,
+            clamp=p.clamp,
         )
         _, ls, _ = vgae_encode(big, adj, X)
         assert ls.max() <= p.clamp
@@ -165,22 +158,22 @@ class TestVgae:
 
     def test_zero_eps_collapses_to_mu(self, small, rng):
         X, adj = small
-        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, dropout=0.0, rng=rng)
-        out, _ = vgae_forward(p, adj, X, rng=None, eps=np.zeros((10, 3)))
+        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
+        out, _ = vgae_forward(p, adj, X, eps=np.zeros((10, 3)))
         assert np.array_equal(out["Z"], out["mu"])
 
     def test_sample_is_mu_plus_sigma_eps(self, small, rng):
         X, adj = small
-        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, dropout=0.0, rng=rng)
-        out, _ = vgae_forward(p, adj, X, rng=SeededRng(9))
+        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
         eps = SeededRng(9).normal(size=(10, 3))
+        out, _ = vgae_forward(p, adj, X, eps=eps)
         np.testing.assert_allclose(out["Z"], out["mu"] + np.exp(out["log_sigma"]) * eps, atol=1e-12)
 
     def test_sampling_varies_with_rng(self, small, rng):
         X, adj = small
-        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, dropout=0.0, rng=rng)
-        o1, _ = vgae_forward(p, adj, X, rng=rng.substream("e1"))
-        o2, _ = vgae_forward(p, adj, X, rng=rng.substream("e2"))
+        p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
+        o1, _ = vgae_forward(p, adj, X, eps=rng.substream("e1").normal(size=(10, 3)))
+        o2, _ = vgae_forward(p, adj, X, eps=rng.substream("e2").normal(size=(10, 3)))
         assert np.array_equal(o1["mu"], o2["mu"])
         assert not np.array_equal(o1["Z"], o2["Z"])
 
@@ -189,6 +182,6 @@ def test_forward_spmm_consistency(small, rng):
     # spmm itself is checked against the dense oracle in test_numerics;
     # here the model caches exactly what spmm returns
     X, adj = small
-    p = init_params("gcn", d=4, hidden=5, latent=0, c=3, dropout=0.0, rng=rng)
+    p = init_params("gcn", d=4, hidden=5, latent=0, c=3, rng=rng)
     logits, cache = gcn_forward(p, adj, X)
     np.testing.assert_allclose(cache["m1"], spmm(adj, X), atol=0)

@@ -7,15 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemi.graph import ItemGraph, knn_graph_symmetric, normalize_adjacency
-from gemi.numerics import (
-    SeededRng,
-    SparseAdjacency,
-    cosine_similarity_matrix,
-    finite_difference_gradient,
-    l2_normalize_rows,
-    matmul,
-    spmm,
-)
+from gemi.numerics import SeededRng, finite_difference_gradient, l2_normalize_rows, matmul, spmm
+from graph_oracles import dense_normalized_adjacency
 
 
 class TestSeededRng:
@@ -48,51 +41,45 @@ class TestSeededRng:
 
 
 class TestSparseAdjacency:
+    @staticmethod
+    def _square_graph():
+        # a 4-clique (degree 3, so every entry among 0..3 is exactly 1/4) and node 4 isolated
+        pairs = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        return ItemGraph.from_pairs(5, pairs, ["knn"] * 6)
+
     def _square(self):
-        # 0-1 edge plus diagonal, 2 isolated with a self entry
-        return SparseAdjacency.from_entries(
-            3, [0, 1, 0, 1, 2], [1, 0, 0, 1, 2], [0.5, 0.5, 1.0, 1.0, 1.0]
-        )
+        return normalize_adjacency(self._square_graph())
 
     def test_dense_round_trip(self):
-        adj = self._square()
-        dense = adj.to_dense()
-        expect = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.array_equal(dense, expect)
+        expect = np.zeros((5, 5))
+        expect[:4, :4] = 0.25
+        expect[4, 4] = 1.0
+        assert np.array_equal(self._square().toarray(), expect)
 
     def test_nnz_counts_stored_entries(self):
-        assert self._square().nnz == 5
-
-    def test_rejects_asymmetry(self):
-        with pytest.raises(ValueError):
-            SparseAdjacency.from_entries(2, [0], [1], [0.5])
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            SparseAdjacency.from_entries(2, [0, 0, 1], [1, 1, 0], [0.5, 0.5, 0.5])
-
-    def test_drops_zero_weights(self):
-        adj = SparseAdjacency.from_entries(2, [0, 1, 0, 1], [0, 1, 1, 0], [1.0, 1.0, 0.0, 0.0])
-        assert adj.nnz == 2
+        # both directions of six edges plus five self-loops
+        assert self._square().nnz == 17
 
     @pytest.mark.parametrize(
         "case", ["square", "knn-seed0", "knn-seed1", "knn-seed2", "no-edges"]
     )
     def test_spmm_equals_dense_product(self, case):
-        # oracle: the densified product; spmm must match it closely and
+        # oracle: the dense normalized adjacency built from the edge list,
+        # not from the CSR under test; spmm must match it closely and
         # repeat itself bit for bit
         if case == "square":
-            adj = self._square()
-            x = np.arange(12, dtype=np.float64).reshape(3, 4)
+            g = self._square_graph()
+            x = np.arange(20, dtype=np.float64).reshape(5, 4)
         elif case == "no-edges":
-            adj = ItemGraph.from_pairs(7, [], []).to_adjacency()
+            g = ItemGraph.from_pairs(7, [], [])
             x = SeededRng(3).normal(size=(7, 4))
         else:
             rng = SeededRng(int(case[-1]))
-            adj = normalize_adjacency(knn_graph_symmetric(rng.normal(size=(20, 6)), 4))
+            g = knn_graph_symmetric(rng.normal(size=(20, 6)), 4)
             x = rng.normal(size=(20, 5))
+        adj = normalize_adjacency(g)
         got = spmm(adj, x)
-        np.testing.assert_allclose(got, adj.to_dense() @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, dense_normalized_adjacency(g) @ x, rtol=0, atol=1e-12)
         assert np.array_equal(got, spmm(adj, x))
 
     def test_spmm_rejects_row_mismatch(self):
@@ -106,8 +93,8 @@ def test_matmul_rejects_shape_mismatch(rng):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # spmm imports scipy.sparse lazily so CLI startup stays cheap
-    code = "import sys, gemi.cli; print('scipy' in sys.modules)"
+    # the CSR builders import scipy.sparse lazily so CLI startup stays cheap
+    code = "import sys, gemi.cli, gemi.graph, gemi.models, gemi.train; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -125,14 +112,6 @@ def test_l2_normalize_zero_row_stays_zero():
     out = l2_normalize_rows(x)
     assert np.array_equal(out[0], np.zeros(3))
     np.testing.assert_allclose(out[1], [0.6, 0.0, 0.8])
-
-
-def test_cosine_similarity_matches_manual(rng):
-    x = rng.normal(size=(5, 3))
-    sims = cosine_similarity_matrix(x)
-    xn = x / np.linalg.norm(x, axis=1, keepdims=True)
-    np.testing.assert_allclose(sims, xn @ xn.T, atol=1e-9)
-    np.testing.assert_allclose(np.diag(sims), 1.0, atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

@@ -77,6 +77,14 @@ class TestPieces:
     def test_top_k_caps_at_length(self):
         assert top_k(np.array([0.3, 0.1]), 5).tolist() == [0, 1]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_top_k_matches_sort_oracle(self, seed):
+        # few distinct values, so most positions tie with others
+        scores = SeededRng(seed).integers(-3, 4, size=40) / 4.0
+        for k in (1, 5, 40, 45):
+            expect = sorted(range(40), key=lambda i: (-scores[i], i))[:k]
+            assert top_k(scores, k).tolist() == expect
+
     def test_label_relevance_needs_both(self):
         Y = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
         prefs = np.array([1.0, 0.4, 0.9])

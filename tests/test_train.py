@@ -4,7 +4,8 @@ import pytest
 from gemi import models, train
 from gemi.config import default_config
 from gemi.datasets import make_planted_panels
-from gemi.graph import attachment_blocks, normalize_adjacency
+from gemi.graph import ItemGraph, attachment_blocks, normalize_adjacency
+from gemi.losses import edge_pos_weight
 from gemi.numerics import SeededRng
 from gemi.train import (
     AdamState,
@@ -15,6 +16,7 @@ from gemi.train import (
     train_model,
     train_transductive,
 )
+from graph_oracles import dense_normalized_adjacency
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -121,7 +123,7 @@ class TestTrainingLoop:
     def test_gcn_representation_is_the_clean_hidden_layer(self, table):
         m = train_transductive(table.features, table.labels, table.train_mask, tiny_cfg("gcn"), SeededRng(2))
         adj = normalize_adjacency(m.base_graph)
-        _, cache = models.gcn_forward(m.params, adj, table.features, training=False)
+        _, cache = models.gcn_forward(m.params, adj, table.features)
         assert np.array_equal(m.representations, cache["h"])
 
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
@@ -135,11 +137,20 @@ class TestTrainingLoop:
         h1_te = np.maximum((dense_B @ X_tr + s[:, None] * X_te) @ m.params.w0, 0.0)
         expect = h1_te
         if kind != "gcn":
-            A = normalize_adjacency(m.base_graph).to_dense()
+            A = normalize_adjacency(m.base_graph).toarray()
             h1_tr = np.maximum((A @ X_tr) @ m.params.w0, 0.0)
             w_out = m.params.w1 if kind == "gae" else m.params.w_mu
             expect = (dense_B @ h1_tr + s[:, None] * h1_te) @ w_out
         np.testing.assert_allclose(m.representations[table.test_mask], expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pairs", [[[0, 2], [1, 2], [2, 4]], []], ids=["edges", "no-edges"])
+    def test_recon_targets_are_adjacency_plus_identity(self, pairs):
+        g = ItemGraph.from_pairs(5, pairs, ["knn"] * len(pairs))
+        targets, w_edge = train.recon_targets(g)
+        # the normalized adjacency is nonzero exactly on A + I
+        expect = (dense_normalized_adjacency(g) > 0).astype(np.float64)
+        assert np.array_equal(targets, expect)
+        assert w_edge == edge_pos_weight(expect)
 
     def test_empty_train_split_raises(self, table):
         cfg = tiny_cfg("gcn")
