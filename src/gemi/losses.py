@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
+from .numerics import as_matrix, matmul
+
 POS_WEIGHT_MIN = 1e-3
 POS_WEIGHT_MAX = 1e3
 
@@ -155,32 +158,60 @@ def supervised_loss_grad(cfg: LossConfig, logits, Y, pos_weights, mask) -> np.nd
     return focal_bce_grad(logits, Y, pos_weights, cfg.alpha, cfg.gamma, mask)
 
 
-def edge_pos_weight(targets) -> float:
-    """(#zeros / #ones) over the target adjacency (self-loops included)."""
-    t = np.asarray(targets, dtype=np.float64)
-    pos = t.sum()
-    if pos == 0:
-        raise ValueError("reconstruction targets contain no positive entries")
-    return float((t.size - pos) / pos)
+def recon_pos_weight(pattern) -> float:
+    """(#zeros / #ones) of the A + I reconstruction targets, from counts.
 
-
-def recon_loss_from_scores(targets, scores, pos_weight: float) -> float:
-    """Weighted mean BCE between sigma(scores) and the A + I targets.
-
-    Evaluated from the decoder logits through softplus, so it stays
-    finite when the edge probabilities saturate.
+    ``pattern`` is a csr_array whose stored entries are exactly A + I
+    (the normalized adjacency has that pattern); its values are unused.
     """
-    t = np.asarray(targets, dtype=np.float64)
-    z = np.asarray(scores, dtype=np.float64)
-    terms = pos_weight * t * _softplus(-z) + (1.0 - t) * _softplus(z)
-    return float(terms.mean())
+    n = pattern.shape[0]
+    return (n * n - pattern.nnz) / pattern.nnz
 
 
-def recon_loss_scores_grad(targets, scores, pos_weight: float) -> np.ndarray:
-    t = np.asarray(targets, dtype=np.float64)
-    z = np.asarray(scores, dtype=np.float64)
-    s = _sigmoid(z)
-    return (pos_weight * t * (s - 1.0) + (1.0 - t) * s) / t.size
+def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
+    """Weighted BCE between sigma(Z Z^T) and the A + I targets, and dL/dZ.
+
+    The loss is the mean over all n² entries of pw·softplus(-s) where
+    the target is 1 and softplus(s) where it is 0, with s = z_i·z_j and
+    pw = #zeros/#ones; evaluated from the logits, it stays finite when
+    sigma saturates.  Scores are formed :data:`graph.BLOCK_ROWS` rows at
+    a time (S_I = Z_I Z^T) and the target-1 entries of each block are
+    fixed up in place from the CSR slice of ``pattern``, so the work
+    space is O(BLOCK_ROWS · n) floats, never n × n.  The score gradient
+    G is symmetric, so dL/dZ = (G + G^T) Z = 2 G Z.
+    """
+    Z = as_matrix(Z)
+    n = Z.shape[0]
+    pw = recon_pos_weight(pattern)
+    indptr, indices = pattern.indptr, pattern.indices
+    Zt = np.ascontiguousarray(Z.T)
+    total = 0.0
+    dZ = np.empty_like(Z)
+    for start in range(0, n, graph.BLOCK_ROWS):
+        stop = min(start + graph.BLOCK_ROWS, n)
+        S = matmul(Z[start:stop], Zt)
+        e = np.abs(S)
+        np.negative(e, out=e)
+        np.exp(e, out=e)  # exp(-|s|), shared by softplus and sigma
+        # the target-1 entries of this block, block-local rows
+        r = np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))
+        c = indices[indptr[start] : indptr[stop]]
+        # loss terms: softplus(s) = max(s, 0) + log1p(exp(-|s|)), and
+        # pw·softplus(-s) on the targets
+        work = np.log1p(e)
+        work += np.maximum(S, 0.0)
+        work[r, c] = pw * (np.maximum(-S[r, c], 0.0) + np.log1p(e[r, c]))
+        total += float(work.sum())
+        # score gradient: sigma(s) = where(s >= 0, 1, e) / (1 + e) off the
+        # targets, pw·(sigma(s) - 1) on them
+        np.copyto(work, e)
+        np.copyto(work, 1.0, where=S >= 0.0)
+        e += 1.0
+        work /= e
+        work[r, c] = pw * (work[r, c] - 1.0)
+        dZ[start:stop] = matmul(work, Z)
+    dZ *= 2.0 / (n * n)
+    return total / (n * n), dZ
 
 
 def kl_standard_normal(mu, log_sigma) -> float:

@@ -6,7 +6,9 @@ Forward formulas:
   on X and the hidden activations; the caller draws the masks, so a
   forward never consumes randomness of its own.
 * GAE:  two-layer GCN encoder to a latent Z, inner-product decoder
-  sigma(Z Z^T), linear label head on Z.
+  sigma(Z Z^T), linear label head on Z.  The decoder is evaluated only
+  inside the reconstruction loss (:func:`gemi.losses.recon_loss_and_grad`),
+  which hands its dL/dZ to the backward pass.
 * VGAE: shared first layer H = ReLU(A~ X W0), then mu = A~ H W_mu and
   log_sigma = clamp(A~ H W_sig); Z = mu + exp(log_sigma) * eps.
 
@@ -159,24 +161,15 @@ def gcn_backward(params: GcnParams, cache, d_logits) -> dict[str, np.ndarray]:
     return {"w0": _propagate_backward(cache, d_m2), "w1": d_w1}
 
 
-def decode_scores(Z) -> np.ndarray:
-    """Decoder logits Z Z^T (the stable quantity for loss evaluation)."""
-    Z = as_matrix(Z)
-    return matmul(Z, np.ascontiguousarray(Z.T))
-
-
-def _head_decoder_backward(params, cache, d_logits, d_scores):
+def _head_decoder_backward(params, cache, d_logits, dZ_rec):
     """Pull of the label head and the inner-product decoder on Z.
 
-    Returns (d_head, dZ); d_scores is dL/d(Z Z^T), whose contribution
-    to Z is (G + G^T) Z.
+    Returns (d_head, dZ): the head's gradient and the total latent
+    gradient, the head's pull plus ``dZ_rec``, the decoder's dL/dZ as
+    :func:`gemi.losses.recon_loss_and_grad` returns it.
     """
-    Z = cache["Z"]
-    d_head, dZ = _linear_backward(Z, params.head, d_logits)
-    if d_scores is not None:
-        sym = d_scores + d_scores.T
-        dZ = dZ + matmul(np.ascontiguousarray(sym), Z)
-    return d_head, dZ
+    d_head, dZ = _linear_backward(cache["Z"], params.head, d_logits)
+    return d_head, dZ + dZ_rec
 
 
 def gae_forward(params: GaeParams, adj, X, masks=None):
@@ -184,12 +177,12 @@ def gae_forward(params: GaeParams, adj, X, masks=None):
     Z = matmul(m2, params.w1)
     cache["Z"] = Z
     logits = matmul(Z, params.head)
-    return {"Z": Z, "logits": logits, "scores": decode_scores(Z)}, cache
+    return {"Z": Z, "logits": logits}, cache
 
 
-def gae_backward(params: GaeParams, cache, d_logits, d_scores) -> dict[str, np.ndarray]:
+def gae_backward(params: GaeParams, cache, d_logits, dZ_rec) -> dict[str, np.ndarray]:
     """Combine supervised and reconstruction pull on the latent."""
-    d_head, dZ = _head_decoder_backward(params, cache, d_logits, d_scores)
+    d_head, dZ = _head_decoder_backward(params, cache, d_logits, dZ_rec)
     d_w1, d_m2 = _linear_backward(cache["m2"], params.w1, dZ)
     return {"w0": _propagate_backward(cache, d_m2), "w1": d_w1, "head": d_head}
 
@@ -211,17 +204,17 @@ def vgae_forward(params: VgaeParams, adj, X, eps, masks=None):
     cache["eps"] = eps
     cache["Z"] = Z
     logits = matmul(Z, params.head)
-    return {"mu": mu, "log_sigma": log_sigma, "Z": Z, "logits": logits, "scores": decode_scores(Z)}, cache
+    return {"mu": mu, "log_sigma": log_sigma, "Z": Z, "logits": logits}, cache
 
 
-def vgae_backward(params: VgaeParams, cache, d_logits, d_scores, d_mu_extra=None, d_log_sigma_extra=None):
+def vgae_backward(params: VgaeParams, cache, d_logits, dZ_rec, d_mu_extra=None, d_log_sigma_extra=None):
     """Backward through head, decoder, reparameterization and encoder.
 
     d_mu_extra / d_log_sigma_extra carry the (beta-scaled) KL gradients;
     eps is the frozen constant of the pathwise estimator; the hard
     clamp zeroes gradients where log_sigma saturated.
     """
-    d_head, dZ = _head_decoder_backward(params, cache, d_logits, d_scores)
+    d_head, dZ = _head_decoder_backward(params, cache, d_logits, dZ_rec)
     d_mu = dZ
     d_ls = dZ * cache["eps"] * np.exp(cache["log_sigma"])
     if d_mu_extra is not None:

@@ -33,14 +33,12 @@ from .graph import (
 from .ingest import LABEL_NAMES
 from .losses import (
     LossConfig,
-    edge_pos_weight,
     joint_objective,
     kl_anneal,
     kl_standard_normal,
     kl_standard_normal_grads,
     positive_weights,
-    recon_loss_from_scores,
-    recon_loss_scores_grad,
+    recon_loss_and_grad,
     supervised_loss,
     supervised_loss_grad,
 )
@@ -184,21 +182,14 @@ def _inductive_test_reps(kind, params, B, s, X_train, X_test, adj_train):
     return matmul(agg2_test, params.w1 if kind == "gae" else params.w_mu)
 
 
-def recon_targets(graph: ItemGraph) -> tuple[np.ndarray, float]:
-    """Dense A + I reconstruction targets and their positive-entry weight."""
-    targets = np.eye(graph.n)
-    i, j = graph.pairs[:, 0], graph.pairs[:, 1]
-    targets[i, j] = targets[j, i] = 1.0
-    return targets, edge_pos_weight(targets)
-
-
 def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta):
     """The training objective of one model kind and its analytic gradient.
 
     Training calls this once per epoch and the gradient check calls it
     with frozen inputs, so the check verifies the code that trains.
     ``masks`` are the feature-dropout masks, ``eps`` the VGAE noise,
-    ``recon`` the (targets, w_edge) pair from :func:`recon_targets` and
+    ``recon`` a csr_array whose pattern is the A + I reconstruction
+    target (the clean normalized adjacency of the base graph) and
     ``beta`` the KL weight; gcn ignores the last three, gae the last
     one.  Returns (total, report of loss parts, grads per weight).
     """
@@ -208,25 +199,23 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
         total, report = joint_objective("gcn", {"sup": sup})
         d_logits = supervised_loss_grad(loss_cfg, logits, Y, pos_w, mask)
         return total, report, models.gcn_backward(params, cache, d_logits)
-    targets, w_edge = recon
     if kind == "gae":
         out, cache = models.gae_forward(params, adj, X, masks)
     else:
         out, cache = models.vgae_forward(params, adj, X, eps, masks)
     sup = supervised_loss(loss_cfg, out["logits"], Y, pos_w, mask)
-    rec = recon_loss_from_scores(targets, out["scores"], w_edge)
-    d_scores = recon_loss_scores_grad(targets, out["scores"], w_edge)
+    rec, dZ_rec = recon_loss_and_grad(out["Z"], recon)
     if kind == "gae":
         total, report = joint_objective("gae", {"rec": rec, "sup": sup, "lambda_sup": loss_cfg.lambda_sup})
         d_logits = loss_cfg.lambda_sup * supervised_loss_grad(loss_cfg, out["logits"], Y, pos_w, mask)
-        return total, report, models.gae_backward(params, cache, d_logits, d_scores)
+        return total, report, models.gae_backward(params, cache, d_logits, dZ_rec)
     kl = kl_standard_normal(out["mu"], out["log_sigma"])
     total, report = joint_objective(
         "vgae", {"rec": rec, "kl": kl, "beta": beta, "sup": sup, "lambda_ssl": loss_cfg.lambda_ssl}
     )
     d_logits = loss_cfg.lambda_ssl * supervised_loss_grad(loss_cfg, out["logits"], Y, pos_w, mask)
     d_mu_kl, d_ls_kl = kl_standard_normal_grads(out["mu"], out["log_sigma"])
-    grads = models.vgae_backward(params, cache, d_logits, d_scores, beta * d_mu_kl, beta * d_ls_kl)
+    grads = models.vgae_backward(params, cache, d_logits, dZ_rec, beta * d_mu_kl, beta * d_ls_kl)
     return total, report, grads
 
 
@@ -251,7 +240,9 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     drop_rng = rng.substream("feature_dropout")
     noise_rng = rng.substream("noise")
 
-    recon = recon_targets(base_graph) if kind in ("gae", "vgae") else None
+    # the clean normalized adjacency is nonzero exactly on the A + I
+    # reconstruction targets; built once per run, before edge dropout
+    recon = normalize_adjacency(base_graph) if kind in ("gae", "vgae") else None
     ramp = max(1, int(round(m_cfg["kl_ramp_fraction"] * m_cfg["epochs"])))
     exempt = ("label-augment",) if cfg["graph"]["augment_exempt_from_dropout"] else ()
 
@@ -392,7 +383,8 @@ def _check_instance(kind: str, loss_kind: str, seed: int, n: int = 9, d: int = 4
     if not Y[mask].sum():
         Y[np.flatnonzero(mask)[0], 0] = 1
     pos_w = positive_weights(Y[mask])
-    return X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, recon_targets(g)
+    # no edge dropout here: adj's pattern is the A + I target
+    return X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, adj
 
 
 def gradient_check(kind: str, loss_kind: str = "focal", seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> GradientCheckResult:
@@ -427,12 +419,23 @@ def gradient_check(kind: str, loss_kind: str = "focal", seed: int = 0, h: float 
     )
 
 
+# (model kind, loss kind) pairs checked per seed
+SUITE_CASES = (
+    ("gcn", "focal"),
+    ("gcn", "wbce"),
+    ("gcn", "bce"),
+    ("gae", "focal"),
+    ("gae", "wbce"),
+    ("vgae", "focal"),
+    ("vgae", "wbce"),
+)
+
+
 def gradient_check_suite(seeds=range(20)) -> list[GradientCheckResult]:
-    """The full acceptance battery: every backbone across many seeds."""
+    """The full acceptance battery: every backbone with each supervised
+    loss it is checked under (:data:`SUITE_CASES`), across many seeds."""
     results = []
     for seed in seeds:
-        results.append(gradient_check("gcn", "focal", seed))
-        results.append(gradient_check("gcn", "wbce", seed))
-        results.append(gradient_check("gae", "focal", seed))
-        results.append(gradient_check("vgae", "focal", seed))
+        for kind, loss_kind in SUITE_CASES:
+            results.append(gradient_check(kind, loss_kind, seed))
     return results

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gemi import graph
+from gemi.graph import ItemGraph, normalize_adjacency
 from gemi.losses import (
     LossConfig,
-    edge_pos_weight,
     focal_bce,
     focal_bce_grad,
     joint_objective,
@@ -13,14 +14,20 @@ from gemi.losses import (
     kl_standard_normal,
     kl_standard_normal_grads,
     positive_weights,
-    recon_loss_from_scores,
-    recon_loss_scores_grad,
+    recon_loss_and_grad,
     supervised_loss,
     supervised_loss_grad,
     weighted_bce,
     weighted_bce_grad,
 )
 from gemi.numerics import SeededRng, finite_difference_gradient
+from recon_oracle import (
+    dense_recon_loss_and_grad,
+    edge_pos_weight,
+    recon_loss_from_scores,
+    recon_loss_scores_grad,
+    recon_targets,
+)
 
 
 def naive_weighted_bce(z, y, w, mask):
@@ -183,6 +190,8 @@ class TestSupervisedDispatch:
 
 
 class TestRecon:
+    """The dense oracle itself, against the probability form and FD."""
+
     def _setup(self, rng, n=6):
         t = (rng.random((n, n)) < 0.3).astype(np.float64)
         t = np.maximum(t, t.T)
@@ -231,6 +240,75 @@ class TestRecon:
 
         fd = finite_difference_gradient(f, z.reshape(-1)).reshape(z.shape)
         np.testing.assert_allclose(grad, fd, atol=1e-7)
+
+
+def _recon_graph(case, n, rng):
+    """A graph of one of the shapes the blocked objective must handle."""
+    if case == "no-edges":
+        pairs = np.empty((0, 2), dtype=np.int64)
+    elif case == "complete":
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+    else:
+        keep = rng.random((n, n)) < 0.3
+        if case == "isolated":
+            # every third node keeps no edge
+            keep[::3] = False
+            keep[:, ::3] = False
+        pairs = np.argwhere(np.triu(keep, k=1))
+    return ItemGraph.from_pairs(n, pairs, ["knn"] * len(pairs))
+
+
+class TestBlockedRecon:
+    """recon_loss_and_grad against the dense oracle, across row blocks.
+
+    BLOCK_ROWS is 7 here, so n = 10..40 spans several blocks and most
+    sizes end in a short block.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(graph, "BLOCK_ROWS", 7)
+
+    @pytest.mark.parametrize("case", ["random", "no-edges", "complete", "isolated"])
+    @pytest.mark.parametrize("n", [10, 14, 23, 40])
+    def test_matches_dense_oracle(self, case, n):
+        rng = SeededRng(1000 * n + len(case))
+        g = _recon_graph(case, n, rng)
+        Z = rng.normal(size=(n, 3), scale=1.5)
+        loss, dZ = recon_loss_and_grad(Z, normalize_adjacency(g))
+        expect_loss, expect_dZ = dense_recon_loss_and_grad(Z, recon_targets(g))
+        np.testing.assert_allclose(loss, expect_loss, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dZ, expect_dZ, rtol=0, atol=1e-12 * np.abs(expect_dZ).max())
+
+    def test_saturated_scores_finite(self):
+        # Z Z^T = [[800, -800], [-800, 800]] exactly: every sign agrees
+        # with the A + I target, as in the oracle's saturated case
+        pattern = normalize_adjacency(ItemGraph.from_pairs(2, [], []))
+        Z = np.array([[20.0, 20.0], [-20.0, -20.0]])
+        loss, dZ = recon_loss_and_grad(Z, pattern)
+        assert loss == 0.0
+        assert np.all(np.isfinite(dZ))
+        # -Z Z^T is no Gram matrix (its diagonal is negative), so the
+        # mismatched case turns the off-diagonal scores to +800: each of
+        # those two non-target entries costs exactly 800, the diagonal 0
+        Z = np.array([[20.0, 20.0], [20.0, 20.0]])
+        loss, dZ = recon_loss_and_grad(Z, pattern)
+        assert loss == 2 * 800.0 / 4
+        assert loss == recon_loss_from_scores(np.eye(2), Z @ Z.T, 1.0)
+        assert np.all(np.isfinite(dZ))
+
+    def test_grad_matches_fd(self):
+        rng = SeededRng(7)
+        g = _recon_graph("isolated", 10, rng)
+        pattern = normalize_adjacency(g)
+        Z = rng.normal(size=(10, 3))
+        _, dZ = recon_loss_and_grad(Z, pattern)
+
+        def f(v):
+            return recon_loss_and_grad(v.reshape(Z.shape), pattern)[0]
+
+        fd = finite_difference_gradient(f, Z.reshape(-1)).reshape(Z.shape)
+        np.testing.assert_allclose(dZ, fd, atol=1e-8)
 
 
 class TestKl:

@@ -94,7 +94,7 @@ def test_matmul_rejects_shape_mismatch(rng):
 
 def test_cli_import_leaves_scipy_unloaded():
     # the CSR builders import scipy.sparse lazily so CLI startup stays cheap
-    code = "import sys, gemi.cli, gemi.graph, gemi.models, gemi.train; print('scipy' in sys.modules)"
+    code = "import sys, gemi.cli, gemi.graph, gemi.losses, gemi.models, gemi.train; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

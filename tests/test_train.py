@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gemi import models, train
+from gemi import graph, models, train
 from gemi.config import default_config
 from gemi.datasets import make_planted_panels
-from gemi.graph import ItemGraph, attachment_blocks, normalize_adjacency
-from gemi.losses import edge_pos_weight
+from gemi.graph import ItemGraph, attachment_blocks, knn_graph_symmetric, normalize_adjacency
+from gemi.losses import LossConfig, positive_weights, recon_pos_weight
 from gemi.numerics import SeededRng
 from gemi.train import (
     AdamState,
@@ -17,6 +19,7 @@ from gemi.train import (
     train_transductive,
 )
 from graph_oracles import dense_normalized_adjacency
+from recon_oracle import edge_pos_weight
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -146,11 +149,31 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("pairs", [[[0, 2], [1, 2], [2, 4]], []], ids=["edges", "no-edges"])
     def test_recon_targets_are_adjacency_plus_identity(self, pairs):
         g = ItemGraph.from_pairs(5, pairs, ["knn"] * len(pairs))
-        targets, w_edge = train.recon_targets(g)
+        pattern = normalize_adjacency(g)
+        # the stored entries, read the way the blocked objective reads them
+        targets = np.zeros((5, 5))
+        targets[np.repeat(np.arange(5), np.diff(pattern.indptr)), pattern.indices] = 1.0
         # the normalized adjacency is nonzero exactly on A + I
         expect = (dense_normalized_adjacency(g) > 0).astype(np.float64)
         assert np.array_equal(targets, expect)
-        assert w_edge == edge_pos_weight(expect)
+        assert recon_pos_weight(pattern) == edge_pos_weight(expect)
+
+    @pytest.mark.parametrize("kind", ["gae", "vgae"])
+    def test_one_recon_pattern_per_run(self, table, kind, monkeypatch):
+        patterns = []
+        real = train.objective_and_grads
+
+        def spy(*args):
+            patterns.append(args[10])
+            return real(*args)
+
+        monkeypatch.setattr(train, "objective_and_grads", spy)
+        m = train_transductive(table.features, table.labels, table.train_mask, tiny_cfg(kind, epochs=3), SeededRng(1))
+        assert len(patterns) == 3 and all(p is patterns[0] for p in patterns)
+        # built from the base graph before edge dropout
+        expect = normalize_adjacency(m.base_graph)
+        assert np.array_equal(patterns[0].indptr, expect.indptr)
+        assert np.array_equal(patterns[0].indices, expect.indices)
 
     def test_empty_train_split_raises(self, table):
         cfg = tiny_cfg("gcn")
@@ -230,6 +253,13 @@ class TestGradientCheck:
         assert res.passed, f"max rel err {res.max_rel_err:.2e}"
         assert res.max_rel_err <= 1e-4
 
+    @pytest.mark.parametrize("kind", ["gae", "vgae"])
+    def test_passes_across_recon_blocks(self, kind, monkeypatch):
+        # 4-row blocks split the n = 9 instance into blocks of 4, 4 and 1
+        monkeypatch.setattr(graph, "BLOCK_ROWS", 4)
+        res = gradient_check(kind, "focal", seed=0)
+        assert res.passed, f"max rel err {res.max_rel_err:.2e}"
+
     def test_training_and_check_share_one_objective(self, table, monkeypatch):
         calls = []
         real = train.objective_and_grads
@@ -261,3 +291,27 @@ class TestGradientCheck:
         params, before = seen[0]
         for k, w in params.weights().items():
             assert np.array_equal(w, before[k])  # restored after the aborted sweep
+
+
+@pytest.mark.parametrize("kind", ["gae", "vgae"])
+def test_objective_memory_stays_below_one_dense_matrix(kind):
+    # one 4000 x 4000 float64 score matrix is 128 MB; the row-blocked
+    # reconstruction objective must peak below it
+    n, d, hidden, latent = 4000, 16, 32, 16
+    rng = SeededRng(5)
+    X = rng.normal(size=(n, d))
+    Y = (rng.random((n, 3)) < 0.3).astype(np.int64)
+    mask = np.ones(n, dtype=bool)
+    adj = normalize_adjacency(knn_graph_symmetric(X, 10))
+    params = models.init_params(kind, d, hidden, latent, 3, rng.substream("init"))
+    masks = models.draw_feature_masks(rng.substream("drop"), n, d, hidden, 0.2)
+    eps = rng.substream("noise").normal(size=(n, latent))
+    args = (kind, params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, eps, adj, 0.5)
+    tracemalloc.start()
+    try:
+        total, _, _ = train.objective_and_grads(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(total)
+    assert peak < n * n * 8
