@@ -11,7 +11,8 @@ The builders never hold the full n×n cosine matrix: they score
 work space is O(BLOCK_ROWS · n) floats.  A per-row top-k keeps every
 entry above the row's k-th largest value, then the lowest column indices
 among the entries equal to it, which is the order (similarity
-descending, index ascending) cut after k.
+descending, index ascending) cut after k; :func:`row_top_k` is that
+rule, and evaluation ranks its candidates with it too.
 """
 
 from __future__ import annotations
@@ -78,6 +79,27 @@ def _similarity_blocks(Qn: np.ndarray, Rn: np.ndarray):
         yield start, matmul(Qn[start : start + BLOCK_ROWS], Rt)
 
 
+def row_top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k largest entries of ``sims``, ties to the lowest columns.
+
+    Keeps every entry above the row's k-th largest value, then the lowest
+    column indices among the entries equal to it: the order (value
+    descending, column ascending) cut after k.  Requires 1 <= k <= the
+    column count.  Returns (rows, cols) in row-major order, exactly k
+    entries per row.
+    """
+    m = sims.shape[1]
+    # k-th largest per row; the list index copies, so the partitioned block is freed
+    kth = np.partition(sims, m - k, axis=1)[:, [m - k]]
+    keep = sims > kth
+    need = k - np.count_nonzero(keep, axis=1)
+    r_eq, c_eq = np.nonzero(sims == kth)  # row-major: columns ascend within a row
+    rank = np.arange(r_eq.size) - np.searchsorted(r_eq, r_eq)
+    take = rank < need[r_eq]
+    keep[r_eq[take], c_eq[take]] = True
+    return np.nonzero(keep)
+
+
 def _top_k_pairs(
     Qn: np.ndarray, Rn: np.ndarray, k: int, floor: float | None = None, exclude_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -85,11 +107,10 @@ def _top_k_pairs(
 
     Similarities are clamped up to ``floor`` when given; ``exclude_self``
     (Qn and Rn the same rows) sets each row's own column to -inf.  Ties
-    at the k-th value go to the lowest column indices.  Returns
-    (rows, cols) with exactly k entries per row; memory is
+    at the k-th value go to the lowest column indices (:func:`row_top_k`).
+    Returns (rows, cols) with exactly k entries per row; memory is
     O(BLOCK_ROWS · Rn rows).
     """
-    m = Rn.shape[0]
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for start, sims in _similarity_blocks(Qn, Rn):
         b = sims.shape[0]
@@ -97,16 +118,9 @@ def _top_k_pairs(
             np.maximum(sims, floor, out=sims)
         if exclude_self:
             sims[np.arange(b), start + np.arange(b)] = -np.inf
-        # k-th largest per row; the list index copies, so the partitioned block is freed
-        kth = np.partition(sims, m - k, axis=1)[:, [m - k]]
-        above = sims > kth
-        r_hi, c_hi = np.nonzero(above)
-        need = k - np.count_nonzero(above, axis=1)
-        r_eq, c_eq = np.nonzero(sims == kth)  # row-major: columns ascend within a row
-        rank = np.arange(r_eq.size) - np.searchsorted(r_eq, r_eq)
-        take = rank < need[r_eq]
-        rows += [start + r_hi, start + r_eq[take]]
-        cols += [c_hi, c_eq[take]]
+        r, c = row_top_k(sims, k)
+        rows.append(start + r)
+        cols.append(c)
     return np.concatenate(rows), np.concatenate(cols)
 
 

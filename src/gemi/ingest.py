@@ -182,12 +182,6 @@ def load_labels(path, ids: tuple[str, ...] | None = None):
     return labels, split
 
 
-def load_panel_table(embeddings_path, labels_path) -> PanelTable:
-    ids, features = load_embeddings(embeddings_path)
-    labels, split = load_labels(labels_path, ids)
-    return PanelTable(ids=ids, features=features, labels=labels, split=split)
-
-
 def load_interactions(path, table: PanelTable) -> InteractionTable:
     """Load ratings; duplicate (user, panel) pairs keep the last rating."""
     rows = _read_rows(path)

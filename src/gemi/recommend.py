@@ -1,4 +1,4 @@
-"""Relevance scoring and label-conditioned Precision@K evaluation.
+"""Label-conditioned Precision@K evaluation.
 
 A user is represented by the mean of their interacted items' rows in
 the chosen representation space; candidates are the test items ranked
@@ -6,6 +6,16 @@ by cosine similarity.  A recommended item counts for label ℓ only when
 the user prefers ℓ (continuous preferences threshold at 0.5) and the
 item carries ℓ; Precision@K divides by K_rec even when fewer candidates
 exist.  Aggregation reports population (1/U) mean and std per label.
+
+:func:`evaluate` is one array program over blocks of
+:data:`graph.BLOCK_ROWS` users: it means each user's item rows, scores
+every candidate with one block product, and picks each row's top K_rec
+with :func:`graph.row_top_k`, the graph builders' tie rule (similarity
+descending, candidate position ascending).  Work space is
+O(BLOCK_ROWS · (candidates + items · d)).  A block product can differ
+from a per-user product in the last bits of a score, so two candidates
+whose scores agree to within those bits may be ordered differently than
+a per-user loop would order them.
 """
 
 from __future__ import annotations
@@ -16,19 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .ingest import LABEL_NAMES
-from .numerics import EPS_NORM, as_matrix
+from .numerics import EPS_NORM, as_matrix, matmul
+from .users import preference_matrix
 
 PREFERENCE_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class Recommendation:
-    """Ranked test-item indices (global) with their scores."""
-
-    user_id: str
-    items: tuple[int, ...]
-    scores: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -60,60 +63,6 @@ class MetricsReport:
         }
 
 
-def user_embedding(items, reps) -> np.ndarray:
-    """Mean of the representation rows the user interacted with."""
-    idx = np.asarray(list(items), dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("profile has no interactions")
-    return as_matrix(reps)[idx].mean(axis=0)
-
-
-def _row_norms(test_reps: np.ndarray) -> np.ndarray:
-    return np.sqrt((test_reps**2).sum(axis=1)) + EPS_NORM
-
-
-def _cosine(user_vec: np.ndarray, test_reps: np.ndarray, t_norm: np.ndarray) -> np.ndarray:
-    u_norm = np.sqrt((user_vec**2).sum()) + EPS_NORM
-    return (test_reps @ user_vec) / (u_norm * t_norm)
-
-
-def score(user_vec, test_reps) -> np.ndarray:
-    """Cosine similarity between the user vector and each candidate row."""
-    test_reps = as_matrix(test_reps)
-    return _cosine(np.asarray(user_vec, dtype=np.float64), test_reps, _row_norms(test_reps))
-
-
-def top_k(scores, k_rec: int) -> np.ndarray:
-    """Positions of the K_rec largest scores, ties by ascending position."""
-    if k_rec < 1:
-        raise ValueError("k_rec must be at least 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.argsort(-scores, kind="stable")[:k_rec]
-
-
-def label_relevance(rec_items, preferences, Y) -> list[set[int]]:
-    """Per-label set of recommended items that count as relevant."""
-    prefs = np.asarray(preferences, dtype=np.float64) >= PREFERENCE_THRESHOLD
-    Y = np.asarray(Y)
-    out = []
-    for ell in range(Y.shape[1]):
-        if not prefs[ell]:
-            out.append(set())
-        else:
-            out.append({int(t) for t in rec_items if Y[t, ell] == 1})
-    return out
-
-
-def precision_at_k(rec_items, relevant: set, k_rec: int) -> float:
-    """|relevant ∩ recommendations| / K_rec with a fixed denominator."""
-    if k_rec < 1:
-        raise ValueError("k_rec must be at least 1")
-    if len(rec_items) > k_rec:
-        raise ValueError("more recommendations than K_rec")
-    hits = sum(1 for t in rec_items if t in relevant)
-    return hits / k_rec
-
-
 def aggregate(per_user: np.ndarray, *, model: str, representation: str, k_rec: int, seed: int) -> MetricsReport:
     """Population mean/std per label over the per-user precision matrix."""
     per_user = np.asarray(per_user, dtype=np.float64)
@@ -132,20 +81,8 @@ def aggregate(per_user: np.ndarray, *, model: str, representation: str, k_rec: i
     )
 
 
-def recommend_for_profile(profile, reps, test_indices, k_rec: int) -> Recommendation:
-    test_reps = as_matrix(reps)[test_indices]
-    return _recommend(profile, reps, test_indices, test_reps, _row_norms(test_reps), k_rec)
-
-
-def _recommend(profile, reps, test_indices, test_reps, t_norm, k_rec: int) -> Recommendation:
-    """recommend_for_profile with the candidate rows and norms computed by the caller."""
-    s = _cosine(user_embedding(profile.items, reps), test_reps, t_norm)
-    picks = top_k(s, k_rec)
-    return Recommendation(
-        user_id=profile.user_id,
-        items=tuple(int(test_indices[p]) for p in picks),
-        scores=tuple(float(s[p]) for p in picks),
-    )
+def _norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt((rows**2).sum(axis=1)) + EPS_NORM
 
 
 def evaluate(
@@ -159,7 +96,7 @@ def evaluate(
     representation: str,
     seed: int,
 ) -> MetricsReport:
-    """Full pipeline: embed users, rank test items, count label hits.
+    """Embed users, rank test items, count label hits, in user blocks.
 
     ``reps`` is aligned to the global panel order; candidates are the
     test rows in ascending index order.
@@ -169,15 +106,32 @@ def evaluate(
         raise ValueError("evaluation requires a nonempty test split")
     if not profiles:
         raise ValueError("evaluation requires at least one user profile")
-    Y = np.asarray(Y)
-    test_reps = as_matrix(reps)[test_indices]  # shared by every user
-    t_norm = _row_norms(test_reps)
-    per_user = np.zeros((len(profiles), Y.shape[1]))
-    for u, profile in enumerate(profiles):
-        rec = _recommend(profile, reps, test_indices, test_reps, t_norm, k_rec)
-        relevant = label_relevance(rec.items, profile.preferences, Y)
-        for ell in range(Y.shape[1]):
-            per_user[u, ell] = precision_at_k(rec.items, relevant[ell], k_rec)
+    if k_rec < 1:
+        raise ValueError("k_rec must be at least 1")
+    counts = np.array([len(p.items) for p in profiles], dtype=np.int64)
+    if not counts.all():
+        empty = profiles[int(np.argmin(counts))].user_id
+        raise ValueError(f"profile {empty!r} has no interactions")
+    # user u's items are items[offsets[u]:offsets[u + 1]]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    items = np.concatenate([np.asarray(p.items, dtype=np.int64) for p in profiles])
+    reps = as_matrix(reps)
+    test = reps[test_indices]
+    t_norm = _norms(test)
+    test_t = np.ascontiguousarray(test.T)
+    Y_test = np.asarray(Y)[test_indices] == 1
+    prefers = preference_matrix(profiles) >= PREFERENCE_THRESHOLD
+    k = min(k_rec, test_indices.size)
+    hits = np.zeros(prefers.shape, dtype=np.int64)
+    for start in range(0, len(profiles), graph.BLOCK_ROWS):
+        stop = min(start + graph.BLOCK_ROWS, len(profiles))
+        lo = offsets[start]
+        rows = reps[items[lo : offsets[stop]]]
+        users = np.add.reduceat(rows, offsets[start:stop] - lo, axis=0) / counts[start:stop, None]
+        sims = matmul(users, test_t) / (_norms(users)[:, None] * t_norm[None, :])
+        _, picks = graph.row_top_k(sims, k)
+        hits[start:stop] = Y_test[picks.reshape(stop - start, k)].sum(axis=1)
+    per_user = np.where(prefers, hits, 0) / k_rec
     return aggregate(
         per_user, model=model, representation=representation, k_rec=k_rec, seed=seed
     )

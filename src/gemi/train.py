@@ -153,31 +153,36 @@ def _build_base_graph(cfg: dict, X, Y, train_mask_local, rng: SeededRng) -> Item
 
 
 def _forward_eval(kind, params, adj, X):
-    """Clean (dropout-free) forward returning the model representation."""
+    """Clean (dropout-free) forward: (model representation, hidden state h).
+
+    h = ReLU(A~ X W0) is the first layer; for gcn it is the
+    representation itself, so both entries are the same array.
+    """
     if kind == "gcn":
         # first layer only: the representation is the hidden state h
-        return np.maximum(matmul(spmm(adj, X), params.w0), 0.0)
+        h = np.maximum(matmul(spmm(adj, X), params.w0), 0.0)
+        return h, h
     if kind == "gae":
-        out, _ = models.gae_forward(params, adj, X)
-        return out["Z"]
-    mu, _, _ = models.vgae_encode(params, adj, X)
-    return mu
+        out, cache = models.gae_forward(params, adj, X)
+        return out["Z"], cache["h"]
+    mu, _, cache = models.vgae_encode(params, adj, X)
+    return mu, cache["h"]
 
 
-def _inductive_test_reps(kind, params, B, s, X_train, X_test, adj_train):
+def _inductive_test_reps(kind, params, B, s, X_train, X_test, h1_train):
     """Directed-attachment forward for unseen items.
 
     Layer 1 aggregates training features (and the item's own row); layer
-    2 aggregates the training graph's hidden states.  No other test item
-    enters anywhere, so predictions are per-item independent.  ``B`` is
-    the sparse test × train block from :func:`attachment_blocks`.
+    2 aggregates the training graph's clean hidden states ``h1_train``
+    (from :func:`_forward_eval`).  No other test item enters anywhere, so
+    predictions are per-item independent.  ``B`` is the sparse test ×
+    train block from :func:`attachment_blocks`.
     """
     s_col = s[:, None]
     agg1_test = B @ X_train + s_col * X_test
     h1_test = np.maximum(matmul(agg1_test, params.w0), 0.0)
     if kind == "gcn":
         return h1_test  # penultimate representation, as on the train side
-    h1_train = np.maximum(matmul(spmm(adj_train, X_train), params.w0), 0.0)
     agg2_test = B @ h1_train + s_col * h1_test
     return matmul(agg2_test, params.w1 if kind == "gae" else params.w_mu)
 
@@ -274,7 +279,7 @@ def train_transductive(features, labels, train_mask, cfg: dict, rng: SeededRng) 
     start = time.perf_counter()
     params, base_graph, epoch_logs = _train_loop(cfg, features, labels, train_mask, rng)
     adj_clean = normalize_adjacency(base_graph)
-    reps = _forward_eval(cfg["model"]["kind"], params, adj_clean, features)
+    reps, _ = _forward_eval(cfg["model"]["kind"], params, adj_clean, features)
     wall = time.perf_counter() - start
     return TrainedModel(
         kind=cfg["model"]["kind"],
@@ -309,13 +314,13 @@ def train_inductive(features, labels, train_mask, test_mask, cfg: dict, rng: See
         cfg, X_train, Y_train, np.ones(train_idx.size, dtype=bool), rng
     )
     adj_clean = normalize_adjacency(base_graph)
-    reps_train = _forward_eval(cfg["model"]["kind"], params, adj_clean, X_train)
+    reps_train, h1_train = _forward_eval(cfg["model"]["kind"], params, adj_clean, X_train)
     attach_k = cfg["graph"]["attach_k"] or cfg["graph"]["k"]
     attach_k = min(attach_k, train_idx.size)
     extended = attach_test_items(base_graph, X_train, X_test, attach_k)
     B, s = attachment_blocks(extended, base_graph)
     reps_test = _inductive_test_reps(
-        cfg["model"]["kind"], params, B, s, X_train, X_test, adj_clean
+        cfg["model"]["kind"], params, B, s, X_train, X_test, h1_train
     )
     reps = np.zeros((features.shape[0], reps_train.shape[1]), dtype=np.float64)
     reps[train_idx] = reps_train

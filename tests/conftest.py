@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gemi
 from gemi.datasets import make_planted_panels
 from gemi.numerics import SeededRng
 
@@ -17,3 +21,11 @@ def planted():
 
 def random_features(rng, n, d):
     return rng.normal(size=(n, d))
+
+
+@pytest.fixture
+def gemi_env():
+    """Environment for a child python that imports the same gemi as this process."""
+    src = str(Path(gemi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -27,6 +27,7 @@ from gemi.graph import (
     epsilon_graph,
     knn_graph_symmetric,
     normalize_adjacency,
+    row_top_k,
 )
 from gemi.ingest import write_embeddings, write_labels
 from gemi.losses import (
@@ -36,7 +37,7 @@ from gemi.losses import (
     weighted_bce,
 )
 from gemi.numerics import EPS_NORM, SeededRng, l2_normalize_rows
-from gemi.recommend import aggregate, evaluate, top_k
+from gemi.recommend import aggregate, evaluate
 from gemi.train import gradient_check_suite, train_model
 from gemi.users import sample_synthetic_users
 from graph_oracles import cosine_similarity_matrix, edge_set
@@ -199,9 +200,10 @@ def test_04_graph_oracles_brute_force():
 
         scores = rng.normal(size=n)
         kk = int(rng.integers(1, n + 1))
-        got = top_k(scores, kk)
+        rows, got = row_top_k(scores[None, :], kk)
         expect_rank = sorted(range(n), key=lambda j: (-scores[j], j))[:kk]
-        assert got.tolist() == expect_rank
+        assert rows.tolist() == [0] * kk
+        assert got.tolist() == sorted(expect_rank)  # row-major: columns ascend
     _verdict("04 graph + ranking oracles", True, "100 random instances, all exact")
 
 

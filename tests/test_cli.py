@@ -203,9 +203,9 @@ class TestCheck:
 
 
 class TestEntryPoint:
-    def test_console_script_installed(self):
+    def test_console_script_installed(self, gemi_env):
         proc = subprocess.run(
-            [sys.executable, "-m", "gemi.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "gemi.cli", "--help"], capture_output=True, text=True, env=gemi_env
         )
         assert proc.returncode == 0
         assert "run" in proc.stdout and "sweep" in proc.stdout

@@ -9,7 +9,6 @@ from gemi.ingest import (
     load_gaussians,
     load_interactions,
     load_labels,
-    load_panel_table,
     write_embeddings,
     write_interactions,
     write_labels,
@@ -125,10 +124,11 @@ class TestPanelTable:
         ep = tmp_path / "e.csv"
         write_embeddings(ep, ("x", "y"), rng.normal(size=(2, 3)))
         lp = _write(tmp_path / "l.csv", "id,animal,mythology,tree\ny,0,0,1\nx,1,1,0\n")
-        table = load_panel_table(ep, lp)
-        assert table.n == 2
-        assert table.ids == ("x", "y")
-        assert np.array_equal(table.labels, [[1, 1, 0], [0, 0, 1]])
+        ids, features = load_embeddings(ep)
+        labels, _ = load_labels(lp, ids)
+        assert ids == ("x", "y")
+        assert features.shape == (2, 3)
+        assert np.array_equal(labels, [[1, 1, 0], [0, 0, 1]])  # rows follow the embedding order
 
     def test_masks_partition(self, planted):
         assert not np.any(planted.train_mask & planted.test_mask)

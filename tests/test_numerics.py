@@ -92,10 +92,10 @@ def test_matmul_rejects_shape_mismatch(rng):
         matmul(rng.normal(size=(3, 4)), rng.normal(size=(5, 2)))
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(gemi_env):
     # the CSR builders import scipy.sparse lazily so CLI startup stays cheap
-    code = "import sys, gemi.cli, gemi.graph, gemi.losses, gemi.models, gemi.train; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    code = "import sys, gemi.cli, gemi.graph, gemi.losses, gemi.models, gemi.recommend, gemi.train; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=gemi_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

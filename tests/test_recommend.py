@@ -3,17 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from gemi import graph
+from gemi.graph import row_top_k
 from gemi.numerics import SeededRng
 from gemi.recommend import (
     MetricsReport,
     aggregate,
     evaluate,
-    label_relevance,
-    precision_at_k,
-    recommend_for_profile,
-    score,
-    top_k,
-    user_embedding,
     write_metrics_csv,
     write_metrics_json,
 )
@@ -51,55 +47,80 @@ def make_profiles(items_list, prefs_list):
     ]
 
 
-class TestPieces:
-    def test_user_embedding_is_mean(self, rng):
-        reps = rng.normal(size=(6, 4))
-        np.testing.assert_allclose(user_embedding((1, 3, 5), reps), reps[[1, 3, 5]].mean(axis=0))
+def _evaluate(reps, Y, test_mask, profiles, k_rec):
+    report = evaluate(reps, Y, test_mask, profiles, k_rec, model="m", representation="model", seed=0)
+    return np.asarray(report.per_user)
 
-    def test_score_is_cosine(self, rng):
-        u = rng.normal(size=4)
-        reps = rng.normal(size=(5, 4))
-        got = score(u, reps)
-        for i in range(5):
-            expect = u @ reps[i] / ((np.linalg.norm(u) + 1e-12) * (np.linalg.norm(reps[i]) + 1e-12))
-            np.testing.assert_allclose(got[i], expect, atol=1e-12)
+
+class TestPieces:
+    def test_user_embedding_is_mean(self):
+        # items along e0 and e1: only their mean direction (1, 1) ranks candidate 2 first
+        reps = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0], [1.0, 1.0]])
+        Y = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        test_mask = np.array([False, False, True, True, True])
+        profiles = make_profiles([(0, 1)], [[1.0, 1.0, 1.0]])
+        assert _evaluate(reps, Y, test_mask, profiles, 1).tolist() == [[0.0, 0.0, 1.0]]
+
+    def test_score_is_cosine(self):
+        # candidate 1 has the larger dot product with the user, candidate 2 the larger cosine
+        reps = np.array([[1.0, 0.0], [5.0, 5.0], [1.0, 0.1]])
+        Y = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        test_mask = np.array([False, True, True])
+        profiles = make_profiles([(0,)], [[1.0, 1.0, 1.0]])
+        assert _evaluate(reps, Y, test_mask, profiles, 1).tolist() == [[0.0, 1.0, 0.0]]
 
     def test_score_zero_vector_scores_zero(self, rng):
-        reps = rng.normal(size=(3, 4))
-        assert np.array_equal(score(np.zeros(4), reps), np.zeros(3))
+        # all of the user's items are zero rows: every candidate scores 0,
+        # so the lowest positions win
+        reps = np.vstack([np.zeros((2, 4)), rng.normal(size=(4, 4))])
+        Y = np.array([[1, 1, 1], [1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        test_mask = np.array([False, False, True, True, True, True])
+        profiles = make_profiles([(0, 1)], [[1.0, 1.0, 1.0]])
+        got = _evaluate(reps, Y, test_mask, profiles, 2)
+        assert got.tolist() == [[0.5, 0.5, 0.0]]
+        assert np.array_equal(got, brute_force_evaluate(reps, Y, test_mask, profiles, 2))
 
     def test_top_k_ranks_descending(self):
-        assert top_k(np.array([0.1, 0.9, 0.5]), 2).tolist() == [1, 2]
+        rows, cols = row_top_k(np.array([[0.1, 0.9, 0.5], [0.7, 0.2, 0.3]]), 2)
+        assert rows.tolist() == [0, 0, 1, 1]
+        assert cols.tolist() == [1, 2, 0, 2]
 
     def test_top_k_ties_by_position(self):
-        assert top_k(np.array([0.5, 0.5, 0.5]), 2).tolist() == [0, 1]
+        assert row_top_k(np.array([[0.5, 0.5, 0.5]]), 2)[1].tolist() == [0, 1]
 
     def test_top_k_caps_at_length(self):
-        assert top_k(np.array([0.3, 0.1]), 5).tolist() == [0, 1]
+        # k equal to the row length takes every column
+        assert row_top_k(np.array([[0.3, 0.1]]), 2)[1].tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_top_k_matches_sort_oracle(self, seed):
         # few distinct values, so most positions tie with others
-        scores = SeededRng(seed).integers(-3, 4, size=40) / 4.0
-        for k in (1, 5, 40, 45):
-            expect = sorted(range(40), key=lambda i: (-scores[i], i))[:k]
-            assert top_k(scores, k).tolist() == expect
+        scores = SeededRng(seed).integers(-3, 4, size=(6, 40)) / 4.0
+        for k in (1, 5, 39, 40):
+            rows, cols = row_top_k(scores, k)
+            assert rows.tolist() == np.repeat(np.arange(6), k).tolist()
+            for r in range(6):
+                expect = sorted(range(40), key=lambda i: (-scores[r, i], i))[:k]
+                assert cols[rows == r].tolist() == sorted(expect)
 
     def test_label_relevance_needs_both(self):
-        Y = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-        prefs = np.array([1.0, 0.4, 0.9])
-        rel = label_relevance([0, 1, 2], prefs, Y)
-        assert rel[0] == {0, 2}  # preferred and positive
-        assert rel[1] == set()  # preference below 0.5
-        assert rel[2] == set()  # no positives
+        reps = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        Y = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        test_mask = np.array([False, True, True, True])
+        profiles = make_profiles([(0,)], [[0.5, 0.4, 0.9]])
+        got = _evaluate(reps, Y, test_mask, profiles, 3)
+        # preferred (0.5 counts) and positive twice; preference below 0.5; no positives
+        assert got.tolist() == [[2 / 3, 0.0, 0.0]]
 
-    def test_precision_fixed_denominator(self):
-        assert precision_at_k([1, 2, 3], {1, 2}, 5) == 2 / 5
-        assert precision_at_k([1, 2], {1, 2}, 5) == 2 / 5  # short list, same denom
-
-    def test_precision_rejects_overlong(self):
-        with pytest.raises(ValueError):
-            precision_at_k([1, 2, 3], {1}, 2)
+    def test_precision_fixed_denominator(self, rng):
+        # K_rec = 5 but only 3 candidates: all 3 are recommended, denominator stays 5
+        reps = rng.normal(size=(5, 4))
+        Y = np.array([[1, 1, 1], [1, 1, 1], [1, 0, 0], [1, 1, 0], [0, 0, 0]])
+        test_mask = np.array([False, False, True, True, True])
+        profiles = make_profiles([(0, 1)], [[1.0, 1.0, 0.0]])
+        got = _evaluate(reps, Y, test_mask, profiles, 5)
+        assert got.tolist() == [[2 / 5, 1 / 5, 0.0]]
+        assert np.array_equal(got, brute_force_evaluate(reps, Y, test_mask, profiles, 5))
 
     def test_aggregate_population_std(self):
         per_user = np.array([[0.4, 0.0], [0.6, 0.0]])
@@ -109,15 +130,15 @@ class TestPieces:
 
 
 class TestEvaluate:
-    def _setup(self, rng, n=30, n_test=10, d=6):
+    def _setup(self, rng, n=30, n_test=10, d=6, users=6):
         reps = rng.normal(size=(n, d))
         Y = (rng.random((n, 3)) < 0.4).astype(np.int64)
         test_mask = np.zeros(n, dtype=bool)
         test_mask[-n_test:] = True
         train = np.flatnonzero(~test_mask)
         profiles = make_profiles(
-            [tuple(rng.choice(train, size=4, replace=False)) for _ in range(6)],
-            [(rng.random(3) > 0.5).astype(float) for _ in range(6)],
+            [tuple(rng.choice(train, size=int(rng.integers(1, 7)), replace=False)) for _ in range(users)],
+            [(rng.random(3) > 0.5).astype(float) for _ in range(users)],
         )
         return reps, Y, test_mask, profiles
 
@@ -146,10 +167,59 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(reps, Y, test_mask, [], 5, model="m", representation="model", seed=0)
 
-    def test_recommendations_are_test_items(self, rng):
+    def test_empty_profile_raises(self, rng):
+        # np.add.reduceat would silently give an empty segment the next user's row
         reps, Y, test_mask, profiles = self._setup(rng)
-        rec = recommend_for_profile(profiles[0], reps, np.flatnonzero(test_mask), 5)
-        assert all(test_mask[i] for i in rec.items)
+        profiles[2] = UserProfile(user_id="nobody", items=(), preferences=profiles[2].preferences)
+        with pytest.raises(ValueError, match="nobody"):
+            evaluate(reps, Y, test_mask, profiles, 5, model="m", representation="model", seed=0)
+
+    def test_recommendations_are_test_items(self):
+        # the user's own (training) items are the best matches and carry
+        # every label, yet only test items are candidates
+        reps = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 1.0]])
+        Y = np.array([[1, 1, 1], [1, 1, 1], [0, 0, 0], [0, 0, 0]])
+        test_mask = np.array([False, False, True, True])
+        profiles = make_profiles([(0, 1)], [[1.0, 1.0, 1.0]])
+        assert _evaluate(reps, Y, test_mask, profiles, 2).tolist() == [[0.0, 0.0, 0.0]]
+
+    def test_exact_ties_pick_lowest_position(self):
+        # three identical candidates with different labels: K_rec = 1 takes the first
+        reps = np.array([[1.0, 2.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        Y = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        test_mask = np.array([False, True, True, True])
+        profiles = make_profiles([(0,)], [[1.0, 1.0, 1.0]])
+        got = _evaluate(reps, Y, test_mask, profiles, 1)
+        assert got.tolist() == [[0.0, 1.0, 0.0]]
+        assert np.array_equal(got, brute_force_evaluate(reps, Y, test_mask, profiles, 1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_duplicated_candidates_match_brute_force(self, seed):
+        # candidates are unit axis vectors or zero rows, many duplicated:
+        # each cosine is one exact product, so ties are exact in any summation order
+        rng = SeededRng(seed)
+        n_train, n_test, d = 12, 20, 4
+        test_rows = np.eye(d)[rng.integers(0, d, size=n_test)]
+        test_rows[rng.random(n_test) < 0.2] = 0.0
+        reps = np.vstack([rng.normal(size=(n_train, d)), test_rows])
+        Y = (rng.random((n_train + n_test, 3)) < 0.5).astype(np.int64)
+        test_mask = np.arange(n_train + n_test) >= n_train
+        profiles = make_profiles(
+            [tuple(rng.choice(n_train, size=int(rng.integers(1, 5)), replace=False)) for _ in range(15)],
+            [rng.random(3) for _ in range(15)],
+        )
+        for k_rec in (1, 3, 7, n_test, n_test + 3):
+            expect = brute_force_evaluate(reps, Y, test_mask, profiles, k_rec)
+            assert np.array_equal(_evaluate(reps, Y, test_mask, profiles, k_rec), expect)
+
+    def test_user_blocks_match_single_block(self, rng, monkeypatch):
+        # 40 users with 1..6 items each span 6 blocks of 7 and a short last one
+        reps, Y, test_mask, profiles = self._setup(rng, users=40)
+        whole = _evaluate(reps, Y, test_mask, profiles, 5)
+        monkeypatch.setattr(graph, "BLOCK_ROWS", 7)
+        blocked = _evaluate(reps, Y, test_mask, profiles, 5)
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(blocked, brute_force_evaluate(reps, Y, test_mask, profiles, 5))
 
 
 class TestMetricsFiles:
