@@ -286,7 +286,7 @@ def cmd_users(args) -> int:
 
 def cmd_check(args) -> int:
     from .graph import knn_graph_symmetric, normalize_adjacency
-    from .losses import focal_bce, weighted_bce
+    from .losses import LossConfig, supervised_loss_and_grad
     from .numerics import spmm
 
     rng = SeededRng(0)
@@ -313,8 +313,8 @@ def cmd_check(args) -> int:
     y = (rng.random((6, 3)) < 0.5).astype(float)
     w = np.ones(3)
     mask = np.ones(6, dtype=bool)
-    lhs = focal_bce(z, y, w, 0.5, 0.0, mask)
-    rhs = 0.5 * weighted_bce(z, y, w, mask)
+    lhs = supervised_loss_and_grad(LossConfig(kind="focal", alpha=0.5, gamma=0.0), z, y, w, mask)[0]
+    rhs = 0.5 * supervised_loss_and_grad(LossConfig(kind="wbce"), z, y, w, mask)[0]
     report("focal(gamma=0, alpha=0.5) == 0.5 * weighted bce", abs(lhs - rhs) <= 1e-12)
 
     # gradient checks

@@ -11,8 +11,6 @@ from __future__ import annotations
 import copy
 import json
 
-from .losses import LossConfig
-
 MODEL_KINDS = ("gcn", "gae", "vgae")
 PROTOCOLS = ("transductive", "inductive")
 FEATURE_MODES = ("precomputed", "mean", "chunks", "poe")
@@ -238,18 +236,6 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return resolve_config(raw)
-
-
-def loss_config_from(cfg: dict) -> LossConfig:
-    lo = cfg["loss"]
-    return LossConfig(
-        kind=lo["kind"],
-        alpha=lo["alpha"],
-        gamma=lo["gamma"],
-        lambda_sup=lo["lambda_sup"],
-        lambda_ssl=lo["lambda_ssl"],
-        beta_max=lo["beta_max"],
-    )
 
 
 def set_by_path(cfg: dict, dotted: str, value) -> dict:

@@ -207,20 +207,16 @@ def vgae_forward(params: VgaeParams, adj, X, eps, masks=None):
     return {"mu": mu, "log_sigma": log_sigma, "Z": Z, "logits": logits}, cache
 
 
-def vgae_backward(params: VgaeParams, cache, d_logits, dZ_rec, d_mu_extra=None, d_log_sigma_extra=None):
+def vgae_backward(params: VgaeParams, cache, d_logits, dZ_rec, d_mu_kl, d_log_sigma_kl):
     """Backward through head, decoder, reparameterization and encoder.
 
-    d_mu_extra / d_log_sigma_extra carry the (beta-scaled) KL gradients;
-    eps is the frozen constant of the pathwise estimator; the hard
-    clamp zeroes gradients where log_sigma saturated.
+    d_mu_kl / d_log_sigma_kl carry the (beta-scaled) KL gradients; eps
+    is the frozen constant of the pathwise estimator; the hard clamp
+    zeroes gradients where log_sigma saturated.
     """
     d_head, dZ = _head_decoder_backward(params, cache, d_logits, dZ_rec)
-    d_mu = dZ
-    d_ls = dZ * cache["eps"] * np.exp(cache["log_sigma"])
-    if d_mu_extra is not None:
-        d_mu = d_mu + d_mu_extra
-    if d_log_sigma_extra is not None:
-        d_ls = d_ls + d_log_sigma_extra
+    d_mu = dZ + d_mu_kl
+    d_ls = dZ * cache["eps"] * np.exp(cache["log_sigma"]) + d_log_sigma_kl
     inside = np.abs(cache["ls_pre"]) < params.clamp
     d_ls_pre = d_ls * inside
     m2_t = np.ascontiguousarray(cache["m2"].T)  # one copy serves both branches

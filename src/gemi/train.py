@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .config import loss_config_from
 from .graph import (
     ItemGraph,
     attach_test_items,
@@ -33,14 +32,11 @@ from .graph import (
 from .ingest import LABEL_NAMES
 from .losses import (
     LossConfig,
-    joint_objective,
+    kl_and_grads,
     kl_anneal,
-    kl_standard_normal,
-    kl_standard_normal_grads,
     positive_weights,
     recon_loss_and_grad,
-    supervised_loss,
-    supervised_loss_grad,
+    supervised_loss_and_grad,
 )
 from .numerics import SeededRng, finite_difference_gradient, matmul, spmm
 
@@ -124,7 +120,6 @@ class TrainedModel:
     protocol: str
     params: object
     base_graph: ItemGraph
-    node_index: np.ndarray
     report: TrainReport
     representations: np.ndarray
     extended_graph: ItemGraph | None = None
@@ -196,39 +191,41 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
     ``recon`` a csr_array whose pattern is the A + I reconstruction
     target (the clean normalized adjacency of the base graph) and
     ``beta`` the KL weight; gcn ignores the last three, gae the last
-    one.  Returns (total, report of loss parts, grads per weight).
+    one.  This is the only place the loss terms are weighted:
+
+    * gcn:  sup
+    * gae:  rec + lambda_sup · sup
+    * vgae: rec + beta · kl + lambda_ssl · sup
+
+    Returns (total, report of loss parts, grads per weight).
     """
     if kind == "gcn":
         logits, cache = models.gcn_forward(params, adj, X, masks)
-        sup = supervised_loss(loss_cfg, logits, Y, pos_w, mask)
-        total, report = joint_objective("gcn", {"sup": sup})
-        d_logits = supervised_loss_grad(loss_cfg, logits, Y, pos_w, mask)
-        return total, report, models.gcn_backward(params, cache, d_logits)
+        sup, d_logits = supervised_loss_and_grad(loss_cfg, logits, Y, pos_w, mask)
+        return sup, {"sup": sup, "total": sup}, models.gcn_backward(params, cache, d_logits)
     if kind == "gae":
         out, cache = models.gae_forward(params, adj, X, masks)
     else:
         out, cache = models.vgae_forward(params, adj, X, eps, masks)
-    sup = supervised_loss(loss_cfg, out["logits"], Y, pos_w, mask)
+    sup, d_sup = supervised_loss_and_grad(loss_cfg, out["logits"], Y, pos_w, mask)
     rec, dZ_rec = recon_loss_and_grad(out["Z"], recon)
     if kind == "gae":
-        total, report = joint_objective("gae", {"rec": rec, "sup": sup, "lambda_sup": loss_cfg.lambda_sup})
-        d_logits = loss_cfg.lambda_sup * supervised_loss_grad(loss_cfg, out["logits"], Y, pos_w, mask)
-        return total, report, models.gae_backward(params, cache, d_logits, dZ_rec)
-    kl = kl_standard_normal(out["mu"], out["log_sigma"])
-    total, report = joint_objective(
-        "vgae", {"rec": rec, "kl": kl, "beta": beta, "sup": sup, "lambda_ssl": loss_cfg.lambda_ssl}
+        total = rec + loss_cfg.lambda_sup * sup
+        grads = models.gae_backward(params, cache, loss_cfg.lambda_sup * d_sup, dZ_rec)
+        return total, {"rec": rec, "sup": sup, "total": total}, grads
+    kl, d_mu_kl, d_ls_kl = kl_and_grads(out["mu"], out["log_sigma"])
+    total = rec + beta * kl + loss_cfg.lambda_ssl * sup
+    grads = models.vgae_backward(
+        params, cache, loss_cfg.lambda_ssl * d_sup, dZ_rec, beta * d_mu_kl, beta * d_ls_kl
     )
-    d_logits = loss_cfg.lambda_ssl * supervised_loss_grad(loss_cfg, out["logits"], Y, pos_w, mask)
-    d_mu_kl, d_ls_kl = kl_standard_normal_grads(out["mu"], out["log_sigma"])
-    grads = models.vgae_backward(params, cache, d_logits, dZ_rec, beta * d_mu_kl, beta * d_ls_kl)
-    return total, report, grads
+    return total, {"rec": rec, "kl": kl, "beta": beta, "sup": sup, "total": total}, grads
 
 
 def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     """Core optimization over a fixed node set; returns params and logs."""
     kind = cfg["model"]["kind"]
     m_cfg = cfg["model"]
-    loss_cfg = loss_config_from(cfg)
+    loss_cfg = LossConfig(**cfg["loss"])
     n, d = X.shape
     c = Y.shape[1]
 
@@ -286,7 +283,6 @@ def train_transductive(features, labels, train_mask, cfg: dict, rng: SeededRng) 
         protocol="transductive",
         params=params,
         base_graph=base_graph,
-        node_index=np.arange(features.shape[0], dtype=np.int64),
         report=TrainReport(
             kind=cfg["model"]["kind"],
             protocol="transductive",
@@ -326,13 +322,11 @@ def train_inductive(features, labels, train_mask, test_mask, cfg: dict, rng: See
     reps[train_idx] = reps_train
     reps[test_idx] = reps_test
     wall = time.perf_counter() - start
-    node_index = np.concatenate([train_idx, test_idx])
     return TrainedModel(
         kind=cfg["model"]["kind"],
         protocol="inductive",
         params=params,
         base_graph=base_graph,
-        node_index=node_index,
         report=TrainReport(
             kind=cfg["model"]["kind"],
             protocol="inductive",
@@ -388,8 +382,7 @@ def _check_instance(kind: str, loss_kind: str, seed: int, n: int = 9, d: int = 4
     if not Y[mask].sum():
         Y[np.flatnonzero(mask)[0], 0] = 1
     pos_w = positive_weights(Y[mask])
-    # no edge dropout here: adj's pattern is the A + I target
-    return X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, adj
+    return X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w
 
 
 def gradient_check(kind: str, loss_kind: str = "focal", seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> GradientCheckResult:
@@ -399,9 +392,10 @@ def gradient_check(kind: str, loss_kind: str = "focal", seed: int = 0, h: float 
     objective is a smooth deterministic function of the parameters.  A
     failure is reported in the result, never raised.
     """
-    X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w, recon = _check_instance(kind, loss_kind, seed)
+    X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w = _check_instance(kind, loss_kind, seed)
     beta = 0.7  # a nonzero KL weight, so the KL gradient is checked too
-    args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta)
+    # no edge dropout here, so adj's pattern is the A + I target
+    args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, adj, beta)
     _, _, analytic = objective_and_grads(*args)
     flat_analytic = models.flatten_weights(analytic)
     weights = params.weights()

@@ -30,15 +30,10 @@ from gemi.graph import (
     row_top_k,
 )
 from gemi.ingest import write_embeddings, write_labels
-from gemi.losses import (
-    focal_bce,
-    joint_objective,
-    kl_standard_normal,
-    weighted_bce,
-)
+from gemi.losses import LossConfig, kl_and_grads, positive_weights, supervised_loss_and_grad
 from gemi.numerics import EPS_NORM, SeededRng, l2_normalize_rows
 from gemi.recommend import aggregate, evaluate
-from gemi.train import gradient_check_suite, train_model
+from gemi.train import gradient_check_suite, objective_and_grads, train_model
 from gemi.users import sample_synthetic_users
 from graph_oracles import cosine_similarity_matrix, edge_set
 
@@ -80,8 +75,10 @@ def test_02_loss_identities():
     w = rng.random(3) * 4.0 + 0.5
     mask = np.ones(12, dtype=bool)
 
-    gap_focal = abs(focal_bce(z, y, w, 0.5, 0.0, mask) - 0.5 * weighted_bce(z, y, w, mask))
-    kl_zero = kl_standard_normal(np.zeros((5, 4)), np.zeros((5, 4)))
+    focal, _ = supervised_loss_and_grad(LossConfig(kind="focal", alpha=0.5, gamma=0.0), z, y, w, mask)
+    wbce, _ = supervised_loss_and_grad(LossConfig(kind="wbce"), z, y, w, mask)
+    gap_focal = abs(focal - 0.5 * wbce)
+    kl_zero, _, _ = kl_and_grads(np.zeros((5, 4)), np.zeros((5, 4)))
 
     # same encoder weights, zero noise: the variational forward collapses
     # onto the plain autoencoder, so the objectives must agree at beta=0
@@ -96,12 +93,12 @@ def test_02_loss_identities():
     out_v, _ = models.vgae_forward(vg, adj, X, eps=np.zeros((10, 4)))
     out_g, _ = models.gae_forward(ga, adj, X)
     assert np.array_equal(out_v["mu"], out_g["Z"])
-    rec, sup = 1.375, 0.625
-    kl = float(kl_standard_normal(out_v["mu"], out_v["log_sigma"]))
-    total_v, _ = joint_objective(
-        "vgae", {"rec": rec, "kl": kl, "beta": 0.0, "sup": sup, "lambda_ssl": 0.6}
-    )
-    total_g, _ = joint_objective("gae", {"rec": rec, "sup": sup, "lambda_sup": 0.6})
+    Y = (SeededRng(10).random((10, 3)) < 0.4).astype(np.int64)
+    train = np.arange(10) < 7
+    loss_cfg = LossConfig(lambda_sup=0.6, lambda_ssl=0.6)
+    common = (adj, X, Y, train, positive_weights(Y[train]), loss_cfg, None)
+    total_v, _, _ = objective_and_grads("vgae", vg, *common, np.zeros((10, 4)), adj, 0.0)
+    total_g, _, _ = objective_and_grads("gae", ga, *common, None, adj, 0.0)
     gap_joint = abs(total_v - total_g)
 
     ok = gap_focal <= 1e-12 and kl_zero == 0.0 and gap_joint <= 1e-12

@@ -85,7 +85,9 @@ class TestRun:
     def test_nonfinite_loss_exit_1(self, dataset, tmp_path, monkeypatch, capsys):
         from gemi import train
 
-        monkeypatch.setattr(train, "supervised_loss", lambda *a, **k: float("nan"))
+        monkeypatch.setattr(
+            train, "supervised_loss_and_grad", lambda cfg, logits, *a: (float("nan"), np.zeros_like(logits))
+        )
         cfg_path, _ = write_cfg(tmp_path, dataset)
         out = tmp_path / "nan"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1

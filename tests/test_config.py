@@ -1,16 +1,18 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from gemi.config import (
+    MODEL_KINDS,
     ConfigError,
     default_config,
     load_config,
-    loss_config_from,
     resolve_config,
     set_by_path,
     validate_config,
 )
+from gemi.losses import LossConfig
 
 
 class TestDefaults:
@@ -104,10 +106,14 @@ class TestLoadConfig:
 
 class TestHelpers:
     def test_loss_config_from(self):
-        cfg = default_config("gae")
-        lc = loss_config_from(cfg)
-        assert lc.kind == cfg["loss"]["kind"]
-        assert lc.lambda_sup == cfg["loss"]["lambda_sup"]
+        # training builds LossConfig(**cfg["loss"]): the loss section's
+        # keys must be exactly the LossConfig fields for every kind
+        for kind in MODEL_KINDS:
+            cfg = default_config(kind)
+            lc = LossConfig(**cfg["loss"])
+            assert lc.kind == cfg["loss"]["kind"]
+            assert lc.lambda_sup == cfg["loss"]["lambda_sup"]
+            assert asdict(lc) == cfg["loss"]
 
     def test_set_by_path(self):
         cfg = default_config("gcn")

@@ -3,24 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemi import graph
+from gemi import graph, models
 from gemi.graph import ItemGraph, normalize_adjacency
 from gemi.losses import (
     LossConfig,
-    focal_bce,
-    focal_bce_grad,
-    joint_objective,
+    kl_and_grads,
     kl_anneal,
-    kl_standard_normal,
-    kl_standard_normal_grads,
     positive_weights,
     recon_loss_and_grad,
-    supervised_loss,
-    supervised_loss_grad,
-    weighted_bce,
-    weighted_bce_grad,
+    supervised_loss_and_grad,
 )
 from gemi.numerics import SeededRng, finite_difference_gradient
+from gemi.train import objective_and_grads
 from recon_oracle import (
     dense_recon_loss_and_grad,
     edge_pos_weight,
@@ -28,6 +22,20 @@ from recon_oracle import (
     recon_loss_scores_grad,
     recon_targets,
 )
+
+WBCE = LossConfig(kind="wbce")
+
+
+def focal(alpha, gamma):
+    return LossConfig(kind="focal", alpha=alpha, gamma=gamma)
+
+
+def loss(cfg, z, y, w, mask):
+    return supervised_loss_and_grad(cfg, z, y, w, mask)[0]
+
+
+def grad(cfg, z, y, w, mask):
+    return supervised_loss_and_grad(cfg, z, y, w, mask)[1]
 
 
 def naive_weighted_bce(z, y, w, mask):
@@ -39,6 +47,20 @@ def naive_weighted_bce(z, y, w, mask):
             p = 1.0 / (1.0 + np.exp(-z[i, j]))
             total += -w[j] * y[i, j] * np.log(p) - (1 - y[i, j]) * np.log(1 - p)
     return total / z.shape[0]
+
+
+def naive_focal(z, y, w, alpha, gamma, mask):
+    """Reference focal loss with explicit loops and probabilities."""
+    zm, ym = z[mask], y[mask]
+    total = 0.0
+    for i in range(zm.shape[0]):
+        for j in range(zm.shape[1]):
+            p = 1.0 / (1.0 + np.exp(-zm[i, j]))
+            p_t = ym[i, j] * p + (1 - ym[i, j]) * (1 - p)
+            a_t = alpha * ym[i, j] + (1 - alpha) * (1 - ym[i, j])
+            bce = -w[j] * ym[i, j] * np.log(p) - (1 - ym[i, j]) * np.log(1 - p)
+            total += a_t * (1 - p_t) ** gamma * bce
+    return total / zm.shape[0]
 
 
 def _instance(rng, n=7, c=3):
@@ -69,75 +91,68 @@ class TestPositiveWeights:
 class TestWeightedBce:
     def test_matches_naive(self, rng):
         z, y, w, mask = _instance(rng)
-        np.testing.assert_allclose(weighted_bce(z, y, w, mask), naive_weighted_bce(z, y, w, mask), rtol=1e-12)
+        np.testing.assert_allclose(loss(WBCE, z, y, w, mask), naive_weighted_bce(z, y, w, mask), rtol=1e-12)
 
     def test_mask_excludes_rows_bitwise(self, rng):
         z, y, w, mask = _instance(rng)
-        loss1 = weighted_bce(z, y, w, mask)
+        loss1 = loss(WBCE, z, y, w, mask)
         z2, y2 = z.copy(), y.copy()
         z2[~mask] = 1e6
         y2[~mask] = 1.0
-        assert weighted_bce(z2, y2, w, mask) == loss1
+        assert loss(WBCE, z2, y2, w, mask) == loss1
 
     def test_grad_matches_fd(self, rng):
         z, y, w, mask = _instance(rng, n=5, c=2)
-        grad = weighted_bce_grad(z, y, w, mask)
+        for cfg in (WBCE, LossConfig(kind="bce")):
+            g = grad(cfg, z, y, w, mask)
 
-        def f(v):
-            return weighted_bce(v.reshape(z.shape), y, w, mask)
+            def f(v):
+                return loss(cfg, v.reshape(z.shape), y, w, mask)
 
-        fd = finite_difference_gradient(f, z.reshape(-1)).reshape(z.shape)
-        np.testing.assert_allclose(grad, fd, atol=1e-7)
+            fd = finite_difference_gradient(f, z.reshape(-1)).reshape(z.shape)
+            np.testing.assert_allclose(g, fd, atol=1e-7)
 
     def test_grad_zero_outside_mask(self, rng):
         z, y, w, mask = _instance(rng)
-        grad = weighted_bce_grad(z, y, w, mask)
-        assert np.all(grad[~mask] == 0)
+        g = grad(WBCE, z, y, w, mask)
+        assert np.all(g[~mask] == 0)
 
     def test_empty_mask_raises(self, rng):
         z, y, w, _ = _instance(rng)
         with pytest.raises(ValueError):
-            weighted_bce(z, y, w, np.zeros(z.shape[0], dtype=bool))
+            supervised_loss_and_grad(WBCE, z, y, w, np.zeros(z.shape[0], dtype=bool))
 
     def test_extreme_logits_finite(self):
         z = np.array([[700.0, -700.0]])
         y = np.array([[0.0, 1.0]])
         w = np.ones(2)
         mask = np.ones(1, dtype=bool)
-        assert np.isfinite(weighted_bce(z, y, w, mask))
+        assert np.isfinite(loss(WBCE, z, y, w, mask))
 
 
 class TestFocal:
     def test_gamma_zero_alpha_half_identity(self, rng):
         z, y, w, mask = _instance(rng)
-        lhs = focal_bce(z, y, w, 0.5, 0.0, mask)
-        rhs = 0.5 * weighted_bce(z, y, w, mask)
+        lhs = loss(focal(0.5, 0.0), z, y, w, mask)
+        rhs = 0.5 * loss(WBCE, z, y, w, mask)
         assert abs(lhs - rhs) <= 1e-12
 
     def test_matches_naive(self, rng):
         z, y, w, mask = _instance(rng)
         alpha, gamma = 0.25, 2.0
-        zm, ym = z[mask], y[mask]
-        total = 0.0
-        for i in range(zm.shape[0]):
-            for j in range(zm.shape[1]):
-                p = 1.0 / (1.0 + np.exp(-zm[i, j]))
-                p_t = ym[i, j] * p + (1 - ym[i, j]) * (1 - p)
-                a_t = alpha * ym[i, j] + (1 - alpha) * (1 - ym[i, j])
-                bce = -w[j] * ym[i, j] * np.log(p) - (1 - ym[i, j]) * np.log(1 - p)
-                total += a_t * (1 - p_t) ** gamma * bce
-        np.testing.assert_allclose(focal_bce(z, y, w, alpha, gamma, mask), total / zm.shape[0], rtol=1e-10)
+        expect = naive_focal(z, y, w, alpha, gamma, mask)
+        np.testing.assert_allclose(loss(focal(alpha, gamma), z, y, w, mask), expect, rtol=1e-10)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
     def test_grad_matches_fd(self, rng, gamma):
         z, y, w, mask = _instance(rng, n=5, c=2)
-        grad = focal_bce_grad(z, y, w, 0.25, gamma, mask)
+        g = grad(focal(0.25, gamma), z, y, w, mask)
 
         def f(v):
-            return focal_bce(v.reshape(z.shape), y, w, 0.25, gamma, mask)
+            return loss(focal(0.25, gamma), v.reshape(z.shape), y, w, mask)
 
         fd = finite_difference_gradient(f, z.reshape(-1)).reshape(z.shape)
-        np.testing.assert_allclose(grad, fd, atol=1e-6)
+        np.testing.assert_allclose(g, fd, atol=1e-6)
 
     def test_saturated_prediction_no_nan(self):
         # p_t == 1 exactly: the modulation derivative guard must kick in
@@ -145,7 +160,7 @@ class TestFocal:
         y = np.array([[1.0]])
         w = np.ones(1)
         mask = np.ones(1, dtype=bool)
-        g = focal_bce_grad(z, y, w, 0.25, 2.0, mask)
+        g = grad(focal(0.25, 2.0), z, y, w, mask)
         assert np.all(np.isfinite(g))
 
     def test_focusing_downweights_easy(self, rng):
@@ -154,31 +169,37 @@ class TestFocal:
         y = np.ones((4, 3))
         w = np.ones(3)
         mask = np.ones(4, dtype=bool)
-        losses = [focal_bce(z, y, w, 0.5, g, mask) for g in (0.0, 1.0, 2.0)]
+        losses = [loss(focal(0.5, g), z, y, w, mask) for g in (0.0, 1.0, 2.0)]
         assert losses[0] > losses[1] > losses[2]
 
 
 class TestSupervisedDispatch:
     def test_wbce_and_focal_selected(self, rng):
         z, y, w, mask = _instance(rng)
-        wb = LossConfig(kind="wbce")
-        fc = LossConfig(kind="focal", alpha=0.25, gamma=2.0)
-        assert supervised_loss(wb, z, y, w, mask) == weighted_bce(z, y, w, mask)
-        assert supervised_loss(fc, z, y, w, mask) == focal_bce(z, y, w, 0.25, 2.0, mask)
+        wb = loss(WBCE, z, y, w, mask)
+        fc = loss(focal(0.25, 2.0), z, y, w, mask)
+        np.testing.assert_allclose(wb, naive_weighted_bce(z, y, w, mask), rtol=1e-12)
+        np.testing.assert_allclose(fc, naive_focal(z, y, w, 0.25, 2.0, mask), rtol=1e-10)
+        assert wb != fc
 
     def test_grad_dispatch(self, rng):
+        # the gradient follows the configured alpha and gamma, not the defaults
         z, y, w, mask = _instance(rng)
-        fc = LossConfig(kind="focal", alpha=0.3, gamma=1.5)
-        expect = focal_bce_grad(z, y, w, 0.3, 1.5, mask)
-        assert np.array_equal(supervised_loss_grad(fc, z, y, w, mask), expect)
+        fc = focal(0.3, 1.5)
+        g = grad(fc, z, y, w, mask)
+        fd = finite_difference_gradient(
+            lambda v: loss(fc, v.reshape(z.shape), y, w, mask), z.reshape(-1)
+        ).reshape(z.shape)
+        np.testing.assert_allclose(g, fd, atol=1e-6)
+        assert not np.array_equal(g, grad(LossConfig(kind="focal"), z, y, w, mask))
 
     def test_plain_bce_ignores_class_weights(self, rng):
         z, y, w, mask = _instance(rng)
-        plain = LossConfig(kind="bce")
         ones = np.ones_like(w)
-        assert supervised_loss(plain, z, y, w, mask) == weighted_bce(z, y, ones, mask)
-        g = supervised_loss_grad(plain, z, y, w, mask)
-        assert np.array_equal(g, weighted_bce_grad(z, y, ones, mask))
+        plain_loss, plain_grad = supervised_loss_and_grad(LossConfig(kind="bce"), z, y, w, mask)
+        unit_loss, unit_grad = supervised_loss_and_grad(WBCE, z, y, ones, mask)
+        assert np.array_equal(plain_loss, unit_loss)
+        assert np.array_equal(plain_grad, unit_grad)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -313,29 +334,31 @@ class TestBlockedRecon:
 
 class TestKl:
     def test_standard_normal_is_zero(self):
-        assert kl_standard_normal(np.zeros((5, 4)), np.zeros((5, 4))) == 0.0
+        kl, d_mu, d_ls = kl_and_grads(np.zeros((5, 4)), np.zeros((5, 4)))
+        assert kl == 0.0
+        assert not d_mu.any() and not d_ls.any()
 
     def test_matches_formula(self, rng):
         mu = rng.normal(size=(6, 3))
         ls = rng.normal(size=(6, 3), scale=0.3)
         expect = np.mean(0.5 * np.sum(mu**2 + np.exp(2 * ls) - 1 - 2 * ls, axis=1))
-        np.testing.assert_allclose(kl_standard_normal(mu, ls), expect, rtol=1e-12)
+        np.testing.assert_allclose(kl_and_grads(mu, ls)[0], expect, rtol=1e-12)
 
     def test_nonnegative(self, rng):
         mu = rng.normal(size=(8, 5))
         ls = rng.normal(size=(8, 5))
-        assert kl_standard_normal(mu, ls) >= 0.0
+        assert kl_and_grads(mu, ls)[0] >= 0.0
 
     def test_grads_match_fd(self, rng):
         mu = rng.normal(size=(3, 2))
         ls = rng.normal(size=(3, 2), scale=0.3)
-        g_mu, g_ls = kl_standard_normal_grads(mu, ls)
+        _, g_mu, g_ls = kl_and_grads(mu, ls)
 
         fd_mu = finite_difference_gradient(
-            lambda v: kl_standard_normal(v.reshape(mu.shape), ls), mu.reshape(-1)
+            lambda v: kl_and_grads(v.reshape(mu.shape), ls)[0], mu.reshape(-1)
         ).reshape(mu.shape)
         fd_ls = finite_difference_gradient(
-            lambda v: kl_standard_normal(mu, v.reshape(ls.shape)), ls.reshape(-1)
+            lambda v: kl_and_grads(mu, v.reshape(ls.shape))[0], ls.reshape(-1)
         ).reshape(ls.shape)
         np.testing.assert_allclose(g_mu, fd_mu, atol=1e-7)
         np.testing.assert_allclose(g_ls, fd_ls, atol=1e-7)
@@ -353,24 +376,35 @@ class TestAnnealAndJoint:
         with pytest.raises(ValueError):
             kl_anneal(1, 0, 1.0)
 
-    def test_joint_gcn(self):
-        total, report = joint_objective("gcn", {"sup": 2.5})
-        assert total == 2.5
-        assert report["total"] == 2.5
-
-    def test_joint_gae(self):
-        total, _ = joint_objective("gae", {"rec": 1.0, "sup": 2.0, "lambda_sup": 0.6})
-        assert total == 1.0 + 0.6 * 2.0
-
-    def test_joint_vgae(self):
-        parts = {"rec": 1.0, "kl": 0.5, "beta": 0.2, "sup": 2.0, "lambda_ssl": 0.6}
-        total, report = joint_objective("vgae", parts)
-        assert total == 1.0 + 0.2 * 0.5 + 0.6 * 2.0
-        assert report["beta"] == 0.2
-
-    def test_missing_part(self):
-        with pytest.raises(ValueError):
-            joint_objective("gae", {"rec": 1.0})
+    @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
+    def test_objective_total_is_weighted_sum(self, kind):
+        rng = SeededRng(31)
+        n, d, hidden, latent = 10, 4, 5, 3
+        X = rng.normal(size=(n, d))
+        Y = (rng.random((n, 3)) < 0.4).astype(np.int64)
+        mask = np.arange(n) < 7
+        adj = normalize_adjacency(graph.knn_graph_symmetric(X, 2))
+        params = models.init_params(kind, d, hidden, latent, 3, rng.substream("init"))
+        eps = rng.substream("noise").normal(size=(n, latent))
+        # weights distinct from each other and from 1, so a swapped or
+        # dropped coefficient changes the total
+        cfg = LossConfig(lambda_sup=0.35, lambda_ssl=0.8)
+        beta = 0.45
+        total, report, _ = objective_and_grads(
+            kind, params, adj, X, Y, mask, positive_weights(Y[mask]), cfg, None, eps, adj, beta
+        )
+        if kind == "gcn":
+            assert list(report) == ["sup", "total"]
+            expect = report["sup"]
+        elif kind == "gae":
+            assert list(report) == ["rec", "sup", "total"]
+            expect = report["rec"] + 0.35 * report["sup"]
+        else:
+            assert list(report) == ["rec", "kl", "beta", "sup", "total"]
+            assert report["beta"] == beta
+            expect = report["rec"] + beta * report["kl"] + 0.8 * report["sup"]
+        assert total == report["total"] == expect
+        assert all(v > 0.0 for v in report.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,8 +412,8 @@ class TestAnnealAndJoint:
 def test_focal_gamma_zero_identity_property(seed):
     rng = SeededRng(seed)
     z, y, w, mask = _instance(rng)
-    lhs = focal_bce(z, y, w, 0.5, 0.0, mask)
-    rhs = 0.5 * weighted_bce(z, y, w, mask)
+    lhs = loss(focal(0.5, 0.0), z, y, w, mask)
+    rhs = 0.5 * loss(WBCE, z, y, w, mask)
     assert abs(lhs - rhs) <= 1e-12
 
 
@@ -388,4 +422,4 @@ def test_focal_gamma_zero_identity_property(seed):
 def test_focal_nonnegative_property(seed, gamma):
     rng = SeededRng(seed)
     z, y, w, mask = _instance(rng)
-    assert focal_bce(z, y, w, 0.25, gamma, mask) >= 0.0
+    assert loss(focal(0.25, gamma), z, y, w, mask) >= 0.0
