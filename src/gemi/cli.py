@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import fusion, recommend, users as users_mod
-from .config import ConfigError, load_config, resolve_config, set_by_path
+from .config import ConfigError, default_config, load_config, resolve_config, set_by_path
 from .ingest import (
     IngestError,
     PanelTable,
@@ -267,16 +267,17 @@ def cmd_users(args) -> int:
         )
         if args.augment:
             observed = np.unique(inter.panels[train_mask[inter.panels]])
+            u_cfg = default_config()["users"]
             profiles = users_mod.bootstrap_augment(
                 profiles,
                 observed,
                 args.augment,
                 args.k,
                 args.p_replace,
-                0.8,
-                1.2,
-                0.05,
-                0.05,
+                u_cfg["gain_low"],
+                u_cfg["gain_high"],
+                u_cfg["bias_sigma"],
+                u_cfg["noise_sigma"],
                 rng.substream("bootstrap"),
             )
     pref_path, inter_path = users_mod.write_user_dataset(args.out, profiles, panel_ids=ids)

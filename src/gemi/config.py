@@ -162,6 +162,7 @@ def _is_num(x):
 
 def validate_config(cfg: dict) -> None:
     from .ingest import LABEL_NAMES
+    from .losses import LossConfig
 
     _check(
         isinstance(cfg["seed"], int) and not isinstance(cfg["seed"], bool) and cfg["seed"] >= 0,
@@ -198,10 +199,10 @@ def validate_config(cfg: dict) -> None:
     _check(_is_num(m["dropout"]) and 0.0 <= m["dropout"] < 1.0, "model.dropout", "must be in [0, 1)")
     _check(_is_num(m["clip_norm"]) and m["clip_norm"] > 0, "model.clip_norm", "must be positive")
     _check(_is_num(m["kl_ramp_fraction"]) and 0.0 < m["kl_ramp_fraction"] <= 1.0, "model.kl_ramp_fraction", "must be in (0, 1]")
-    lo = cfg["loss"]
-    _check(lo["kind"] in ("focal", "wbce", "bce"), "loss.kind", "must be focal, wbce or bce")
-    _check(_is_num(lo["alpha"]) and 0.0 < lo["alpha"] < 1.0, "loss.alpha", "must be in (0, 1)")
-    _check(_is_num(lo["gamma"]) and lo["gamma"] >= 0.0, "loss.gamma", "must be nonnegative")
+    try:
+        LossConfig(**cfg["loss"])
+    except ValueError as exc:
+        raise ConfigError(f"loss.{exc}") from None
     u = cfg["users"]
     _check(u["source"] in USER_SOURCES, "users.source", f"must be one of {USER_SOURCES}")
     if u["source"] in ("real", "augmented"):

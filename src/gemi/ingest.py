@@ -7,9 +7,10 @@ File formats (all comma-separated, one header row):
   split cells are ``train``/``test`` or empty for unassigned.
 * interactions: ``user_id,panel_id,rating`` with float ratings.
 * gaussian posteriors: ``id,mu_0,...,mu_{d-1},logvar_0,...,logvar_{d-1}``.
-* user datasets (written by ``gemi users``): ``user_id,panels,animal,
-  mythology,tree`` where ``panels`` is a ``;``-joined panel-id list and
-  the label cells are preferences in [0, 1].
+* user datasets (written by ``gemi users`` under an output prefix):
+  ``<prefix>.preferences.csv`` with ``user_id,animal,mythology,tree``
+  preferences in [0, 1], and ``<prefix>.interactions.csv`` with
+  ``user_id,panel_id,rating``, one ``1.0`` row per (user, panel).
 
 Parse failures raise :class:`IngestError` naming the offending line.
 """

@@ -39,12 +39,17 @@ class LossConfig:
     beta_max: float = 1.0
 
     def __post_init__(self):
+        # each message starts with the field name; validate_config prefixes "loss."
         if self.kind not in ("focal", "wbce", "bce"):
-            raise ValueError(f"loss kind must be focal, wbce or bce, got {self.kind!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+            raise ValueError(f"kind: must be focal, wbce or bce, got {self.kind!r}")
+        if not _is_number(self.alpha) or not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha: must be in (0, 1)")
+        if not _is_number(self.gamma) or self.gamma < 0.0:
+            raise ValueError("gamma: must be nonnegative")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def positive_weights(Y_train) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from . import graph
 from .ingest import LABEL_NAMES
 from .numerics import EPS_NORM, as_matrix, matmul
-from .users import preference_matrix
+from .users import Users
 
 PREFERENCE_THRESHOLD = 0.5
 
@@ -89,7 +89,7 @@ def evaluate(
     reps,
     Y,
     test_mask,
-    profiles,
+    profiles: Users,
     k_rec: int,
     *,
     model: str,
@@ -99,7 +99,8 @@ def evaluate(
     """Embed users, rank test items, count label hits, in user blocks.
 
     ``reps`` is aligned to the global panel order; candidates are the
-    test rows in ascending index order.
+    test rows in ascending index order.  ``profiles`` is the population
+    as one :class:`users.Users` record.
     """
     test_indices = np.flatnonzero(np.asarray(test_mask, dtype=bool))
     if test_indices.size == 0:
@@ -108,19 +109,17 @@ def evaluate(
         raise ValueError("evaluation requires at least one user profile")
     if k_rec < 1:
         raise ValueError("k_rec must be at least 1")
-    counts = np.array([len(p.items) for p in profiles], dtype=np.int64)
+    offsets, items = profiles.indptr, profiles.items
+    counts = np.diff(offsets)
     if not counts.all():
-        empty = profiles[int(np.argmin(counts))].user_id
+        empty = profiles.ids[int(np.argmin(counts))]
         raise ValueError(f"profile {empty!r} has no interactions")
-    # user u's items are items[offsets[u]:offsets[u + 1]]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    items = np.concatenate([np.asarray(p.items, dtype=np.int64) for p in profiles])
     reps = as_matrix(reps)
     test = reps[test_indices]
     t_norm = _norms(test)
     test_t = np.ascontiguousarray(test.T)
     Y_test = np.asarray(Y)[test_indices] == 1
-    prefers = preference_matrix(profiles) >= PREFERENCE_THRESHOLD
+    prefers = profiles.preferences >= PREFERENCE_THRESHOLD
     k = min(k_rec, test_indices.size)
     hits = np.zeros(prefers.shape, dtype=np.int64)
     for start in range(0, len(profiles), graph.BLOCK_ROWS):

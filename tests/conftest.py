@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import gemi
-from gemi.datasets import make_planted_panels
 from gemi.numerics import SeededRng
+from datasets import make_planted_panels
 
 
 @pytest.fixture

@@ -5,15 +5,15 @@ and a label is positive when the value falls under that label's
 prevalence, so rarer tags only appear on items that already carry the
 commoner ones.  An item's embedding is the sum of its labels' direction
 vectors plus unit Gaussian noise; items with no tags are pure noise.
-Used by the verification suites and handy for demo runs.
+The test suites build their panel tables here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ingest import PanelTable
-from .numerics import SeededRng
+from gemi.ingest import PanelTable
+from gemi.numerics import SeededRng
 
 
 def make_planted_panels(

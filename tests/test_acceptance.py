@@ -19,7 +19,6 @@ import pytest
 from gemi import models
 from gemi.cli import main
 from gemi.config import default_config
-from gemi.datasets import make_planted_panels
 from gemi.fusion import GaussianPosterior, poe_fuse
 from gemi.graph import (
     attach_test_items,
@@ -35,6 +34,7 @@ from gemi.numerics import EPS_NORM, SeededRng, l2_normalize_rows
 from gemi.recommend import aggregate, evaluate
 from gemi.train import gradient_check_suite, objective_and_grads, train_model
 from gemi.users import sample_synthetic_users
+from datasets import make_planted_panels
 from graph_oracles import cosine_similarity_matrix, edge_set
 
 GRID_POINTS = 2001
@@ -262,11 +262,12 @@ def test_05_leakage_invariants():
 def _brute_force_evaluate(reps, Y, test_mask, profiles, k_rec):
     test_idx = np.flatnonzero(test_mask)
     per_user = np.zeros((len(profiles), Y.shape[1]))
-    for u, prof in enumerate(profiles):
+    for u in range(len(profiles)):
+        items = profiles.items[profiles.indptr[u] : profiles.indptr[u + 1]]
         emb = np.zeros(reps.shape[1])
-        for item in prof.items:
+        for item in items:
             emb = emb + reps[item]
-        emb = emb / len(prof.items)
+        emb = emb / len(items)
         scores = np.empty(len(test_idx))
         for pos, item in enumerate(test_idx):
             v = reps[item]
@@ -275,7 +276,7 @@ def _brute_force_evaluate(reps, Y, test_mask, profiles, k_rec):
         order = sorted(range(len(test_idx)), key=lambda p: (-scores[p], p))[:k_rec]
         recs = [int(test_idx[p]) for p in order]
         for ell in range(Y.shape[1]):
-            if prof.preferences[ell] >= 0.5:
+            if profiles.preferences[u, ell] >= 0.5:
                 hits = sum(1 for r in recs if Y[r, ell] == 1)
                 per_user[u, ell] = hits / k_rec
     return per_user
@@ -313,7 +314,7 @@ def _random_baseline(labels, test_idx, profiles, rng, draws=10_000, k_rec=5):
     Yt = labels[test_idx]
     picks = np.argsort(rng.random((draws, len(test_idx))), axis=1)[:, :k_rec]
     hit = Yt[picks].sum(axis=1) / k_rec
-    preferring = np.stack([p.preferences >= 0.5 for p in profiles]).mean(axis=0)
+    preferring = (profiles.preferences >= 0.5).mean(axis=0)
     return hit.mean(axis=0) * preferring
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gemi.cli import main
-from gemi.datasets import make_planted_panels
 from gemi.ingest import write_embeddings, write_interactions, write_labels
+from datasets import make_planted_panels
 
 
 @pytest.fixture(scope="module")

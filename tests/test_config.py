@@ -84,6 +84,14 @@ class TestResolve:
         with pytest.raises(ConfigError, match="loss.kind"):
             resolve_config({"loss": {"kind": "hinge"}})
 
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", 1.5), ("alpha", "0.5"), ("alpha", True), ("gamma", -1.0), ("gamma", None)]
+    )
+    def test_loss_errors_name_field(self, field, value):
+        # LossConfig holds the rule; resolve_config reports it under loss.<field>
+        with pytest.raises(ConfigError, match=rf"^loss\.{field}: "):
+            resolve_config({"loss": {field: value}})
+
     def test_error_names_field_path(self):
         with pytest.raises(ConfigError, match="model.dropout"):
             resolve_config({"model": {"kind": "gcn", "dropout": 1.5}})

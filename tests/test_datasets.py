@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gemi.datasets import make_planted_panels
 from gemi.numerics import SeededRng
+from datasets import make_planted_panels
 
 
 class TestPlantedPanels:

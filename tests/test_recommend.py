@@ -13,15 +13,15 @@ from gemi.recommend import (
     write_metrics_csv,
     write_metrics_json,
 )
-from gemi.users import UserProfile
+from users_oracle import make_users, rows_of
 
 
 def brute_force_evaluate(reps, Y, test_mask, profiles, k_rec):
     """Independent reimplementation with explicit loops."""
     test_indices = [i for i in range(len(test_mask)) if test_mask[i]]
     per_user = np.zeros((len(profiles), Y.shape[1]))
-    for u, prof in enumerate(profiles):
-        emb = np.mean([reps[i] for i in prof.items], axis=0)
+    for u, items in enumerate(rows_of(profiles)):
+        emb = np.mean([reps[i] for i in items], axis=0)
         scored = []
         for pos, i in enumerate(test_indices):
             v = reps[i]
@@ -32,7 +32,7 @@ def brute_force_evaluate(reps, Y, test_mask, profiles, k_rec):
         scored.sort(key=lambda t: (-t[0], t[1]))
         recs = [i for _, _, i in scored[:k_rec]]
         for ell in range(Y.shape[1]):
-            if prof.preferences[ell] >= 0.5:
+            if profiles.preferences[u, ell] >= 0.5:
                 hits = sum(1 for i in recs if Y[i, ell] == 1)
                 per_user[u, ell] = hits / k_rec
             else:
@@ -40,11 +40,8 @@ def brute_force_evaluate(reps, Y, test_mask, profiles, k_rec):
     return per_user
 
 
-def make_profiles(items_list, prefs_list):
-    return [
-        UserProfile(user_id=f"u{i}", items=tuple(items), preferences=np.asarray(p, dtype=float))
-        for i, (items, p) in enumerate(zip(items_list, prefs_list))
-    ]
+def make_profiles(items_list, prefs_list, ids=None):
+    return make_users([sorted(items) for items in items_list], prefs_list, ids)
 
 
 def _evaluate(reps, Y, test_mask, profiles, k_rec):
@@ -164,13 +161,17 @@ class TestEvaluate:
 
     def test_no_profiles_raises(self, rng):
         reps, Y, test_mask, _ = self._setup(rng)
+        nobody = make_profiles([], np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            evaluate(reps, Y, test_mask, [], 5, model="m", representation="model", seed=0)
+            evaluate(reps, Y, test_mask, nobody, 5, model="m", representation="model", seed=0)
 
     def test_empty_profile_raises(self, rng):
         # np.add.reduceat would silently give an empty segment the next user's row
         reps, Y, test_mask, profiles = self._setup(rng)
-        profiles[2] = UserProfile(user_id="nobody", items=(), preferences=profiles[2].preferences)
+        rows = rows_of(profiles)
+        rows[2] = ()
+        ids = profiles.ids[:2] + ("nobody",) + profiles.ids[3:]
+        profiles = make_profiles(rows, profiles.preferences, ids=ids)
         with pytest.raises(ValueError, match="nobody"):
             evaluate(reps, Y, test_mask, profiles, 5, model="m", representation="model", seed=0)
 

@@ -5,7 +5,6 @@ import pytest
 
 from gemi import graph, models, train
 from gemi.config import default_config
-from gemi.datasets import make_planted_panels
 from gemi.graph import ItemGraph, attachment_blocks, knn_graph_symmetric, normalize_adjacency
 from gemi.losses import LossConfig, positive_weights, recon_pos_weight
 from gemi.numerics import SeededRng
@@ -18,6 +17,7 @@ from gemi.train import (
     train_model,
     train_transductive,
 )
+from datasets import make_planted_panels
 from graph_oracles import dense_normalized_adjacency
 from recon_oracle import edge_pos_weight
 
