@@ -41,52 +41,52 @@ def _require_file(path, field):
     return path
 
 
+def _required_list(ds, key: str, mode: str) -> list:
+    if not ds[key]:
+        raise ConfigError(f"dataset.{key}: required for feature mode {mode!r}")
+    return [_require_file(p, f"dataset.{key}[{i}]") for i, p in enumerate(ds[key])]
+
+
 def _load_features(cfg):
+    """(panel ids, feature matrix) for the configured ``features.mode``."""
     mode = cfg["features"]["mode"]
     ds = cfg["dataset"]
-    tables = {}
     if mode == "precomputed":
-        tables["embeddings"] = load_embeddings(_require_file(ds["embeddings"], "dataset.embeddings"))
-    elif mode == "mean":
-        tables["image"] = load_embeddings(_require_file(ds["image"], "dataset.image"))
-        tables["text"] = load_embeddings(_require_file(ds["text"], "dataset.text"))
-    elif mode == "chunks":
-        if not ds["chunks"]:
-            raise ConfigError("dataset.chunks: required for feature mode 'chunks'")
-        tables["chunks"] = [
-            load_embeddings(_require_file(p, f"dataset.chunks[{i}]")) for i, p in enumerate(ds["chunks"])
-        ]
-    else:  # poe
-        if not ds["experts"]:
-            raise ConfigError("dataset.experts: required for feature mode 'poe'")
-        tables["experts"] = [
-            load_gaussians(_require_file(p, f"dataset.experts[{i}]")) for i, p in enumerate(ds["experts"])
-        ]
-    return fusion.build_panel_features(mode, tables)
+        return load_embeddings(_require_file(ds["embeddings"], "dataset.embeddings"))
+    if mode == "mean":
+        return fusion.mean_fuse(
+            load_embeddings(_require_file(ds["image"], "dataset.image")),
+            load_embeddings(_require_file(ds["text"], "dataset.text")),
+        )
+    if mode == "chunks":
+        return fusion.chunk_fuse([load_embeddings(p) for p in _required_list(ds, "chunks", mode)])
+    return fusion.poe_fuse([load_gaussians(p) for p in _required_list(ds, "experts", mode)])
 
 
-def _build_profiles(cfg, table: PanelTable, rng: SeededRng):
+def _build_profiles(cfg, panel_ids, labels, train_mask, rng: SeededRng, bootstrap_rng: SeededRng):
+    """The user population that ``cfg["users"]`` and ``cfg["eval"]`` describe.
+
+    Synthetic users draw from ``rng``; real users come from the ratings
+    file, and augmented users bootstrap them with draws from ``bootstrap_rng``.
+    """
     u_cfg = cfg["users"]
     ev = cfg["eval"]
-    train_idx = np.flatnonzero(table.train_mask)
     if u_cfg["source"] == "synthetic":
         return users_mod.sample_synthetic_users(
-            train_idx, table.labels, ev["num_users"], ev["interactions_k"], ev["tau"], rng
+            np.flatnonzero(train_mask), labels, ev["num_users"], ev["interactions_k"], ev["tau"], rng
         )
-    inter = load_interactions(
-        _require_file(u_cfg["interactions"], "users.interactions"), table
-    )
+    inter = load_interactions(_require_file(u_cfg["interactions"], "users.interactions"), panel_ids)
     profiles = users_mod.build_real_profiles(
         inter,
-        table.labels,
-        table.train_mask,
+        labels,
+        train_mask,
         pseudo_count=u_cfg["pseudo_count"],
         gain=u_cfg["gain"],
         top_k=u_cfg["top_k"],
     )
     if u_cfg["source"] == "real":
         return profiles
-    observed = np.unique(inter.panels[table.train_mask[inter.panels]])
+    observed = np.unique(inter.panels[train_mask[inter.panels]])
     return users_mod.bootstrap_augment(
         profiles,
         observed,
@@ -97,7 +97,7 @@ def _build_profiles(cfg, table: PanelTable, rng: SeededRng):
         u_cfg["gain_high"],
         u_cfg["bias_sigma"],
         u_cfg["noise_sigma"],
-        rng,
+        bootstrap_rng,
     )
 
 
@@ -116,10 +116,12 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
     if (table.split == "unassigned").any():
         table = assign_split(table, cfg["dataset"]["test_fraction"], rng.substream("split"))
 
+    # users before training: a bad ratings file fails before any epoch runs
+    users_rng = rng.substream("users")
+    profiles = _build_profiles(cfg, table.ids, table.labels, table.train_mask, users_rng, users_rng)
     trained = train_model(
         table.features, table.labels, table.train_mask, table.test_mask, cfg, rng.substream("train")
     )
-    profiles = _build_profiles(cfg, table, rng.substream("users"))
 
     rep_source = cfg["eval"]["representation"]
     reps = table.features if rep_source == "raw" else trained.representations
@@ -233,53 +235,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _train_pool(split) -> np.ndarray:
+def _train_mask(split) -> np.ndarray:
+    """Training panels of a labels file; all panels when none is tagged train."""
     mask = split == "train"
-    if not mask.any():
-        mask = split == "unassigned"
-    return np.flatnonzero(mask)
+    return mask if mask.any() else split == "unassigned"
 
 
 def cmd_users(args) -> int:
     rng = SeededRng(_env_seed(args.seed)).substream("users")
     ids, labels, split = load_labels(_require_file(args.labels, "--labels"))
+    cfg = default_config()
     if args.mode == "synth":
-        pool = _train_pool(split)
-        profiles = users_mod.sample_synthetic_users(
-            pool, labels, args.num, args.k, args.tau, rng
-        )
+        cfg["eval"].update(num_users=args.num, interactions_k=args.k, tau=args.tau)
     else:
-        table = PanelTable(
-            ids=ids,
-            features=np.zeros((len(ids), 1)),
-            labels=labels,
-            split=split,
-        )
-        inter = load_interactions(_require_file(args.interactions, "--interactions"), table)
-        train_mask = np.isin(np.arange(len(ids)), _train_pool(split))
-        profiles = users_mod.build_real_profiles(
-            inter,
-            labels,
-            train_mask,
+        cfg["eval"]["interactions_k"] = args.k
+        cfg["users"].update(
+            source="augmented" if args.augment else "real",
+            interactions=args.interactions,
+            augment_target=args.augment,
             pseudo_count=args.pseudo_count,
             gain=args.gain,
             top_k=args.top_k,
+            p_replace=args.p_replace,
         )
-        if args.augment:
-            observed = np.unique(inter.panels[train_mask[inter.panels]])
-            u_cfg = default_config()["users"]
-            profiles = users_mod.bootstrap_augment(
-                profiles,
-                observed,
-                args.augment,
-                args.k,
-                args.p_replace,
-                u_cfg["gain_low"],
-                u_cfg["gain_high"],
-                u_cfg["bias_sigma"],
-                u_cfg["noise_sigma"],
-                rng.substream("bootstrap"),
-            )
+    profiles = _build_profiles(cfg, ids, labels, _train_mask(split), rng, rng.substream("bootstrap"))
     pref_path, inter_path = users_mod.write_user_dataset(args.out, profiles, panel_ids=ids)
     print(f"wrote {len(profiles)} users to {pref_path} and {inter_path}")
     return 0
@@ -346,24 +325,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
+    defaults = default_config()
+    u_def, ev_def = defaults["users"], defaults["eval"]
     p_users = sub.add_parser("users", help="emit a user preference dataset")
     users_sub = p_users.add_subparsers(dest="mode", required=True)
     p_synth = users_sub.add_parser("synth", help="Monte-Carlo K-subset users")
     p_synth.add_argument("--labels", required=True)
-    p_synth.add_argument("--num", type=int, default=50)
-    p_synth.add_argument("--k", type=int, default=5)
-    p_synth.add_argument("--tau", type=float, default=0.2)
+    p_synth.add_argument("--num", type=int, default=ev_def["num_users"])
+    p_synth.add_argument("--k", type=int, default=ev_def["interactions_k"])
+    p_synth.add_argument("--tau", type=float, default=ev_def["tau"])
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output path prefix")
     p_synth.set_defaults(func=cmd_users)
     p_real = users_sub.add_parser("real", help="preferences from a ratings file")
     p_real.add_argument("--labels", required=True)
     p_real.add_argument("--interactions", required=True)
-    p_real.add_argument("--pseudo-count", type=float, default=5.0)
-    p_real.add_argument("--gain", type=float, default=5.0)
-    p_real.add_argument("--top-k", type=int, default=5)
-    p_real.add_argument("--k", type=int, default=5, help="interactions per augmented user")
-    p_real.add_argument("--p-replace", type=float, default=0.3)
+    p_real.add_argument("--pseudo-count", type=float, default=u_def["pseudo_count"])
+    p_real.add_argument("--gain", type=float, default=u_def["gain"])
+    p_real.add_argument("--top-k", type=int, default=u_def["top_k"])
+    p_real.add_argument("--k", type=int, default=ev_def["interactions_k"], help="interactions per augmented user")
+    p_real.add_argument("--p-replace", type=float, default=u_def["p_replace"])
     p_real.add_argument("--augment", type=int, default=0, help="bootstrap to this many users")
     p_real.add_argument("--seed", type=int, default=0)
     p_real.add_argument("--out", required=True, help="output path prefix")

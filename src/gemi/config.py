@@ -208,6 +208,15 @@ def validate_config(cfg: dict) -> None:
     if u["source"] in ("real", "augmented"):
         _check(isinstance(u["interactions"], str), "users.interactions", "required for real/augmented users")
     _check(isinstance(u["augment_target"], int) and u["augment_target"] >= 1, "users.augment_target", "must be a positive integer")
+    _check(_is_num(u["pseudo_count"]) and u["pseudo_count"] >= 0, "users.pseudo_count", "must be nonnegative")
+    _check(_is_num(u["gain"]) and u["gain"] > 0, "users.gain", "must be positive")
+    _check(isinstance(u["top_k"], int) and u["top_k"] >= 1, "users.top_k", "must be a positive integer")
+    _check(_is_num(u["p_replace"]) and 0.0 <= u["p_replace"] <= 1.0, "users.p_replace", "must be in [0, 1]")
+    for key in ("gain_low", "gain_high"):
+        _check(_is_num(u[key]), f"users.{key}", "must be a number")
+    _check(u["gain_low"] <= u["gain_high"], "users.gain_low", "must not exceed users.gain_high")
+    for key in ("bias_sigma", "noise_sigma"):
+        _check(_is_num(u[key]) and u[key] >= 0, f"users.{key}", "must be nonnegative")
     ev = cfg["eval"]
     _check(isinstance(ev["num_users"], int) and ev["num_users"] >= 1, "eval.num_users", "must be a positive integer")
     _check(isinstance(ev["interactions_k"], int) and ev["interactions_k"] >= 1, "eval.interactions_k", "must be a positive integer")

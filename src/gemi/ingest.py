@@ -12,13 +12,21 @@ File formats (all comma-separated, one header row):
   preferences in [0, 1], and ``<prefix>.interactions.csv`` with
   ``user_id,panel_id,rating``, one ``1.0`` row per (user, panel).
 
-Parse failures raise :class:`IngestError` naming the offending line.
+Every file goes through one reader: blank lines are skipped, cells are
+stripped, the header is checked, each data line must have as many cells
+as the header, and a file without data lines is rejected.  Numeric
+cells must be finite floats.  Ids are unique within an embeddings,
+labels or gaussians file.  In an interactions file the last rating of a
+(user, panel) pair wins, and rows naming an unknown panel are dropped
+with a warning.  Failures raise :class:`IngestError` naming the file
+and, where there is one, the line.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,19 +56,12 @@ class PanelTable:
     split: np.ndarray  # (n,) of {"train", "test", "unassigned"}
 
     @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @property
     def train_mask(self) -> np.ndarray:
         return self.split == "train"
 
     @property
     def test_mask(self) -> np.ndarray:
         return self.split == "test"
-
-    def index_of(self) -> dict[str, int]:
-        return {pid: i for i, pid in enumerate(self.ids)}
 
 
 @dataclass(frozen=True)
@@ -83,51 +84,69 @@ class InteractionTable:
     dropped: int  # rows referencing unknown panels
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    """Read CSV rows as (line_number, cells), skipping blank lines."""
-    out = []
+def _read_table(path, header_ok, expected: str) -> tuple[list[str], list[int], np.ndarray]:
+    """Read a CSV file as (header, data line numbers, cells).
+
+    Blank lines are skipped and every cell is stripped.  The first line
+    must satisfy ``header_ok`` (the error quotes ``expected``), every
+    data line must have as many cells as the header, and at least one
+    data line must exist.  ``cells`` is an object array with one row per
+    data line.
+    """
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            out.append((lineno, [cell.strip() for cell in row]))
-    if not out:
+            cells = [cell.strip() for cell in row]
+            if any(cells):
+                rows.append((lineno, cells))
+    if not rows:
         raise IngestError(f"{path}: no rows")
-    return out
+    header_line, header = rows[0]
+    if not header_ok(header):
+        raise IngestError(f"{path}:{header_line}: expected header {expected}")
+    body = rows[1:]
+    if not body:
+        raise IngestError(f"{path}: no rows")
+    for lineno, cells in body:
+        if len(cells) != len(header):
+            raise IngestError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+    return header, [lineno for lineno, _ in body], np.array([cells for _, cells in body], dtype=object)
 
 
-def _parse_float(cell: str, path, lineno: int) -> float:
+def _floats(cells: np.ndarray, path, lines) -> np.ndarray:
+    """A block of cells as finite float64; a failure names the first bad line."""
     try:
-        return float(cell)
+        values = cells.astype(np.float64)  # float() on each cell
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        raise IngestError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+        pass
+    for lineno, row in zip(lines, cells):
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise IngestError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise IngestError(f"{path}:{lineno}: non-finite cell {cell!r}")
+    raise AssertionError("unreachable: the block failed but no cell did")
+
+
+def _unique_ids(cells: np.ndarray, path, lines) -> tuple[str, ...]:
+    """The first column as ids; a repeated id names its line."""
+    ids = tuple(cells[:, 0].tolist())
+    seen: set[str] = set()
+    for lineno, pid in zip(lines, ids):
+        if pid in seen:
+            raise IngestError(f"{path}:{lineno}: duplicate id {pid!r}")
+        seen.add(pid)
+    return ids
 
 
 def load_embeddings(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Load an embeddings CSV; the dimension is inferred from the header."""
-    rows = _read_rows(path)
-    header_line, header = rows[0]
-    if len(header) < 2 or header[0] != "id":
-        raise IngestError(f"{path}:{header_line}: expected header id,f0,...")
-    d = len(header) - 1
-    if rows[1:] == []:
-        raise IngestError(f"{path}: no rows")
-    ids: list[str] = []
-    seen: set[str] = set()
-    data = np.empty((len(rows) - 1, d), dtype=np.float64)
-    for r, (lineno, cells) in enumerate(rows[1:]):
-        if len(cells) != d + 1:
-            raise IngestError(f"{path}:{lineno}: expected {d + 1} cells, got {len(cells)}")
-        pid = cells[0]
-        if pid in seen:
-            raise IngestError(f"{path}:{lineno}: duplicate id {pid!r}")
-        seen.add(pid)
-        ids.append(pid)
-        for j, cell in enumerate(cells[1:]):
-            data[r, j] = _parse_float(cell, path, lineno)
-    if not np.all(np.isfinite(data)):
-        raise IngestError(f"{path}: non-finite embedding values")
-    return tuple(ids), data
+    _, lines, cells = _read_table(path, lambda h: len(h) >= 2 and h[0] == "id", "id,f0,...")
+    return _unique_ids(cells, path, lines), _floats(cells[:, 1:], path, lines)
 
 
 def load_labels(path, ids: tuple[str, ...] | None = None):
@@ -137,156 +156,80 @@ def load_labels(path, ids: tuple[str, ...] | None = None):
     and returned aligned to its order as (labels, split).  Without it,
     file order is kept and (ids, labels, split) is returned.
     """
-    rows = _read_rows(path)
-    header_line, header = rows[0]
     expected = ["id", *LABEL_NAMES]
-    has_split = header == expected + ["split"]
-    if not has_split and header != expected:
-        raise IngestError(
-            f"{path}:{header_line}: expected header {','.join(expected)}[,split]"
-        )
-    labels_by_id: dict[str, np.ndarray] = {}
-    split_by_id: dict[str, str] = {}
-    file_order: list[str] = []
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(header):
-            raise IngestError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-        pid = cells[0]
-        if pid in labels_by_id:
-            raise IngestError(f"{path}:{lineno}: duplicate id {pid!r}")
-        row = np.empty(len(LABEL_NAMES), dtype=np.int64)
-        for j, cell in enumerate(cells[1 : 1 + len(LABEL_NAMES)]):
-            if cell not in ("0", "1"):
-                raise IngestError(f"{path}:{lineno}: label cell must be 0 or 1, got {cell!r}")
-            row[j] = int(cell)
-        labels_by_id[pid] = row
-        file_order.append(pid)
-        if has_split:
-            tag = cells[-1]
-            if tag not in ("train", "test", ""):
-                raise IngestError(f"{path}:{lineno}: split must be train, test or empty, got {tag!r}")
-            split_by_id[pid] = tag or "unassigned"
+    header, lines, cells = _read_table(
+        path, lambda h: h in (expected, expected + ["split"]), f"{','.join(expected)}[,split]"
+    )
+    file_ids = _unique_ids(cells, path, lines)
+    label_cells = cells[:, 1 : 1 + len(LABEL_NAMES)]
+    bad = (label_cells != "0") & (label_cells != "1")
+    if bad.any():
+        r, j = np.argwhere(bad)[0]
+        raise IngestError(f"{path}:{lines[r]}: label cell must be 0 or 1, got {label_cells[r, j]!r}")
+    labels = (label_cells == "1").astype(np.int64)
+    split = cells[:, -1].copy() if len(header) > len(expected) else np.full(len(lines), "", dtype=object)
+    bad = (split != "train") & (split != "test") & (split != "")
+    if bad.any():
+        r = np.flatnonzero(bad)[0]
+        raise IngestError(f"{path}:{lines[r]}: split must be train, test or empty, got {split[r]!r}")
+    split[split == ""] = "unassigned"
     if ids is None:
-        labels = np.stack([labels_by_id[pid] for pid in file_order])
-        split = np.array(
-            [split_by_id.get(pid, "unassigned") for pid in file_order], dtype=object
-        )
-        return tuple(file_order), labels, split
-    missing = [pid for pid in ids if pid not in labels_by_id]
+        return file_ids, labels, split
+    index = {pid: r for r, pid in enumerate(file_ids)}
+    missing = [pid for pid in ids if pid not in index]
     if missing:
         raise IngestError(f"{path}: missing labels for id {missing[0]!r}")
-    extra = set(labels_by_id) - set(ids)
+    extra = index.keys() - set(ids)
     if extra:
         raise IngestError(f"{path}: label id {sorted(extra)[0]!r} has no embedding")
-    labels = np.stack([labels_by_id[pid] for pid in ids])
-    split = np.array([split_by_id.get(pid, "unassigned") for pid in ids], dtype=object)
-    return labels, split
+    rows = [index[pid] for pid in ids]
+    return labels[rows], split[rows]
 
 
-def load_interactions(path, table: PanelTable) -> InteractionTable:
-    """Load ratings; duplicate (user, panel) pairs keep the last rating."""
-    rows = _read_rows(path)
-    header_line, header = rows[0]
-    if header != ["user_id", "panel_id", "rating"]:
-        raise IngestError(f"{path}:{header_line}: expected header user_id,panel_id,rating")
-    index = table.index_of()
-    user_order: list[str] = []
-    user_idx: dict[str, int] = {}
-    last: dict[tuple[int, int], float] = {}
-    dropped = 0
-    for lineno, cells in rows[1:]:
-        if len(cells) != 3:
-            raise IngestError(f"{path}:{lineno}: expected 3 cells, got {len(cells)}")
-        uid, pid, rating_cell = cells
-        rating = _parse_float(rating_cell, path, lineno)
-        if pid not in index:
-            dropped += 1
-            continue
-        if uid not in user_idx:
-            user_idx[uid] = len(user_order)
-            user_order.append(uid)
-        last[(user_idx[uid], index[pid])] = rating
+def load_interactions(path, panel_ids) -> InteractionTable:
+    """Load ratings against ``panel_ids``; duplicate (user, panel) pairs keep the last rating."""
+    _, lines, cells = _read_table(
+        path, lambda h: h == ["user_id", "panel_id", "rating"], "user_id,panel_id,rating"
+    )
+    ratings = _floats(cells[:, 2:], path, lines)[:, 0]
+    index = {pid: i for i, pid in enumerate(panel_ids)}
+    panels = np.array([index.get(pid, -1) for pid in cells[:, 1].tolist()], dtype=np.int64)
+    known = panels >= 0
+    dropped = int(np.count_nonzero(~known))
     if dropped:
         logger.warning("%s: dropped %d interactions referencing unknown panels", path, dropped)
-    if not last:
-        logger.warning("%s: no usable interactions", path)
-        return InteractionTable(
-            user_ids=tuple(user_order),
-            users=np.empty(0, dtype=np.int64),
-            panels=np.empty(0, dtype=np.int64),
-            ratings=np.empty(0, dtype=np.float64),
-            dropped=dropped,
-        )
-    pairs = sorted(last)
-    users = np.array([u for u, _ in pairs], dtype=np.int64)
-    panels = np.array([p for _, p in pairs], dtype=np.int64)
-    ratings = np.array([last[pair] for pair in pairs], dtype=np.float64)
-    return InteractionTable(
-        user_ids=tuple(user_order), users=users, panels=panels, ratings=ratings, dropped=dropped
+    user_idx: dict[str, int] = {}  # first-seen order
+    users = np.array(
+        [user_idx.setdefault(uid, len(user_idx)) for uid in cells[known, 0].tolist()], dtype=np.int64
     )
+    # the first occurrence of a key in the reversed rows is its last rating;
+    # keys come out sorted, i.e. by user, then panel
+    n = len(panel_ids)
+    keys, first = np.unique((users * n + panels[known])[::-1], return_index=True)
+    return InteractionTable(
+        user_ids=tuple(user_idx),
+        users=keys // n,
+        panels=keys % n,
+        ratings=ratings[known][::-1][first],
+        dropped=dropped,
+    )
+
+
+def _gaussian_header(d: int) -> list[str]:
+    return ["id", *[f"mu_{j}" for j in range(d)], *[f"logvar_{j}" for j in range(d)]]
 
 
 def load_gaussians(path) -> GaussianTable:
     """Load diagonal Gaussian posteriors; variances are exp(logvar) clamped."""
-    rows = _read_rows(path)
-    header_line, header = rows[0]
-    if len(header) < 3 or header[0] != "id" or (len(header) - 1) % 2 != 0:
-        raise IngestError(f"{path}:{header_line}: expected header id,mu_0,...,logvar_0,...")
+    header, lines, cells = _read_table(
+        path,
+        lambda h: len(h) >= 3 and h == _gaussian_header((len(h) - 1) // 2),
+        "id,mu_0,...,logvar_0,...",
+    )
     d = (len(header) - 1) // 2
-    mu_cols = [f"mu_{j}" for j in range(d)]
-    lv_cols = [f"logvar_{j}" for j in range(d)]
-    if header != ["id", *mu_cols, *lv_cols]:
-        raise IngestError(f"{path}:{header_line}: expected header id,mu_0,...,logvar_0,...")
-    ids: list[str] = []
-    seen: set[str] = set()
-    mean = np.empty((len(rows) - 1, d), dtype=np.float64)
-    logvar = np.empty((len(rows) - 1, d), dtype=np.float64)
-    for r, (lineno, cells) in enumerate(rows[1:]):
-        if len(cells) != 2 * d + 1:
-            raise IngestError(f"{path}:{lineno}: expected {2 * d + 1} cells, got {len(cells)}")
-        pid = cells[0]
-        if pid in seen:
-            raise IngestError(f"{path}:{lineno}: duplicate id {pid!r}")
-        seen.add(pid)
-        ids.append(pid)
-        for j in range(d):
-            mean[r, j] = _parse_float(cells[1 + j], path, lineno)
-            logvar[r, j] = _parse_float(cells[1 + d + j], path, lineno)
-    var = np.clip(np.exp(logvar), VAR_MIN, VAR_MAX)
-    return GaussianTable(ids=tuple(ids), mean=mean, var=var)
-
-
-def write_embeddings(path, ids, features) -> None:
-    features = np.asarray(features, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *[f"f{j}" for j in range(features.shape[1])]])
-        for pid, row in zip(ids, features):
-            writer.writerow([pid, *[repr(float(v)) for v in row]])
-
-
-def write_labels(path, table: PanelTable, include_split: bool = True) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["id", *LABEL_NAMES]
-        if include_split:
-            header.append("split")
-        writer.writerow(header)
-        for i, pid in enumerate(table.ids):
-            row = [pid, *[str(int(v)) for v in table.labels[i]]]
-            if include_split:
-                tag = table.split[i]
-                row.append("" if tag == "unassigned" else tag)
-            writer.writerow(row)
-
-
-def write_interactions(path, rows) -> None:
-    """Write (user_id, panel_id, rating) triples."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "panel_id", "rating"])
-        for user_id, panel_id, rating in rows:
-            writer.writerow([user_id, panel_id, repr(float(rating))])
+    ids = _unique_ids(cells, path, lines)
+    values = _floats(cells[:, 1:], path, lines)
+    return GaussianTable(ids=ids, mean=values[:, :d], var=np.clip(np.exp(values[:, d:]), VAR_MIN, VAR_MAX))
 
 
 def assign_split(table: PanelTable, test_fraction: float, rng: SeededRng) -> PanelTable:

@@ -44,8 +44,10 @@ class LossConfig:
             raise ValueError(f"kind: must be focal, wbce or bce, got {self.kind!r}")
         if not _is_number(self.alpha) or not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha: must be in (0, 1)")
-        if not _is_number(self.gamma) or self.gamma < 0.0:
-            raise ValueError("gamma: must be nonnegative")
+        for name in ("gamma", "lambda_sup", "lambda_ssl", "beta_max"):
+            value = getattr(self, name)
+            if not _is_number(value) or value < 0.0:
+                raise ValueError(f"{name}: must be nonnegative")
 
 
 def _is_number(x) -> bool:

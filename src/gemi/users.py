@@ -103,23 +103,16 @@ def sample_synthetic_users(train_indices, Y, num_users: int, k: int, tau: float,
     )
 
 
-def minmax_normalize_ratings(table: InteractionTable) -> InteractionTable:
-    """Scale ratings into [0, 1] over the global range; constant → 0."""
-    if table.ratings.size == 0:
+def minmax_normalize_ratings(ratings) -> np.ndarray:
+    """Scale ratings into [0, 1] over their global range; constant → 0."""
+    ratings = np.asarray(ratings, dtype=np.float64)
+    if ratings.size == 0:
         raise ValueError("no interactions to normalize")
-    lo = table.ratings.min()
-    hi = table.ratings.max()
+    lo = ratings.min()
+    hi = ratings.max()
     if hi == lo:
-        ratings = np.zeros_like(table.ratings)
-    else:
-        ratings = (table.ratings - lo) / (hi - lo)
-    return InteractionTable(
-        user_ids=table.user_ids,
-        users=table.users,
-        panels=table.panels,
-        ratings=ratings,
-        dropped=table.dropped,
-    )
+        return np.zeros_like(ratings)
+    return (ratings - lo) / (hi - lo)
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -230,20 +223,13 @@ def build_real_profiles(
         raise ValueError("no interactions on training panels")
     # one stable sort groups each user's rows without reordering them
     rows = keep[np.argsort(table.users[keep], kind="stable")]
-    table = minmax_normalize_ratings(
-        InteractionTable(
-            user_ids=table.user_ids,
-            users=table.users[rows],
-            panels=table.panels[rows],
-            ratings=table.ratings[rows],
-            dropped=table.dropped,
-        )
-    )
-    present, counts = np.unique(table.users, return_counts=True)
-    lift, support, _ = compute_lift(counts, table.panels, table.ratings, Y)
+    panels = table.panels[rows]
+    ratings = minmax_normalize_ratings(table.ratings[rows])
+    present, counts = np.unique(table.users[rows], return_counts=True)
+    lift, support, _ = compute_lift(counts, panels, ratings, Y)
     den = support.sum(axis=0)
     prior = np.divide((support * lift).sum(axis=0), den, out=np.zeros(den.size), where=den > 0)
-    indptr, items = top_k_panels(counts, table.panels, table.ratings, top_k)
+    indptr, items = top_k_panels(counts, panels, ratings, top_k)
     return Users(
         ids=tuple(np.asarray(table.user_ids, dtype=object)[present]),
         indptr=indptr,

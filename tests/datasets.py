@@ -5,14 +5,17 @@ and a label is positive when the value falls under that label's
 prevalence, so rarer tags only appear on items that already carry the
 commoner ones.  An item's embedding is the sum of its labels' direction
 vectors plus unit Gaussian noise; items with no tags are pure noise.
-The test suites build their panel tables here.
+The test suites build their panel tables here, and write them (and
+ratings and Gaussian posteriors) as the CSV files ``gemi`` reads.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from gemi.ingest import PanelTable
+from gemi.ingest import LABEL_NAMES, PanelTable
 from gemi.numerics import SeededRng
 
 
@@ -72,3 +75,46 @@ def make_planted_panels(
         labels=labels,
         split=split,
     )
+
+
+def write_embeddings(path, ids, features) -> None:
+    features = np.asarray(features, dtype=np.float64)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", *[f"f{j}" for j in range(features.shape[1])]])
+        for pid, row in zip(ids, features):
+            writer.writerow([pid, *[repr(float(v)) for v in row]])
+
+
+def write_labels(path, table: PanelTable, include_split: bool = True) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = ["id", *LABEL_NAMES]
+        if include_split:
+            header.append("split")
+        writer.writerow(header)
+        for i, pid in enumerate(table.ids):
+            row = [pid, *[str(int(v)) for v in table.labels[i]]]
+            if include_split:
+                tag = table.split[i]
+                row.append("" if tag == "unassigned" else tag)
+            writer.writerow(row)
+
+
+def write_interactions(path, rows) -> None:
+    """Write (user_id, panel_id, rating) triples."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user_id", "panel_id", "rating"])
+        for user_id, panel_id, rating in rows:
+            writer.writerow([user_id, panel_id, repr(float(rating))])
+
+
+def write_gaussians(path, ids, mean, logvar) -> None:
+    """Write per-panel diagonal Gaussians as id, means, then log-variances."""
+    d = np.shape(mean)[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", *[f"mu_{j}" for j in range(d)], *[f"logvar_{j}" for j in range(d)]])
+        for pid, mu, lv in zip(ids, np.asarray(mean).tolist(), np.asarray(logvar).tolist()):
+            writer.writerow([pid, *map(repr, mu), *map(repr, lv)])

@@ -19,7 +19,7 @@ import pytest
 from gemi import models
 from gemi.cli import main
 from gemi.config import default_config
-from gemi.fusion import GaussianPosterior, poe_fuse
+from gemi.fusion import product_of_experts
 from gemi.graph import (
     attach_test_items,
     attachment_blocks,
@@ -28,13 +28,12 @@ from gemi.graph import (
     normalize_adjacency,
     row_top_k,
 )
-from gemi.ingest import write_embeddings, write_labels
 from gemi.losses import LossConfig, kl_and_grads, positive_weights, supervised_loss_and_grad
 from gemi.numerics import EPS_NORM, SeededRng, l2_normalize_rows
 from gemi.recommend import aggregate, evaluate
 from gemi.train import gradient_check_suite, objective_and_grads, train_model
 from gemi.users import sample_synthetic_users
-from datasets import make_planted_panels
+from datasets import make_planted_panels, write_embeddings, write_labels
 from graph_oracles import cosine_similarity_matrix, edge_set
 
 GRID_POINTS = 2001
@@ -116,13 +115,14 @@ def test_02_loss_identities():
 # 03 product-of-experts against grid integration
 
 
-def _grid_moments(posteriors) -> tuple[float, float]:
-    lo = min(float(p.mean[0] - GRID_SPAN * np.sqrt(p.variance[0])) for p in posteriors)
-    hi = max(float(p.mean[0] + GRID_SPAN * np.sqrt(p.variance[0])) for p in posteriors)
+def _grid_moments(means, variances) -> tuple[float, float]:
+    sds = [float(np.sqrt(v[0])) for v in variances]
+    lo = min(float(mu[0]) - GRID_SPAN * sd for mu, sd in zip(means, sds))
+    hi = max(float(mu[0]) + GRID_SPAN * sd for mu, sd in zip(means, sds))
     x = np.linspace(lo, hi, GRID_POINTS)
     log_density = np.zeros_like(x)
-    for p in posteriors:
-        log_density += -0.5 * (x - p.mean[0]) ** 2 / p.variance[0]
+    for mu, var in zip(means, variances):
+        log_density += -0.5 * (x - mu[0]) ** 2 / var[0]
     density = np.exp(log_density - log_density.max())
     density /= np.trapezoid(density, x)
     mean = float(np.trapezoid(x * density, x))
@@ -134,11 +134,13 @@ def test_03_poe_matches_grid_integration():
     rng = SeededRng(303)
     worst = 0.0
     for _ in range(50):
-        a = GaussianPosterior(rng.normal(size=1) * 2.0, rng.random(1) * 1.9 + 0.1)
-        b = GaussianPosterior(rng.normal(size=1) * 2.0, rng.random(1) * 1.9 + 0.1)
-        fused = poe_fuse([a, b])
-        g_mean, g_var = _grid_moments([a, b])
-        worst = max(worst, abs(float(fused.mean[0]) - g_mean), abs(float(fused.variance[0]) - g_var))
+        means, variances = [], []
+        for _ in range(2):  # mean, then variance, per expert
+            means.append(rng.normal(size=1) * 2.0)
+            variances.append(rng.random(1) * 1.9 + 0.1)
+        fused_mean, fused_var = product_of_experts(means, variances)
+        g_mean, g_var = _grid_moments(means, variances)
+        worst = max(worst, abs(float(fused_mean[0]) - g_mean), abs(float(fused_var[0]) - g_var))
     ok = worst <= 1e-3
     _verdict("03 product-of-experts vs grid", ok, f"50 pairs, worst moment gap {worst:.2e}")
     assert worst <= 1e-3

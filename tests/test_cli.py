@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gemi.cli import main
-from gemi.ingest import write_embeddings, write_interactions, write_labels
-from datasets import make_planted_panels
+from gemi.numerics import EPS_NORM
+from datasets import make_planted_panels, write_embeddings, write_gaussians, write_interactions, write_labels
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,41 @@ class TestRun:
         assert main(["run", "--config", cfg_path]) == 2
         assert "epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("users.top_k", 0),
+            ("users.gain", 0.0),
+            ("users.pseudo_count", -1.0),
+            ("users.p_replace", 3),
+            ("users.gain_low", 1.5),  # above the default gain_high 1.2
+            ("users.noise_sigma", -0.1),
+            ("loss.lambda_sup", "x"),
+            ("loss.beta_max", -1.0),
+        ],
+    )
+    def test_bad_value_exit_2(self, dataset, tmp_path, capsys, field, value):
+        group, key = field.split(".")
+        cfg_path, _ = write_cfg(tmp_path, dataset, **{group: {key: value}})
+        assert main(["run", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_bad_ratings_exit_2_before_training(self, dataset, tmp_path, monkeypatch, capsys):
+        from gemi import cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_model ran before the ratings were read")
+
+        monkeypatch.setattr(cli, "train_model", no_training)
+        table = dataset["table"]
+        ratings = tmp_path / "ratings.csv"
+        write_interactions(ratings, [("u1", table.ids[0], 3.0), ("u1", table.ids[1], float("nan"))])
+        cfg_path, _ = write_cfg(
+            tmp_path, dataset, users={"source": "augmented", "interactions": str(ratings)}
+        )
+        assert main(["run", "--config", cfg_path]) == 2
+        assert "ratings.csv:3: non-finite cell 'nan'" in capsys.readouterr().err
+
     def test_seed_env_override(self, dataset, tmp_path, monkeypatch):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         monkeypatch.setenv("GEMI_SEED", "99")
@@ -110,6 +145,60 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["representation"] == "raw"
+
+
+class TestFeatureModes:
+    """`gemi run` trains on the fused matrix of each multimodal ``features.mode``."""
+
+    @pytest.fixture
+    def trained_features(self, monkeypatch):
+        from gemi import cli
+
+        seen = []
+
+        def spy(features, *args, **kwargs):
+            seen.append(features)
+            return train_model(features, *args, **kwargs)
+
+        train_model = cli.train_model
+        monkeypatch.setattr(cli, "train_model", spy)
+        return seen
+
+    def _run(self, dataset, tmp_path, mode, files):
+        cfg_path, cfg = write_cfg(tmp_path, dataset, features={"mode": mode})
+        cfg["dataset"].update(files)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", cfg_path]) == 0
+
+    def test_mean(self, dataset, tmp_path, trained_features):
+        table = dataset["table"]
+        image = table.features
+        text = np.random.default_rng(1).normal(size=image.shape)
+        write_embeddings(tmp_path / "img.csv", table.ids, image)
+        write_embeddings(tmp_path / "txt.csv", table.ids[::-1], text[::-1])
+        self._run(dataset, tmp_path, "mean", {"image": str(tmp_path / "img.csv"), "text": str(tmp_path / "txt.csv")})
+        unit = lambda x: x / (np.linalg.norm(x, axis=1, keepdims=True) + EPS_NORM)  # noqa: E731
+        np.testing.assert_allclose(trained_features[0], 0.5 * (unit(image) + unit(text)), rtol=1e-12)
+
+    def test_chunks(self, dataset, tmp_path, trained_features):
+        table = dataset["table"]
+        second = np.random.default_rng(2).normal(size=table.features.shape)
+        write_embeddings(tmp_path / "c0.csv", table.ids, table.features)
+        write_embeddings(tmp_path / "c1.csv", table.ids[::-1], second[::-1])
+        self._run(dataset, tmp_path, "chunks", {"chunks": [str(tmp_path / "c0.csv"), str(tmp_path / "c1.csv")]})
+        np.testing.assert_allclose(trained_features[0], (table.features + second) / 2, rtol=1e-12)
+
+    def test_poe(self, dataset, tmp_path, trained_features):
+        table = dataset["table"]
+        rng = np.random.default_rng(3)
+        mus = [table.features, rng.normal(size=table.features.shape)]
+        logvars = [rng.normal(size=table.features.shape) for _ in range(2)]
+        write_gaussians(tmp_path / "g0.csv", table.ids, mus[0], logvars[0])
+        write_gaussians(tmp_path / "g1.csv", table.ids[::-1], mus[1][::-1], logvars[1][::-1])
+        self._run(dataset, tmp_path, "poe", {"experts": [str(tmp_path / "g0.csv"), str(tmp_path / "g1.csv")]})
+        precisions = [np.exp(-lv) for lv in logvars]
+        expect = (precisions[0] * mus[0] + precisions[1] * mus[1]) / (precisions[0] + precisions[1])
+        np.testing.assert_allclose(trained_features[0], expect, rtol=1e-12)
 
 
 class TestSweep:

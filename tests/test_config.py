@@ -77,6 +77,10 @@ class TestResolve:
         with pytest.raises(ConfigError, match="protocol"):
             resolve_config({"protocol": "semi"})
 
+    def test_unknown_feature_mode(self):
+        with pytest.raises(ConfigError, match=r"^features\.mode: "):
+            resolve_config({"features": {"mode": "magic"}})
+
     def test_loss_kinds(self):
         for kind in ("focal", "wbce", "bce"):
             cfg = resolve_config({"loss": {"kind": kind}})

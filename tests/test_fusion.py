@@ -3,28 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemi.fusion import (
-    GaussianPosterior,
-    build_panel_features,
-    chunk_average,
-    poe_fuse,
-)
-from gemi.ingest import GaussianTable
+from gemi.cli import _load_features
+from gemi.config import resolve_config
+from gemi.fusion import chunk_fuse, mean_fuse, product_of_experts
 from gemi.numerics import SeededRng
+from datasets import write_embeddings, write_gaussians
 
 
-def grid_product_moments(posteriors, points=2001, span=8.0):
+def grid_product_moments(means, variances, points=2001, span=8.0):
     """Mean/variance of the normalized product density on a dense grid.
 
     Independent of the closed form: multiplies the expert densities
     pointwise per dimension and integrates with the trapezoid rule.
     """
-    d = posteriors[0].mean.shape[0]
+    d = means[0].shape[0]
     mean = np.empty(d)
     var = np.empty(d)
     for j in range(d):
-        mus = np.array([p.mean[j] for p in posteriors])
-        sds = np.array([np.sqrt(p.variance[j]) for p in posteriors])
+        mus = np.array([m[j] for m in means])
+        sds = np.array([np.sqrt(v[j]) for v in variances])
         lo = (mus - span * sds).min()
         hi = (mus + span * sds).max()
         x = np.linspace(lo, hi, points)
@@ -38,19 +35,9 @@ def grid_product_moments(posteriors, points=2001, span=8.0):
     return mean, var
 
 
-class TestGaussianPosterior:
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError):
-            GaussianPosterior(mean=np.zeros(2), variance=np.array([1.0, 0.0]))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            GaussianPosterior(mean=np.zeros(2), variance=np.ones(3))
-
-
 def mean_mode_row(x, y):
     """Mean-mode features for one-row image and text tables."""
-    return build_panel_features("mean", {"image": (("a",), [x]), "text": (("a",), [y])})[1][0]
+    return mean_fuse((("a",), [x]), (("a",), [y]))[1][0]
 
 
 class TestMeanFuse:
@@ -66,111 +53,110 @@ class TestMeanFuse:
 
 
 def test_chunk_average_matches_mean(rng):
-    chunks = [rng.normal(size=4) for _ in range(3)]
-    np.testing.assert_allclose(chunk_average(chunks), np.mean(chunks, axis=0))
+    chunks = [rng.normal(size=(2, 4)) for _ in range(3)]
+    ids, fused = chunk_fuse([(("a", "b"), c) for c in chunks])
+    assert ids == ("a", "b")
+    np.testing.assert_allclose(fused, np.mean(chunks, axis=0))
 
 
 class TestPoeFuse:
     def test_closed_form_two_experts(self):
-        a = GaussianPosterior(mean=np.array([0.0]), variance=np.array([1.0]))
-        b = GaussianPosterior(mean=np.array([2.0]), variance=np.array([1.0]))
-        fused = poe_fuse([a, b])
-        np.testing.assert_allclose(fused.mean, [1.0])
-        np.testing.assert_allclose(fused.variance, [0.5])
+        mean, var = product_of_experts([np.array([0.0]), np.array([2.0])], [np.ones(1), np.ones(1)])
+        np.testing.assert_allclose(mean, [1.0])
+        np.testing.assert_allclose(var, [0.5])
 
     def test_single_expert_identity(self, rng):
-        p = GaussianPosterior(mean=rng.normal(size=3), variance=rng.uniform(0.5, 2.0, 3))
-        fused = poe_fuse([p])
-        np.testing.assert_allclose(fused.mean, p.mean)
-        np.testing.assert_allclose(fused.variance, p.variance)
+        mu = rng.normal(size=3)
+        v = rng.uniform(0.5, 2.0, 3)
+        mean, var = product_of_experts([mu], [v])
+        np.testing.assert_allclose(mean, mu)
+        np.testing.assert_allclose(var, v)
 
     def test_matches_grid_oracle(self, rng):
-        experts = [
-            GaussianPosterior(mean=rng.normal(size=2, scale=2.0), variance=rng.uniform(0.2, 3.0, 2))
-            for _ in range(3)
-        ]
-        fused = poe_fuse(experts)
-        g_mean, g_var = grid_product_moments(experts)
-        np.testing.assert_allclose(fused.mean, g_mean, atol=1e-3)
-        np.testing.assert_allclose(fused.variance, g_var, atol=1e-3)
+        means, variances = [], []
+        for _ in range(3):
+            means.append(rng.normal(size=2, scale=2.0))
+            variances.append(rng.uniform(0.2, 3.0, 2))
+        mean, var = product_of_experts(means, variances)
+        g_mean, g_var = grid_product_moments(means, variances)
+        np.testing.assert_allclose(mean, g_mean, atol=1e-3)
+        np.testing.assert_allclose(var, g_var, atol=1e-3)
 
     def test_precision_dominates(self):
-        sharp = GaussianPosterior(mean=np.array([5.0]), variance=np.array([1e-4]))
-        broad = GaussianPosterior(mean=np.array([-5.0]), variance=np.array([1e4]))
-        fused = poe_fuse([sharp, broad])
-        assert abs(fused.mean[0] - 5.0) < 1e-3
+        mean, _ = product_of_experts([np.array([5.0]), np.array([-5.0])], [np.array([1e-4]), np.array([1e4])])
+        assert abs(mean[0] - 5.0) < 1e-3
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            poe_fuse([
-                GaussianPosterior(mean=np.zeros(2), variance=np.ones(2)),
-                GaussianPosterior(mean=np.zeros(3), variance=np.ones(3)),
-            ])
+            product_of_experts([np.zeros(2), np.zeros(3)], [np.ones(2), np.ones(3)])
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_poe_commutes_property(seed):
     rng = SeededRng(seed)
-    experts = [
-        GaussianPosterior(mean=rng.normal(size=2), variance=rng.uniform(0.1, 5.0, 2))
-        for _ in range(3)
-    ]
-    a = poe_fuse(experts)
-    b = poe_fuse(experts[::-1])
-    np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
-    np.testing.assert_allclose(a.variance, b.variance, rtol=1e-12)
+    means, variances = [], []
+    for _ in range(3):
+        means.append(rng.normal(size=2))
+        variances.append(rng.uniform(0.1, 5.0, 2))
+    a = product_of_experts(means, variances)
+    b = product_of_experts(means[::-1], variances[::-1])
+    np.testing.assert_allclose(a[0], b[0], rtol=1e-12)
+    np.testing.assert_allclose(a[1], b[1], rtol=1e-12)
+
+
+def features_for(mode, **dataset):
+    """Panel features as ``gemi run`` loads them for ``features.mode``."""
+    return _load_features(resolve_config({"features": {"mode": mode}, "dataset": dataset}))
 
 
 class TestBuildPanelFeatures:
-    def test_precomputed_passthrough(self, rng):
+    """The one feature-mode dispatch, ``cli._load_features``, on files."""
+
+    def test_precomputed_passthrough(self, tmp_path, rng):
         ids = ("a", "b")
         x = rng.normal(size=(2, 3))
-        got_ids, feats = build_panel_features("precomputed", {"embeddings": (ids, x)})
+        write_embeddings(tmp_path / "e.csv", ids, x)
+        got_ids, feats = features_for("precomputed", embeddings=str(tmp_path / "e.csv"))
         assert got_ids == ids
         assert np.array_equal(feats, x)
 
-    def test_mean_mode_aligns_text_rows(self, rng):
+    def test_mean_mode_aligns_text_rows(self, tmp_path, rng):
         ids = ("a", "b")
         ximg = rng.normal(size=(2, 3))
         xtxt = rng.normal(size=(2, 3))
+        write_embeddings(tmp_path / "img.csv", ids, ximg)
         # text table arrives in reversed id order
-        _, feats = build_panel_features(
-            "mean", {"image": (ids, ximg), "text": (("b", "a"), xtxt[::-1])}
-        )
+        write_embeddings(tmp_path / "txt.csv", ("b", "a"), xtxt[::-1])
+        _, feats = features_for("mean", image=str(tmp_path / "img.csv"), text=str(tmp_path / "txt.csv"))
         expect = np.stack([
             0.5 * (ximg[i] / np.linalg.norm(ximg[i]) + xtxt[i] / np.linalg.norm(xtxt[i]))
             for i in range(2)
         ])
         np.testing.assert_allclose(feats, expect)
 
-    def test_mean_mode_id_mismatch(self, rng):
+    def test_mean_mode_id_mismatch(self, tmp_path, rng):
+        write_embeddings(tmp_path / "img.csv", ("a", "b"), rng.normal(size=(2, 3)))
+        write_embeddings(tmp_path / "txt.csv", ("a", "c"), rng.normal(size=(2, 3)))
         with pytest.raises(ValueError, match="text table ids"):
-            build_panel_features(
-                "mean",
-                {"image": (("a", "b"), rng.normal(size=(2, 3))),
-                 "text": (("a", "c"), rng.normal(size=(2, 3)))},
-            )
+            features_for("mean", image=str(tmp_path / "img.csv"), text=str(tmp_path / "txt.csv"))
 
-    def test_chunks_mode_averages_files(self, rng):
+    def test_chunks_mode_averages_files(self, tmp_path, rng):
         ids = ("a", "b")
         c1 = rng.normal(size=(2, 4))
         c2 = rng.normal(size=(2, 4))
-        _, feats = build_panel_features("chunks", {"chunks": [(ids, c1), (ids, c2)]})
+        write_embeddings(tmp_path / "c1.csv", ids, c1)
+        write_embeddings(tmp_path / "c2.csv", ids[::-1], c2[::-1])
+        _, feats = features_for("chunks", chunks=[str(tmp_path / "c1.csv"), str(tmp_path / "c2.csv")])
         np.testing.assert_allclose(feats, (c1 + c2) / 2)
 
-    def test_poe_mode_outputs_fused_means(self, rng):
+    def test_poe_mode_outputs_fused_means(self, tmp_path, rng):
         ids = ("a", "b")
-        t1 = GaussianTable(ids=ids, mean=rng.normal(size=(2, 3)), var=rng.uniform(0.5, 2.0, (2, 3)))
-        t2 = GaussianTable(ids=ids, mean=rng.normal(size=(2, 3)), var=rng.uniform(0.5, 2.0, (2, 3)))
-        _, feats = build_panel_features("poe", {"experts": [t1, t2]})
+        mus = [rng.normal(size=(2, 3)) for _ in range(2)]
+        logvars = [rng.normal(size=(2, 3)) for _ in range(2)]
+        for k in range(2):
+            write_gaussians(tmp_path / f"g{k}.csv", ids, mus[k], logvars[k])
+        _, feats = features_for("poe", experts=[str(tmp_path / "g0.csv"), str(tmp_path / "g1.csv")])
         for i in range(2):
-            fused = poe_fuse([
-                GaussianPosterior(mean=t1.mean[i], variance=t1.var[i]),
-                GaussianPosterior(mean=t2.mean[i], variance=t2.var[i]),
-            ])
-            np.testing.assert_allclose(feats[i], fused.mean)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            build_panel_features("magic", {})
+            fused, _ = product_of_experts([m[i] for m in mus], [np.exp(lv[i]) for lv in logvars])
+            np.testing.assert_allclose(feats[i], fused)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,10 @@ from gemi.ingest import (
     load_gaussians,
     load_interactions,
     load_labels,
-    write_embeddings,
-    write_interactions,
-    write_labels,
 )
 from gemi.numerics import SeededRng
+import ingest_oracle as oracle
+from datasets import write_embeddings, write_interactions, write_labels
 
 
 def _write(path, text):
@@ -135,21 +137,16 @@ class TestPanelTable:
         assert np.all(planted.train_mask | planted.test_mask)
 
 
-class TestInteractions:
-    def _table(self):
-        return PanelTable(
-            ids=("a", "b", "c"),
-            features=np.zeros((3, 2)),
-            labels=np.zeros((3, 3), dtype=np.int64),
-            split=np.array(["train"] * 3, dtype=object),
-        )
+PANEL_IDS = ("a", "b", "c")
 
+
+class TestInteractions:
     def test_keep_last_duplicate(self, tmp_path):
         p = _write(
             tmp_path / "i.csv",
             "user_id,panel_id,rating\nu1,a,1.0\nu1,a,4.0\nu1,b,2.0\n",
         )
-        t = load_interactions(p, self._table())
+        t = load_interactions(p, PANEL_IDS)
         assert len(t.ratings) == 2
         pair_to_rating = dict(zip(zip(t.users.tolist(), t.panels.tolist()), t.ratings))
         assert pair_to_rating[(0, 0)] == 4.0
@@ -159,7 +156,7 @@ class TestInteractions:
             tmp_path / "i.csv",
             "user_id,panel_id,rating\nu1,a,1.0\nu1,zz,5.0\n",
         )
-        t = load_interactions(p, self._table())
+        t = load_interactions(p, PANEL_IDS)
         assert t.dropped == 1
         assert len(t.ratings) == 1
 
@@ -168,21 +165,32 @@ class TestInteractions:
             tmp_path / "i.csv",
             "user_id,panel_id,rating\nu2,c,1.0\nu1,b,2.0\nu2,a,3.0\nu1,a,4.0\n",
         )
-        t = load_interactions(p, self._table())
+        t = load_interactions(p, PANEL_IDS)
         order = list(zip(t.users.tolist(), t.panels.tolist()))
         assert order == sorted(order)
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "i.csv"
         write_interactions(p, [("u1", "a", 3.5), ("u2", "c", 1.25)])
-        t = load_interactions(p, self._table())
+        t = load_interactions(p, PANEL_IDS)
         assert t.user_ids == ("u1", "u2")
         assert np.array_equal(t.ratings, [3.5, 1.25])
 
     def test_bad_header(self, tmp_path):
         p = _write(tmp_path / "i.csv", "user,panel,score\nu,a,1\n")
         with pytest.raises(IngestError, match="expected header"):
-            load_interactions(p, self._table())
+            load_interactions(p, PANEL_IDS)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_rating(self, tmp_path, cell):
+        p = _write(tmp_path / "i.csv", f"user_id,panel_id,rating\nu1,a,1.0\nu1,b,{cell}\n")
+        with pytest.raises(IngestError, match=f":3: non-finite cell '{cell}'"):
+            load_interactions(p, PANEL_IDS)
+
+    def test_header_only_is_no_rows(self, tmp_path):
+        p = _write(tmp_path / "i.csv", "user_id,panel_id,rating\n\n")
+        with pytest.raises(IngestError, match="no rows"):
+            load_interactions(p, PANEL_IDS)
 
 
 class TestGaussians:
@@ -200,6 +208,92 @@ class TestGaussians:
         p = _write(tmp_path / "g.csv", "id,logvar_0,mu_0\na,0.0,0.5\n")
         with pytest.raises(IngestError, match="expected header"):
             load_gaussians(p)
+
+    @pytest.mark.parametrize("row", ["a,nan,0.0", "a,0.5,inf", "a,0.5,-inf"])
+    def test_non_finite_mu_or_logvar(self, tmp_path, row):
+        p = _write(tmp_path / "g.csv", f"id,mu_0,logvar_0\nz,0.0,0.0\n{row}\n")
+        with pytest.raises(IngestError, match=":3: non-finite cell"):
+            load_gaussians(p)
+
+    def test_duplicate_id(self, tmp_path):
+        p = _write(tmp_path / "g.csv", "id,mu_0,logvar_0\na,0.0,0.0\na,1.0,0.0\n")
+        with pytest.raises(IngestError, match=":3: duplicate id 'a'"):
+            load_gaussians(p)
+
+
+def _benchmark_inputs():
+    """perfbench/inputs.py, the generator of the benchmark's input files."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_tables_equal(got, expect):
+    for field in expect.__dataclass_fields__:
+        a, b = getattr(got, field), getattr(expect, field)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), field
+        else:
+            assert a == b, field
+
+
+class TestAgainstOracle:
+    """The block-wise loaders return what the per-cell loops in ingest_oracle return."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_inputs(self, tmp_path, seed):
+        inputs = _benchmark_inputs()
+        # the gcn-transductive workload: 2000 panels, 2000 raters x 20 ratings
+        rng = np.random.default_rng(seed)
+        features, labels = inputs.planted_panels(rng, 2000)
+        emb, lab, ratings = (str(tmp_path / f) for f in ("e.csv", "l.csv", "r.csv"))
+        inputs.write_panels(emb, lab, features, labels)
+        inputs.write_ratings(ratings, inputs.ratings(rng, labels, 2000, 20))
+
+        ids, x = load_embeddings(emb)
+        oids, ox = oracle.load_embeddings(emb)
+        assert ids == oids and x.dtype == ox.dtype and np.array_equal(x, ox)
+        for got, expect in zip(load_labels(lab, ids), oracle.load_labels(lab, ids)):
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        assert_tables_equal(load_interactions(ratings, ids), oracle.load_interactions(ratings, ids))
+
+    def test_edge_cases(self, tmp_path):
+        emb = _write(
+            tmp_path / "e.csv",
+            'id,f0,f1\n\n"x,1", 1.5 ,-2e-3\n  \n , \n y ,+.5,1_0\n"z ",3,4\n',
+        )
+        lab = _write(
+            tmp_path / "l.csv",
+            'id,animal,mythology,tree,split\n y ,1,0, 1 ,\n\n"x,1",0,1,0, test \nz,0,0,0,train\n',
+        )
+        ratings = _write(
+            tmp_path / "r.csv",
+            "user_id,panel_id,rating\n"
+            'u2, z ,1.0\n\n"u,1","x,1",2.5\nu2,y,4\nu2,z,3.0\nu3,nope,5\n'
+            '"u,1","x,1",0.5\n u3 ,y, 1e1 \nu4,gone,1\n',
+        )
+        gauss = _write(
+            tmp_path / "g.csv",
+            'id,mu_0,mu_1,logvar_0,logvar_1\n\n"x,1", 0.5,-1,0,-60\n y ,2, 3 ,700,1.5\n',
+        )
+        ids, x = load_embeddings(emb)
+        oids, ox = oracle.load_embeddings(emb)
+        assert ids == oids == ("x,1", "y", "z")
+        assert np.array_equal(x, ox)
+        got = load_labels(lab)
+        expect = oracle.load_labels(lab)
+        assert got[0] == expect[0]
+        for a, b in zip(got[1:], expect[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for a, b in zip(load_labels(lab, ids), oracle.load_labels(lab, ids)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        table = load_interactions(ratings, ids)
+        assert_tables_equal(table, oracle.load_interactions(ratings, ids))
+        assert table.user_ids == ("u2", "u,1", "u3") and table.dropped == 2
+        assert table.ratings.tolist() == [4.0, 3.0, 0.5, 10.0]  # u2 z: the last of 1.0, 3.0
+        assert_tables_equal(load_gaussians(gauss), oracle.load_gaussians(gauss))
 
 
 class TestAssignSplit:

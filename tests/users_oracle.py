@@ -108,14 +108,12 @@ def top_k_one(panels, ratings, k) -> list[int]:
 
 def build_real_profiles(table, Y, train_mask, pseudo_count=5.0, gain=5.0, top_k=5) -> Users:
     keep = np.asarray(train_mask, dtype=bool)[table.panels]
-    table = minmax_normalize_ratings(
-        InteractionTable(
-            user_ids=table.user_ids,
-            users=table.users[keep],
-            panels=table.panels[keep],
-            ratings=table.ratings[keep],
-            dropped=table.dropped,
-        )
+    table = InteractionTable(
+        user_ids=table.user_ids,
+        users=table.users[keep],
+        panels=table.panels[keep],
+        ratings=minmax_normalize_ratings(table.ratings[keep]),
+        dropped=table.dropped,
     )
     per_user = {}
     for u in np.unique(table.users):
