@@ -19,7 +19,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import fusion, recommend, users as users_mod
-from .config import ConfigError, default_config, load_config, resolve_config, set_by_path
+from .config import (
+    ConfigError,
+    default_config,
+    load_config,
+    resolve_config,
+    set_by_path,
+    validate_config,
+)
 from .ingest import (
     IngestError,
     PanelTable,
@@ -243,7 +250,6 @@ def _train_mask(split) -> np.ndarray:
 
 def cmd_users(args) -> int:
     rng = SeededRng(_env_seed(args.seed)).substream("users")
-    ids, labels, split = load_labels(_require_file(args.labels, "--labels"))
     cfg = default_config()
     if args.mode == "synth":
         cfg["eval"].update(num_users=args.num, interactions_k=args.k, tau=args.tau)
@@ -252,12 +258,15 @@ def cmd_users(args) -> int:
         cfg["users"].update(
             source="augmented" if args.augment else "real",
             interactions=args.interactions,
-            augment_target=args.augment,
             pseudo_count=args.pseudo_count,
             gain=args.gain,
             top_k=args.top_k,
             p_replace=args.p_replace,
         )
+        if args.augment:  # 0, the flag's default, keeps the config default
+            cfg["users"]["augment_target"] = args.augment
+    validate_config(cfg)  # the flags fill config fields: same checks as a run
+    ids, labels, split = load_labels(_require_file(args.labels, "--labels"))
     profiles = _build_profiles(cfg, ids, labels, _train_mask(split), rng, rng.substream("bootstrap"))
     pref_path, inter_path = users_mod.write_user_dataset(args.out, profiles, panel_ids=ids)
     print(f"wrote {len(profiles)} users to {pref_path} and {inter_path}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ingest import IngestError
 from .numerics import as_matrix, l2_normalize_rows
 
 
@@ -36,7 +37,7 @@ def _align(ref_ids, ids, matrix, role: str) -> np.ndarray:
     index = {pid: i for i, pid in enumerate(ids)}
     missing = [pid for pid in ref_ids if pid not in index]
     if missing or len(ids) != len(ref_ids):
-        raise ValueError(f"{role} table ids do not match the panel ids (first problem: {missing[:1]})")
+        raise IngestError(f"{role} table ids do not match the panel ids (first problem: {missing[:1]})")
     return matrix[[index[pid] for pid in ref_ids]]
 
 

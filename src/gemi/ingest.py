@@ -81,7 +81,6 @@ class InteractionTable:
     users: np.ndarray  # (m,) index into user_ids
     panels: np.ndarray  # (m,) index into the panel table
     ratings: np.ndarray  # (m,) float64
-    dropped: int  # rows referencing unknown panels
 
 
 def _read_table(path, header_ok, expected: str) -> tuple[list[str], list[int], np.ndarray]:
@@ -211,7 +210,6 @@ def load_interactions(path, panel_ids) -> InteractionTable:
         users=keys // n,
         panels=keys % n,
         ratings=ratings[known][::-1][first],
-        dropped=dropped,
     )
 
 

@@ -12,6 +12,17 @@ Forward formulas:
 * VGAE: shared first layer H = ReLU(A~ X W0), then mu = A~ H W_mu and
   log_sigma = clamp(A~ H W_sig); Z = mu + exp(log_sigma) * eps.
 
+Order rule: the second layer A~ H W_out costs O(nnz · width) in its
+spmm, so it runs on the narrower side.  When W_out narrows (fewer
+columns than rows, e.g. GCN's hidden -> c logits or GAE's hidden ->
+latent), H W_out is formed first and only that is propagated, forward
+and backward; otherwise H is propagated first.  The choice depends on
+the weight shape alone.  VGAE applies the rule to each branch on its
+own (mu through W_mu, log_sigma through W_sigma, on the same cached
+H), never to the concatenated [W_mu | W_sigma]: the concatenated width
+could pick the other order than GAE's W1 of the same shape, and then
+mu at zero noise would no longer equal GAE's Z bit for bit.
+
 Backward passes exploit the symmetry of A~ (its transpose product is
 the same spmm) and treat the reparameterization noise as a constant
 (pathwise estimator).  Caches hold every intermediate needed, so a
@@ -112,13 +123,13 @@ def draw_feature_masks(rng: SeededRng, n: int, d: int, hidden: int, rate: float)
     return dropout_mask(rng, (n, d), rate), dropout_mask(rng, (n, hidden), rate)
 
 
-def propagate(params, adj, X, masks=None):
-    """Shared skeleton of all three kinds: m2 = A~ drop(ReLU(A~ drop(X) W0)).
+def hidden_layer(params, adj, X, masks=None):
+    """First layer of all three kinds: h = ReLU(A~ drop(X) W0).
 
     ``adj`` is the normalized csr_array A~ and ``masks`` the (input,
     hidden) dropout masks from :func:`draw_feature_masks`; ``None`` is
-    a clean evaluation pass.  Returns (m2, cache); each model applies
-    its own output matmuls to m2.
+    a clean evaluation pass.  Returns the cache that the output layers
+    and the backward passes read; ``hd`` is h after hidden dropout.
     """
     X = as_matrix(X)
     if masks is None:
@@ -129,18 +140,33 @@ def propagate(params, adj, X, masks=None):
     h_pre = matmul(m1, params.w0)
     h = np.maximum(h_pre, 0.0)
     hd = h * mask_hidden if mask_hidden is not None else h
-    m2 = spmm(adj, hd)
-    cache = {"adj": adj, "m1": m1, "h_pre": h_pre, "h": h, "hd": hd, "m2": m2, "masks": masks}
-    return m2, cache
+    return {"adj": adj, "m1": m1, "h_pre": h_pre, "h": h, "hd": hd, "masks": masks}
 
 
-def _propagate_backward(cache, d_m2) -> np.ndarray:
-    """Gradient of the shared skeleton: d_m2 -> dW0."""
-    d_hd = spmm(cache["adj"], d_m2)  # A~ is symmetric
-    mask_in, mask_hidden = cache["masks"]
-    d_h = d_hd * mask_hidden if mask_hidden is not None else d_hd
-    d_h_pre = d_h * (cache["h_pre"] > 0.0)
-    return matmul(np.ascontiguousarray(cache["m1"].T), d_h_pre)
+def _narrows(w_out) -> bool:
+    """Whether W_out maps to fewer columns than it takes (the order rule)."""
+    return w_out.shape[1] < w_out.shape[0]
+
+
+def output_layer(cache, w_out):
+    """Second layer A~ hd W_out, with the spmm on the narrower side.
+
+    A narrowing W_out is applied first, so the spmm runs at the output
+    width; otherwise hd is propagated first and m2 = A~ hd is cached,
+    for the backward pass and for a second branch on the same cache.
+    """
+    adj, hd = cache["adj"], cache["hd"]
+    if _narrows(w_out):
+        return spmm(adj, matmul(hd, w_out))
+    if "m2" not in cache:
+        cache["m2"] = spmm(adj, hd)
+    return matmul(cache["m2"], w_out)
+
+
+def propagate(params, adj, X, w_out, masks=None):
+    """Two-layer skeleton A~ drop(ReLU(A~ drop(X) W0)) W_out; returns (out, cache)."""
+    cache = hidden_layer(params, adj, X, masks)
+    return output_layer(cache, w_out), cache
 
 
 def _linear_backward(x, w, d_out):
@@ -150,15 +176,38 @@ def _linear_backward(x, w, d_out):
     return d_w, d_x
 
 
+def _output_backward(cache, w_out, d_out):
+    """Gradient of :func:`output_layer` in the order it chose: (dW_out, d_hd)."""
+    adj = cache["adj"]
+    if _narrows(w_out):
+        d_p = spmm(adj, d_out)  # A~ is symmetric
+        return _linear_backward(cache["hd"], w_out, d_p)
+    d_w_out, d_m2 = _linear_backward(cache["m2"], w_out, d_out)
+    return d_w_out, spmm(adj, d_m2)
+
+
+def _hidden_backward(cache, d_hd) -> np.ndarray:
+    """Gradient of :func:`hidden_layer`: d_hd -> dW0."""
+    _, mask_hidden = cache["masks"]
+    d_h = d_hd * mask_hidden if mask_hidden is not None else d_hd
+    d_h_pre = d_h * (cache["h_pre"] > 0.0)
+    return matmul(np.ascontiguousarray(cache["m1"].T), d_h_pre)
+
+
+def propagate_backward(cache, w_out, d_out):
+    """Gradient of :func:`propagate`: d_out -> (dW0, dW_out)."""
+    d_w_out, d_hd = _output_backward(cache, w_out, d_out)
+    return _hidden_backward(cache, d_hd), d_w_out
+
+
 def gcn_forward(params: GcnParams, adj, X, masks=None):
     """Two-layer GCN logits; cache carries all backprop intermediates."""
-    m2, cache = propagate(params, adj, X, masks)
-    return matmul(m2, params.w1), cache
+    return propagate(params, adj, X, params.w1, masks)
 
 
 def gcn_backward(params: GcnParams, cache, d_logits) -> dict[str, np.ndarray]:
-    d_w1, d_m2 = _linear_backward(cache["m2"], params.w1, d_logits)
-    return {"w0": _propagate_backward(cache, d_m2), "w1": d_w1}
+    d_w0, d_w1 = propagate_backward(cache, params.w1, d_logits)
+    return {"w0": d_w0, "w1": d_w1}
 
 
 def _head_decoder_backward(params, cache, d_logits, dZ_rec):
@@ -173,8 +222,7 @@ def _head_decoder_backward(params, cache, d_logits, dZ_rec):
 
 
 def gae_forward(params: GaeParams, adj, X, masks=None):
-    m2, cache = propagate(params, adj, X, masks)
-    Z = matmul(m2, params.w1)
+    Z, cache = propagate(params, adj, X, params.w1, masks)
     cache["Z"] = Z
     logits = matmul(Z, params.head)
     return {"Z": Z, "logits": logits}, cache
@@ -183,15 +231,19 @@ def gae_forward(params: GaeParams, adj, X, masks=None):
 def gae_backward(params: GaeParams, cache, d_logits, dZ_rec) -> dict[str, np.ndarray]:
     """Combine supervised and reconstruction pull on the latent."""
     d_head, dZ = _head_decoder_backward(params, cache, d_logits, dZ_rec)
-    d_w1, d_m2 = _linear_backward(cache["m2"], params.w1, dZ)
-    return {"w0": _propagate_backward(cache, d_m2), "w1": d_w1, "head": d_head}
+    d_w0, d_w1 = propagate_backward(cache, params.w1, dZ)
+    return {"w0": d_w0, "w1": d_w1, "head": d_head}
 
 
 def vgae_encode(params: VgaeParams, adj, X, masks=None):
-    """Shared-first-layer encoder: returns (mu, log_sigma, cache)."""
-    m2, cache = propagate(params, adj, X, masks)  # m2 feeds both branches
-    mu = matmul(m2, params.w_mu)
-    ls_pre = matmul(m2, params.w_sigma)
+    """Shared-first-layer encoder: returns (mu, log_sigma, cache).
+
+    Each branch is its own output layer on the shared cache, so mu is
+    computed exactly as GAE computes Z from the same weights.
+    """
+    cache = hidden_layer(params, adj, X, masks)
+    mu = output_layer(cache, params.w_mu)
+    ls_pre = output_layer(cache, params.w_sigma)
     log_sigma = np.clip(ls_pre, -params.clamp, params.clamp)
     cache.update(mu=mu, ls_pre=ls_pre, log_sigma=log_sigma)
     return mu, log_sigma, cache
@@ -219,10 +271,7 @@ def vgae_backward(params: VgaeParams, cache, d_logits, dZ_rec, d_mu_kl, d_log_si
     d_ls = dZ * cache["eps"] * np.exp(cache["log_sigma"]) + d_log_sigma_kl
     inside = np.abs(cache["ls_pre"]) < params.clamp
     d_ls_pre = d_ls * inside
-    m2_t = np.ascontiguousarray(cache["m2"].T)  # one copy serves both branches
-    d_w_mu = matmul(m2_t, d_mu)
-    d_w_sigma = matmul(m2_t, d_ls_pre)
-    d_m2_mu = matmul(d_mu, np.ascontiguousarray(params.w_mu.T))
-    d_m2_sigma = matmul(d_ls_pre, np.ascontiguousarray(params.w_sigma.T))
-    d_w0 = _propagate_backward(cache, d_m2_mu + d_m2_sigma)
+    d_w_mu, d_hd_mu = _output_backward(cache, params.w_mu, d_mu)
+    d_w_sigma, d_hd_sigma = _output_backward(cache, params.w_sigma, d_ls_pre)
+    d_w0 = _hidden_backward(cache, d_hd_mu + d_hd_sigma)
     return {"w0": d_w0, "w_mu": d_w_mu, "w_sigma": d_w_sigma, "head": d_head}

@@ -38,7 +38,7 @@ from .losses import (
     recon_loss_and_grad,
     supervised_loss_and_grad,
 )
-from .numerics import SeededRng, finite_difference_gradient, matmul, spmm
+from .numerics import SeededRng, finite_difference_gradient, matmul
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -155,7 +155,7 @@ def _forward_eval(kind, params, adj, X):
     """
     if kind == "gcn":
         # first layer only: the representation is the hidden state h
-        h = np.maximum(matmul(spmm(adj, X), params.w0), 0.0)
+        h = models.hidden_layer(params, adj, X)["h"]
         return h, h
     if kind == "gae":
         out, cache = models.gae_forward(params, adj, X)
@@ -358,7 +358,7 @@ class GradientCheckResult:
     passed: bool
 
 
-def _check_instance(kind: str, loss_kind: str, seed: int, n: int = 9, d: int = 4):
+def _check_instance(kind: str, loss_kind: str, seed: int, hidden: int = 5, latent: int = 3, n: int = 9, d: int = 4):
     """Build a small random instance away from ReLU/clamp kinks."""
     rng = SeededRng(seed)
     for attempt in range(50):
@@ -369,14 +369,12 @@ def _check_instance(kind: str, loss_kind: str, seed: int, n: int = 9, d: int = 4
         mask[inst.permutation(n)[: max(2, n // 2)]] = True
         g = knn_graph_symmetric(X, 2)
         adj = normalize_adjacency(g)
-        hidden, latent = 5, 3
         params = models.init_params(kind, d, hidden, latent, 3, inst.substream("init"))
         masks = models.draw_feature_masks(inst.substream("drop"), n, d, hidden, 0.2)
         eps = inst.substream("noise").normal(size=(n, latent))
         # reject draws whose pre-activations sit within finite-difference
         # reach of the ReLU kink; every kind shares the first layer
-        _, cache = models.propagate(params, adj, X, masks)
-        if np.abs(cache["h_pre"]).min() > 1e-3:
+        if np.abs(models.hidden_layer(params, adj, X, masks)["h_pre"]).min() > 1e-3:
             break
     loss_cfg = LossConfig(kind=loss_kind)
     if not Y[mask].sum():
@@ -385,14 +383,24 @@ def _check_instance(kind: str, loss_kind: str, seed: int, n: int = 9, d: int = 4
     return X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w
 
 
-def gradient_check(kind: str, loss_kind: str = "focal", seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> GradientCheckResult:
+def gradient_check(
+    kind: str,
+    loss_kind: str = "focal",
+    seed: int = 0,
+    h: float = 1e-5,
+    tol: float = 1e-4,
+    hidden: int = 5,
+    latent: int = 3,
+) -> GradientCheckResult:
     """Compare analytic gradients of objective_and_grads with central differences.
 
     Dropout masks and reparameterization noise are frozen, so the
     objective is a smooth deterministic function of the parameters.  A
-    failure is reported in the result, never raised.
+    failure is reported in the result, never raised.  The default
+    widths (hidden 5 above latent 3 and c = 3) take the narrowing order
+    of the second layer; a hidden below the output width takes the other.
     """
-    X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w = _check_instance(kind, loss_kind, seed)
+    X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w = _check_instance(kind, loss_kind, seed, hidden, latent)
     beta = 0.7  # a nonzero KL weight, so the KL gradient is checked too
     # no edge dropout here, so adj's pattern is the A + I target
     args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, adj, beta)

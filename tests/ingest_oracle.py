@@ -59,11 +59,9 @@ def load_interactions(path, panel_ids) -> InteractionTable:
     rows = _read_rows(path)
     index = {pid: i for i, pid in enumerate(panel_ids)}
     user_order, user_idx, last = [], {}, {}
-    dropped = 0
     for _, (uid, pid, rating_cell) in rows[1:]:
         rating = float(rating_cell)
         if pid not in index:
-            dropped += 1
             continue
         if uid not in user_idx:
             user_idx[uid] = len(user_order)
@@ -75,7 +73,6 @@ def load_interactions(path, panel_ids) -> InteractionTable:
         users=np.array([u for u, _ in pairs], dtype=np.int64),
         panels=np.array([p for _, p in pairs], dtype=np.int64),
         ratings=np.array([last[pair] for pair in pairs], dtype=np.float64),
-        dropped=dropped,
     )
 
 

@@ -201,6 +201,17 @@ class TestFeatureModes:
         np.testing.assert_allclose(trained_features[0], expect, rtol=1e-12)
 
 
+    def test_mean_mode_id_mismatch_exit_2(self, dataset, tmp_path, capsys):
+        table = dataset["table"]
+        write_embeddings(tmp_path / "img.csv", table.ids, table.features)
+        write_embeddings(tmp_path / "txt.csv", ("other", *table.ids[1:]), table.features)
+        cfg_path, cfg = write_cfg(tmp_path, dataset, features={"mode": "mean"})
+        cfg["dataset"].update(image=str(tmp_path / "img.csv"), text=str(tmp_path / "txt.csv"))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", cfg_path]) == 2
+        assert "text table ids do not match" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_outputs(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)
@@ -281,6 +292,26 @@ class TestUsers:
     def test_missing_labels_exit_2(self, tmp_path):
         assert main(["users", "synth", "--labels", str(tmp_path / "no.csv"),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("flags,field", [
+        (["synth", "--num", "0"], "eval.num_users"),
+        (["synth", "--k", "0"], "eval.interactions_k"),
+        (["synth", "--tau", "1.5"], "eval.tau"),
+        (["real", "--top-k", "0"], "users.top_k"),
+        (["real", "--p-replace", "3", "--augment", "5"], "users.p_replace"),
+        (["real", "--augment", "-2"], "users.augment_target"),
+        (["real", "--gain", "0"], "users.gain"),
+        (["real", "--pseudo-count", "-1"], "users.pseudo_count"),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+    def test_bad_flag_exit_2(self, dataset, tmp_path, capsys, flags, field):
+        ratings = tmp_path / "ratings.csv"
+        write_interactions(ratings, [("u", dataset["table"].ids[0], 1.0)])
+        extra = ["--interactions", str(ratings)] if flags[0] == "real" else []
+        prefix = tmp_path / "bad"
+        code = main(["users", *flags, "--labels", dataset["labels"], *extra, "--out", str(prefix)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.glob("bad*"))  # nothing written
 
 
 class TestCheck:

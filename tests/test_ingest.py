@@ -1,4 +1,5 @@
 import importlib.util
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -151,13 +152,14 @@ class TestInteractions:
         pair_to_rating = dict(zip(zip(t.users.tolist(), t.panels.tolist()), t.ratings))
         assert pair_to_rating[(0, 0)] == 4.0
 
-    def test_unknown_panel_dropped_and_counted(self, tmp_path):
+    def test_unknown_panel_dropped_and_counted(self, tmp_path, caplog):
         p = _write(
             tmp_path / "i.csv",
             "user_id,panel_id,rating\nu1,a,1.0\nu1,zz,5.0\n",
         )
-        t = load_interactions(p, PANEL_IDS)
-        assert t.dropped == 1
+        with caplog.at_level(logging.WARNING, logger="gemi.ingest"):
+            t = load_interactions(p, PANEL_IDS)
+        assert "dropped 1 interactions referencing unknown panels" in caplog.text
         assert len(t.ratings) == 1
 
     def test_rows_sorted_by_user_then_panel(self, tmp_path):
@@ -259,7 +261,7 @@ class TestAgainstOracle:
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
         assert_tables_equal(load_interactions(ratings, ids), oracle.load_interactions(ratings, ids))
 
-    def test_edge_cases(self, tmp_path):
+    def test_edge_cases(self, tmp_path, caplog):
         emb = _write(
             tmp_path / "e.csv",
             'id,f0,f1\n\n"x,1", 1.5 ,-2e-3\n  \n , \n y ,+.5,1_0\n"z ",3,4\n',
@@ -289,9 +291,11 @@ class TestAgainstOracle:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         for a, b in zip(load_labels(lab, ids), oracle.load_labels(lab, ids)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        table = load_interactions(ratings, ids)
+        with caplog.at_level(logging.WARNING, logger="gemi.ingest"):
+            table = load_interactions(ratings, ids)
+        assert "dropped 2 interactions" in caplog.text
         assert_tables_equal(table, oracle.load_interactions(ratings, ids))
-        assert table.user_ids == ("u2", "u,1", "u3") and table.dropped == 2
+        assert table.user_ids == ("u2", "u,1", "u3")
         assert table.ratings.tolist() == [4.0, 3.0, 0.5, 10.0]  # u2 z: the last of 1.0, 3.0
         assert_tables_equal(load_gaussians(gauss), oracle.load_gaussians(gauss))
 
@@ -337,8 +341,6 @@ class TestAssignSplit:
         labels = np.zeros((20, 3), dtype=np.int64)
         labels[:, 0] = 1
         labels[3, 2] = 1  # a single tree positive
-        import logging
-
         with caplog.at_level(logging.WARNING, logger="gemi.ingest"):
             t = assign_split(self._table(20, labels, rng), 0.25, rng.substream("s"))
         assert "random split" in caplog.text

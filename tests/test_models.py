@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
 
+from gemi import models
 from gemi.graph import knn_graph_symmetric, normalize_adjacency
 from gemi.losses import recon_loss_and_grad
 from gemi.models import (
     draw_feature_masks,
     dropout_mask,
     flatten_weights,
+    gae_backward,
     gae_forward,
+    gcn_backward,
     gcn_forward,
     glorot,
     init_params,
     set_weights_from_vector,
+    vgae_backward,
     vgae_encode,
     vgae_forward,
 )
 from gemi.numerics import SeededRng, spmm
+from model_oracle import dense_backward
 from recon_oracle import dense_recon_loss_and_grad
 
 
@@ -198,3 +203,90 @@ def test_forward_spmm_consistency(small, rng):
     p = init_params("gcn", d=4, hidden=5, latent=0, c=3, rng=rng)
     logits, cache = gcn_forward(p, adj, X)
     np.testing.assert_allclose(cache["m1"], spmm(adj, X), atol=0)
+
+
+# (hidden, latent) with c = 3 labels: "narrow" takes the multiply-first
+# order in the second layer, "wide" and "equal" the propagate-first one
+WIDTHS = {"narrow": (6, 3), "wide": (2, 4), "equal": (3, 3)}
+
+
+def _order_case(kind, widths, dropout, seed=5):
+    rng = SeededRng(seed)
+    n, d, c = 12, 4, 3
+    hidden, latent = WIDTHS[widths]
+    X = rng.substream("x").normal(size=(n, d))
+    adj = normalize_adjacency(knn_graph_symmetric(X, 3))
+    p = init_params(kind, d, hidden, latent, c, rng.substream("init"))
+    masks = draw_feature_masks(rng.substream("drop"), n, d, hidden, 0.4) if dropout else None
+    eps = rng.substream("noise").normal(size=(n, latent))
+    up = rng.substream("upstream")
+    upstream = {
+        "d_logits": up.normal(size=(n, c)),
+        "dZ_rec": up.normal(size=(n, latent)),
+        "d_mu_kl": up.normal(size=(n, latent)),
+        "d_ls_kl": up.normal(size=(n, latent)),
+    }
+    return X, adj, p, masks, eps, upstream
+
+
+def _model_pass(kind, p, adj, X, masks, eps, up):
+    """(outputs, grads, cache) of one forward and backward through gemi.models."""
+    if kind == "gcn":
+        logits, cache = gcn_forward(p, adj, X, masks)
+        return {"logits": logits}, gcn_backward(p, cache, up["d_logits"]), cache
+    if kind == "gae":
+        out, cache = gae_forward(p, adj, X, masks)
+        return out, gae_backward(p, cache, up["d_logits"], up["dZ_rec"]), cache
+    out, cache = vgae_forward(p, adj, X, eps, masks)
+    grads = vgae_backward(p, cache, up["d_logits"], up["dZ_rec"], up["d_mu_kl"], up["d_ls_kl"])
+    return out, grads, cache
+
+
+class TestSecondLayerOrder:
+    @pytest.mark.parametrize("widths", sorted(WIDTHS))
+    @pytest.mark.parametrize("dropout", [False, True], ids=["clean", "masked"])
+    @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
+    def test_forward_and_grads_match_dense_oracle(self, kind, dropout, widths):
+        X, adj, p, masks, eps, up = _order_case(kind, widths, dropout)
+        out, grads, cache = _model_pass(kind, p, adj, X, masks, eps, up)
+        expect_out, expect_grads = dense_backward(kind, p, adj.toarray(), X, masks=masks, eps=eps, **up)
+        assert set(out) == set(expect_out)
+        for key in expect_out:
+            np.testing.assert_allclose(out[key], expect_out[key], rtol=0, atol=1e-12, err_msg=key)
+        assert set(grads) == set(expect_grads)
+        for key in expect_grads:
+            np.testing.assert_allclose(grads[key], expect_grads[key], rtol=0, atol=1e-12, err_msg=key)
+        # only the propagate-first order forms the hidden-width m2
+        assert ("m2" in cache) == (widths != "narrow")
+
+    @pytest.mark.parametrize("widths,expect", [
+        # forward spmm widths, then backward: d = 4 inputs, c = 3 labels
+        ("narrow", {"gcn": [4, 3, 3], "gae": [4, 3, 3], "vgae": [4, 3, 3, 3, 3]}),
+        ("wide", {"gcn": [4, 2, 2], "gae": [4, 2, 2], "vgae": [4, 2, 2, 2]}),
+        ("equal", {"gcn": [4, 3, 3], "gae": [4, 3, 3], "vgae": [4, 3, 3, 3]}),
+    ], ids=["narrow", "wide", "equal"])
+    @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
+    def test_spmm_widths(self, kind, widths, expect, monkeypatch):
+        X, adj, p, masks, eps, up = _order_case(kind, widths, True)
+        seen = []
+        real = models.spmm
+
+        def spy(a, x):
+            seen.append(np.shape(x)[1])
+            return real(a, x)
+
+        monkeypatch.setattr(models, "spmm", spy)
+        _model_pass(kind, p, adj, X, masks, eps, up)
+        assert seen == expect[kind]
+
+    @pytest.mark.parametrize("widths", sorted(WIDTHS))
+    @pytest.mark.parametrize("dropout", [False, True], ids=["clean", "masked"])
+    def test_vgae_mu_is_gae_z_bitwise(self, widths, dropout):
+        X, adj, vg, masks, _, _ = _order_case("vgae", widths, dropout)
+        hidden, latent = WIDTHS[widths]
+        ga = init_params("gae", 4, hidden, latent, 3, SeededRng(0))
+        ga.w0[...] = vg.w0
+        ga.w1[...] = vg.w_mu
+        out_v, _ = vgae_forward(vg, adj, X, np.zeros((12, latent)), masks)
+        out_g, _ = gae_forward(ga, adj, X, masks)
+        assert np.array_equal(out_v["mu"], out_g["Z"])

@@ -253,6 +253,23 @@ class TestGradientCheck:
         assert res.passed, f"max rel err {res.max_rel_err:.2e}"
         assert res.max_rel_err <= 1e-4
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
+    def test_analytic_matches_fd_when_hidden_is_narrowest(self, kind, seed, monkeypatch):
+        # hidden 2 below latent 4 and c = 3: every second layer propagates
+        # first, the order the default check widths never take
+        rules = []
+        real = models._narrows
+
+        def spy(w_out):
+            rules.append(real(w_out))
+            return rules[-1]
+
+        monkeypatch.setattr(models, "_narrows", spy)
+        res = gradient_check(kind, "focal", seed=seed, hidden=2, latent=4)
+        assert res.passed, f"max rel err {res.max_rel_err:.2e}"
+        assert rules and not any(rules)
+
     @pytest.mark.parametrize("kind", ["gae", "vgae"])
     def test_passes_across_recon_blocks(self, kind, monkeypatch):
         # 4-row blocks split the n = 9 instance into blocks of 4, 4 and 1

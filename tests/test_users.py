@@ -30,7 +30,6 @@ def make_interactions(users, panels, ratings):
         users=users,
         panels=np.asarray(panels, dtype=np.int64),
         ratings=np.asarray(ratings, dtype=np.float64),
-        dropped=0,
     )
 
 

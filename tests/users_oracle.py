@@ -113,7 +113,6 @@ def build_real_profiles(table, Y, train_mask, pseudo_count=5.0, gain=5.0, top_k=
         users=table.users[keep],
         panels=table.panels[keep],
         ratings=minmax_normalize_ratings(table.ratings[keep]),
-        dropped=table.dropped,
     )
     per_user = {}
     for u in np.unique(table.users):
