@@ -146,11 +146,11 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
     with open(os.path.join(out_dir, "train_report.json"), "w", encoding="utf-8") as fh:
         json.dump(
             {
-                "kind": trained.report.kind,
-                "protocol": trained.report.protocol,
-                "seed": trained.report.seed,
-                "wall_time_s": trained.report.wall_time_s,
-                "epochs": trained.report.epochs,
+                "kind": cfg["model"]["kind"],
+                "protocol": cfg["protocol"],
+                "seed": cfg["seed"],
+                "wall_time_s": trained.wall_time_s,
+                "epochs": trained.epochs,
             },
             fh,
             sort_keys=True,
@@ -209,18 +209,23 @@ def _parse_value(token: str):
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     cfg["seed"] = _env_seed(cfg["seed"])
-    values = [_parse_value(tok) for tok in args.values.split(",") if tok != ""]
-    if not values:
+    tokens = [tok for tok in args.values.split(",") if tok != ""]
+    if not tokens:
         raise ConfigError("--values: at least one value required")
+    values = [_parse_value(tok) for tok in tokens]
     out_dir = args.out or cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    jobs = []
-    for value in values:
+    jobs, owner = [], {}
+    for token, value in zip(tokens, values):
         run_cfg = set_by_path(cfg, args.param, value)
         run_cfg["seed"] = _derived_seed(cfg["seed"], args.param, value)
         run_cfg = resolve_config(run_cfg)  # re-validate the override
         safe = str(value).replace(os.sep, "_").replace(" ", "")
-        jobs.append((run_cfg, os.path.join(out_dir, f"{args.param}={safe}")))
+        subdir = os.path.join(out_dir, f"{args.param}={safe}")
+        if subdir in owner:
+            raise ConfigError(f"--values: {owner[subdir]!r} and {token!r} would both write {subdir}")
+        owner[subdir] = token
+        jobs.append((run_cfg, subdir))
+    os.makedirs(out_dir, exist_ok=True)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             list(pool.map(_sweep_worker, jobs))

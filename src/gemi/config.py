@@ -53,14 +53,13 @@ _MODEL_DEFAULTS = {
 
 _GRAPH_K_DEFAULTS = {"gcn": 30, "gae": 30, "vgae": 25}
 
+# positives an augment entry keeps when it names no max_nodes
+AUGMENT_MAX_NODES = 2500
+
 _AUGMENT_DEFAULTS = {
-    "gcn": [{"label": "tree", "k": 25, "max_nodes": 2500}],
-    "gae": [
-        {"label": "animal", "k": 18, "max_nodes": 2500},
-        {"label": "mythology", "k": 18, "max_nodes": 2500},
-        {"label": "tree", "k": 35, "max_nodes": 2500},
-    ],
-    "vgae": [{"label": "tree", "k": 25, "max_nodes": 2500}],
+    "gcn": [{"label": "tree", "k": 25}],
+    "gae": [{"label": "animal", "k": 18}, {"label": "mythology", "k": 18}, {"label": "tree", "k": 35}],
+    "vgae": [{"label": "tree", "k": 25}],
 }
 
 
@@ -89,7 +88,7 @@ def default_config(model_kind: str = "gcn") -> dict:
             "epsilon": 0.5,
             "similarity_floor": 0.0,
             "edge_dropout": 0.10,
-            "augment": copy.deepcopy(_AUGMENT_DEFAULTS[model_kind]),
+            "augment": [dict(e, max_nodes=AUGMENT_MAX_NODES) for e in _AUGMENT_DEFAULTS[model_kind]],
             "augment_exempt_from_dropout": False,
             "attach_k": None,
         },
@@ -156,49 +155,48 @@ def _check(cond, path, message):
         raise ConfigError(f"{path}: {message}")
 
 
-def _is_num(x):
+def is_number(x) -> bool:
+    """A JSON number: int or float, but not bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_int(value, path, minimum=1):
+    """The one rule for integer fields: an int (never a bool) >= ``minimum``."""
+    ok = isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+    _check(ok, path, f"must be an integer >= {minimum}")
 
 
 def validate_config(cfg: dict) -> None:
     from .ingest import LABEL_NAMES
     from .losses import LossConfig
 
-    _check(
-        isinstance(cfg["seed"], int) and not isinstance(cfg["seed"], bool) and cfg["seed"] >= 0,
-        "seed",
-        "must be a nonnegative integer",
-    )
+    _check_int(cfg["seed"], "seed", minimum=0)
     _check(cfg["protocol"] in PROTOCOLS, "protocol", f"must be one of {PROTOCOLS}")
     _check(cfg["features"]["mode"] in FEATURE_MODES, "features.mode", f"must be one of {FEATURE_MODES}")
     g = cfg["graph"]
     _check(g["kind"] in GRAPH_KINDS, "graph.kind", f"must be one of {GRAPH_KINDS}")
-    _check(isinstance(g["k"], int) and g["k"] >= 1, "graph.k", "must be a positive integer")
-    _check(_is_num(g["epsilon"]), "graph.epsilon", "must be a number")
-    _check(_is_num(g["edge_dropout"]) and 0.0 <= g["edge_dropout"] <= 1.0, "graph.edge_dropout", "must be in [0, 1]")
+    _check_int(g["k"], "graph.k")
+    _check(is_number(g["epsilon"]), "graph.epsilon", "must be a number")
+    _check(is_number(g["edge_dropout"]) and 0.0 <= g["edge_dropout"] <= 1.0, "graph.edge_dropout", "must be in [0, 1]")
     _check(isinstance(g["augment"], list), "graph.augment", "must be a list")
     for i, entry in enumerate(g["augment"]):
         p = f"graph.augment[{i}]"
         _check(isinstance(entry, dict), p, "must be an object")
         _check(set(entry) <= {"label", "k", "max_nodes"}, p, "allowed keys: label, k, max_nodes")
         _check(entry.get("label") in LABEL_NAMES, f"{p}.label", f"must be one of {LABEL_NAMES}")
-        _check(isinstance(entry.get("k"), int) and entry["k"] >= 1, f"{p}.k", "must be a positive integer")
-        _check(
-            isinstance(entry.get("max_nodes", 2500), int) and entry.get("max_nodes", 2500) >= 2,
-            f"{p}.max_nodes",
-            "must be an integer >= 2",
-        )
+        _check_int(entry.get("k"), f"{p}.k")
+        _check_int(entry.get("max_nodes", AUGMENT_MAX_NODES), f"{p}.max_nodes", minimum=2)
     if g["attach_k"] is not None:
-        _check(isinstance(g["attach_k"], int) and g["attach_k"] >= 1, "graph.attach_k", "must be a positive integer")
+        _check_int(g["attach_k"], "graph.attach_k")
     m = cfg["model"]
     _check(m["kind"] in MODEL_KINDS, "model.kind", f"must be one of {MODEL_KINDS}")
     for key in ("hidden", "latent", "epochs"):
-        _check(isinstance(m[key], int) and m[key] >= 1, f"model.{key}", "must be a positive integer")
-    _check(_is_num(m["lr"]) and m["lr"] > 0, "model.lr", "must be positive")
-    _check(_is_num(m["weight_decay"]) and m["weight_decay"] >= 0, "model.weight_decay", "must be nonnegative")
-    _check(_is_num(m["dropout"]) and 0.0 <= m["dropout"] < 1.0, "model.dropout", "must be in [0, 1)")
-    _check(_is_num(m["clip_norm"]) and m["clip_norm"] > 0, "model.clip_norm", "must be positive")
-    _check(_is_num(m["kl_ramp_fraction"]) and 0.0 < m["kl_ramp_fraction"] <= 1.0, "model.kl_ramp_fraction", "must be in (0, 1]")
+        _check_int(m[key], f"model.{key}")
+    _check(is_number(m["lr"]) and m["lr"] > 0, "model.lr", "must be positive")
+    _check(is_number(m["weight_decay"]) and m["weight_decay"] >= 0, "model.weight_decay", "must be nonnegative")
+    _check(is_number(m["dropout"]) and 0.0 <= m["dropout"] < 1.0, "model.dropout", "must be in [0, 1)")
+    _check(is_number(m["clip_norm"]) and m["clip_norm"] > 0, "model.clip_norm", "must be positive")
+    _check(is_number(m["kl_ramp_fraction"]) and 0.0 < m["kl_ramp_fraction"] <= 1.0, "model.kl_ramp_fraction", "must be in (0, 1]")
     try:
         LossConfig(**cfg["loss"])
     except ValueError as exc:
@@ -207,24 +205,23 @@ def validate_config(cfg: dict) -> None:
     _check(u["source"] in USER_SOURCES, "users.source", f"must be one of {USER_SOURCES}")
     if u["source"] in ("real", "augmented"):
         _check(isinstance(u["interactions"], str), "users.interactions", "required for real/augmented users")
-    _check(isinstance(u["augment_target"], int) and u["augment_target"] >= 1, "users.augment_target", "must be a positive integer")
-    _check(_is_num(u["pseudo_count"]) and u["pseudo_count"] >= 0, "users.pseudo_count", "must be nonnegative")
-    _check(_is_num(u["gain"]) and u["gain"] > 0, "users.gain", "must be positive")
-    _check(isinstance(u["top_k"], int) and u["top_k"] >= 1, "users.top_k", "must be a positive integer")
-    _check(_is_num(u["p_replace"]) and 0.0 <= u["p_replace"] <= 1.0, "users.p_replace", "must be in [0, 1]")
+    _check_int(u["augment_target"], "users.augment_target")
+    _check(is_number(u["pseudo_count"]) and u["pseudo_count"] >= 0, "users.pseudo_count", "must be nonnegative")
+    _check(is_number(u["gain"]) and u["gain"] > 0, "users.gain", "must be positive")
+    _check_int(u["top_k"], "users.top_k")
+    _check(is_number(u["p_replace"]) and 0.0 <= u["p_replace"] <= 1.0, "users.p_replace", "must be in [0, 1]")
     for key in ("gain_low", "gain_high"):
-        _check(_is_num(u[key]), f"users.{key}", "must be a number")
+        _check(is_number(u[key]), f"users.{key}", "must be a number")
     _check(u["gain_low"] <= u["gain_high"], "users.gain_low", "must not exceed users.gain_high")
     for key in ("bias_sigma", "noise_sigma"):
-        _check(_is_num(u[key]) and u[key] >= 0, f"users.{key}", "must be nonnegative")
+        _check(is_number(u[key]) and u[key] >= 0, f"users.{key}", "must be nonnegative")
     ev = cfg["eval"]
-    _check(isinstance(ev["num_users"], int) and ev["num_users"] >= 1, "eval.num_users", "must be a positive integer")
-    _check(isinstance(ev["interactions_k"], int) and ev["interactions_k"] >= 1, "eval.interactions_k", "must be a positive integer")
-    _check(_is_num(ev["tau"]) and 0.0 < ev["tau"] < 1.0, "eval.tau", "must be in (0, 1)")
-    _check(isinstance(ev["k_rec"], int) and ev["k_rec"] >= 1, "eval.k_rec", "must be a positive integer")
+    for key in ("num_users", "interactions_k", "k_rec"):
+        _check_int(ev[key], f"eval.{key}")
+    _check(is_number(ev["tau"]) and 0.0 < ev["tau"] < 1.0, "eval.tau", "must be in (0, 1)")
     _check(ev["representation"] in REPRESENTATIONS, "eval.representation", f"must be one of {REPRESENTATIONS}")
     d = cfg["dataset"]
-    _check(_is_num(d["test_fraction"]) and 0.0 < d["test_fraction"] < 1.0, "dataset.test_fraction", "must be in (0, 1)")
+    _check(is_number(d["test_fraction"]) and 0.0 < d["test_fraction"] < 1.0, "dataset.test_fraction", "must be in (0, 1)")
 
 
 def resolve_config(raw: dict) -> dict:
@@ -236,6 +233,8 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"model.kind: must be one of {MODEL_KINDS}, got {kind!r}")
     cfg = _merge(default_config(kind), raw, "")
     validate_config(cfg)
+    for entry in cfg["graph"]["augment"]:
+        entry.setdefault("max_nodes", AUGMENT_MAX_NODES)  # the resolved config records it
     return cfg
 
 

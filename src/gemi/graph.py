@@ -1,10 +1,10 @@
 """Latent item-graph construction and structural transforms.
 
 Graphs are undirected and self-loop-free; each undirected edge carries a
-provenance tag (``knn``, ``epsilon``, ``label-augment``, ``attachment``)
-so augmentation and attachment edges stay distinguishable from the base
-similarity structure.  Self-loops enter only through
-:func:`normalize_adjacency`.
+provenance tag (``knn``, ``epsilon``, ``label-augment``) so augmentation
+edges stay distinguishable from the base similarity structure.
+Self-loops enter only through the operators: :func:`normalize_adjacency`
+and the one-way inductive operator of :func:`attach_test_items`.
 
 The builders never hold the full n×n cosine matrix: they score
 :data:`BLOCK_ROWS` rows at a time (``Xn[I] @ Rn.T``), so the similarity
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import SeededRng, as_matrix, l2_normalize_rows, matmul
-
-EDGE_TAGS = ("knn", "epsilon", "label-augment", "attachment")
 
 # Similarity rows scored at once.  At n = 50 000 one block is ~100 MB of
 # float64 per work array; at the benchmark's n it is a few MB.
@@ -263,15 +261,22 @@ def normalize_adjacency(g: ItemGraph):
     return csr_array((weights, (rows, cols)), shape=(g.n, g.n))
 
 
-def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int) -> ItemGraph:
-    """Extend a training graph with unseen items.
+def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int):
+    """The inductive evaluation operator: unseen items attached one way.
 
-    Nodes 0..n_train-1 keep the training structure unchanged; test item
-    t becomes node n_train + t with edges to its top-k most similar
-    training nodes only (ties by ascending training index, scored in
-    blocks of test rows: O(BLOCK_ROWS · n_train) work space).  Test-test
-    edges never exist, so unseen items cannot influence each other.
+    Returns an (n_train + n_test)² ``scipy.sparse.csr_array``.  Rows
+    0..n_train-1 are :func:`normalize_adjacency` of ``train_graph``, bit
+    for bit.  Row n_train + t holds 1/sqrt(dh_t · dh_j) on test item t's
+    top-k most similar training nodes j (ties by ascending training
+    index, scored in blocks of test rows: O(BLOCK_ROWS · n_train) work
+    space), then 1/dh_t on its own diagonal as the row's last entry;
+    dh = degree + 1, with dh_t = k + 1 and training degrees taken from
+    ``train_graph``.  No row reads another test item's column, so test
+    items cannot influence each other or the training rows.
     """
+    # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
+    from scipy.sparse import csr_array
+
     X_train = as_matrix(X_train)
     X_test = as_matrix(X_test)
     n_train = X_train.shape[0]
@@ -281,37 +286,16 @@ def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int) -> ItemGr
         raise ValueError("k must be at least 1")
     if k > n_train:
         raise ValueError(f"k={k} exceeds the training count {n_train}")
-    src, dst = _top_k_pairs(l2_normalize_rows(X_test), l2_normalize_rows(X_train), k)
+    # exactly k training columns per test row, row-major, columns ascending
+    _, cols = _top_k_pairs(l2_normalize_rows(X_test), l2_normalize_rows(X_train), k)
     n_test = X_test.shape[0]
-    pairs = np.concatenate([train_graph.pairs, np.column_stack([dst, n_train + src])])
-    tags = np.concatenate(
-        [train_graph.tags, np.full(src.size, "attachment", dtype=object)]
-    )
-    return ItemGraph.from_pairs(n_train + n_test, pairs, tags)
-
-
-def attachment_blocks(extended: ItemGraph, train_graph: ItemGraph):
-    """Normalized read-only weights for attached test nodes.
-
-    Returns (B, s) where B is an n_test × n_train
-    ``scipy.sparse.csr_array`` whose row i holds test node i's normalized
-    weights onto training nodes, and s[i] is its self-loop weight.
-    Messages flow train → test only: a test node aggregates training
-    representations with weight 1/sqrt(dh_i · dh_t) (dh = degree + 1,
-    training degrees taken from the unextended graph) plus its own
-    features with weight 1/dh_i, and the training side is untouched.
-    This keeps every test prediction independent of all other test
-    items.
-    """
-    # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
-    from scipy.sparse import csr_array
-
-    n_train = train_graph.n
-    n_test = extended.n - n_train
-    attach = extended.pairs[extended.tags == "attachment"]
-    ti = attach[:, 1] - n_train
-    tr = attach[:, 0]
-    dh_test = np.bincount(ti, minlength=n_test) + 1.0
-    dh_train = train_graph.degrees() + 1.0
-    w = 1.0 / np.sqrt(dh_test[ti] * dh_train[tr])
-    return csr_array((w, (ti, tr)), shape=(n_test, n_train)), 1.0 / dh_test
+    cols = cols.reshape(n_test, k)
+    dh_t = k + 1.0
+    w = 1.0 / np.sqrt(dh_t * (train_graph.degrees() + 1.0)[cols])
+    train_rows = normalize_adjacency(train_graph)
+    own = n_train + np.arange(n_test, dtype=np.int64)
+    data = np.concatenate([train_rows.data, np.column_stack([w, np.full(n_test, 1.0 / dh_t)]).ravel()])
+    indices = np.concatenate([train_rows.indices, np.column_stack([cols, own]).ravel()])
+    indptr = np.concatenate([train_rows.indptr, train_rows.nnz + (k + 1) * np.arange(1, n_test + 1)])
+    n = n_train + n_test
+    return csr_array((data, indices, indptr), shape=(n, n))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
+from .config import is_number
 from .numerics import as_matrix, matmul
 
 POS_WEIGHT_MIN = 1e-3
@@ -42,16 +43,12 @@ class LossConfig:
         # each message starts with the field name; validate_config prefixes "loss."
         if self.kind not in ("focal", "wbce", "bce"):
             raise ValueError(f"kind: must be focal, wbce or bce, got {self.kind!r}")
-        if not _is_number(self.alpha) or not 0.0 < self.alpha < 1.0:
+        if not is_number(self.alpha) or not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha: must be in (0, 1)")
         for name in ("gamma", "lambda_sup", "lambda_ssl", "beta_max"):
             value = getattr(self, name)
-            if not _is_number(value) or value < 0.0:
+            if not is_number(value) or value < 0.0:
                 raise ValueError(f"{name}: must be nonnegative")
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def positive_weights(Y_train) -> np.ndarray:

@@ -23,15 +23,20 @@ H), never to the concatenated [W_mu | W_sigma]: the concatenated width
 could pick the other order than GAE's W1 of the same shape, and then
 mu at zero noise would no longer equal GAE's Z bit for bit.
 
-Backward passes exploit the symmetry of A~ (its transpose product is
-the same spmm) and treat the reparameterization noise as a constant
-(pathwise estimator).  Caches hold every intermediate needed, so a
-backward call never recomputes a forward quantity.
+Operators: every training A~ is symmetric, and the backward passes
+exploit that (its transpose product is the same spmm).  The inductive
+evaluation operator of :func:`gemi.graph.attach_test_items` is one-way
+(test rows read training columns, never the reverse); only clean
+forwards take it, so no backward ever sees it.  Backward passes treat
+the reparameterization noise as a constant (pathwise estimator).
+Caches hold every intermediate needed, so a backward call never
+recomputes a forward quantity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -176,14 +181,23 @@ def _linear_backward(x, w, d_out):
     return d_w, d_x
 
 
-def _output_backward(cache, w_out, d_out):
-    """Gradient of :func:`output_layer` in the order it chose: (dW_out, d_hd)."""
+def _output_backward(cache, branches):
+    """Gradient of :func:`output_layer` for each (W_out, d_out) branch on one cache.
+
+    The branches share W_out's shape (VGAE's mu and log_sigma), so they
+    share its order: narrowing, each d_out is propagated and hdᵀ is formed
+    once; propagating first, the branches' d_m2 are summed before one
+    spmm.  Returns ([dW_out per branch], d_hd).
+    """
     adj = cache["adj"]
-    if _narrows(w_out):
-        d_p = spmm(adj, d_out)  # A~ is symmetric
-        return _linear_backward(cache["hd"], w_out, d_p)
-    d_w_out, d_m2 = _linear_backward(cache["m2"], w_out, d_out)
-    return d_w_out, spmm(adj, d_m2)
+    if _narrows(branches[0][0]):
+        hd_t = np.ascontiguousarray(cache["hd"].T)
+        d_ps = [spmm(adj, d_out) for _, d_out in branches]  # A~ is symmetric
+        d_hd = reduce(np.add, (matmul(d_p, np.ascontiguousarray(w.T)) for (w, _), d_p in zip(branches, d_ps)))
+        return [matmul(hd_t, d_p) for d_p in d_ps], d_hd
+    m2_t = np.ascontiguousarray(cache["m2"].T)
+    d_m2 = reduce(np.add, (matmul(d_out, np.ascontiguousarray(w.T)) for w, d_out in branches))
+    return [matmul(m2_t, d_out) for _, d_out in branches], spmm(adj, d_m2)
 
 
 def _hidden_backward(cache, d_hd) -> np.ndarray:
@@ -196,7 +210,7 @@ def _hidden_backward(cache, d_hd) -> np.ndarray:
 
 def propagate_backward(cache, w_out, d_out):
     """Gradient of :func:`propagate`: d_out -> (dW0, dW_out)."""
-    d_w_out, d_hd = _output_backward(cache, w_out, d_out)
+    (d_w_out,), d_hd = _output_backward(cache, [(w_out, d_out)])
     return _hidden_backward(cache, d_hd), d_w_out
 
 
@@ -271,7 +285,5 @@ def vgae_backward(params: VgaeParams, cache, d_logits, dZ_rec, d_mu_kl, d_log_si
     d_ls = dZ * cache["eps"] * np.exp(cache["log_sigma"]) + d_log_sigma_kl
     inside = np.abs(cache["ls_pre"]) < params.clamp
     d_ls_pre = d_ls * inside
-    d_w_mu, d_hd_mu = _output_backward(cache, params.w_mu, d_mu)
-    d_w_sigma, d_hd_sigma = _output_backward(cache, params.w_sigma, d_ls_pre)
-    d_w0 = _hidden_backward(cache, d_hd_mu + d_hd_sigma)
-    return {"w0": d_w0, "w_mu": d_w_mu, "w_sigma": d_w_sigma, "head": d_head}
+    (d_w_mu, d_w_sigma), d_hd = _output_backward(cache, [(params.w_mu, d_mu), (params.w_sigma, d_ls_pre)])
+    return {"w0": _hidden_backward(cache, d_hd), "w_mu": d_w_mu, "w_sigma": d_w_sigma, "head": d_head}

@@ -5,7 +5,10 @@ Conventions used throughout the package:
 * A dense matrix is a C-contiguous float64 2-D ndarray.
 * A sparse matrix is a ``scipy.sparse.csr_array`` in canonical form
   (column indices sorted within each row, no duplicates).  Adjacency
-  matrices are square, symmetric and hold finite positive weights.
+  operators are square and hold finite positive weights.  Training
+  operators are symmetric; the inductive evaluation operator is one-way
+  (unseen items read the training rows, never the reverse) and only
+  clean forwards take it, so backward passes may assume symmetry.
   scipy is imported only inside the functions that build one, so
   importing gemi does not load it.
 * All randomness flows through :class:`SeededRng`; independent concerns

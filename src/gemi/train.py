@@ -7,8 +7,9 @@ consumer can never shift another's stream.
 
 Leakage contract: transductively, test features join the graph but the
 loss sees train rows only; inductively, test items are invisible until
-training ends and are then attached with train→test message flow only,
-so one test item can never influence another's prediction.
+training ends and are then attached by a one-way operator whose rows
+never read another test item, so one test item can never influence
+another's prediction.  Both protocols share one evaluation forward.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import models
 from .graph import (
     ItemGraph,
     attach_test_items,
-    attachment_blocks,
     augment_label_edges,
     edge_dropout,
     epsilon_graph,
@@ -38,7 +38,7 @@ from .losses import (
     recon_loss_and_grad,
     supervised_loss_and_grad,
 )
-from .numerics import SeededRng, finite_difference_gradient, matmul
+from .numerics import SeededRng, finite_difference_gradient
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -97,32 +97,20 @@ def adam_step(
 
 
 @dataclass
-class TrainReport:
-    """Per-epoch loss parts plus run provenance."""
-
-    kind: str
-    protocol: str
-    seed: int
-    epochs: list[dict]
-    wall_time_s: float
-
-
-@dataclass
 class TrainedModel:
     """Frozen model plus everything evaluation needs.
 
-    ``representations`` is aligned to the global panel order: train rows
-    come from the training graph, test rows transductively from the same
-    full graph and inductively from the directed attachment forward.
+    ``representations`` is aligned to the global panel order: the clean
+    forward of the trained weights on the evaluation operator, the full
+    graph's normalized adjacency transductively and the one-way
+    attachment operator inductively.
     """
 
-    kind: str
-    protocol: str
     params: object
     base_graph: ItemGraph
-    report: TrainReport
     representations: np.ndarray
-    extended_graph: ItemGraph | None = None
+    epochs: list[dict]
+    wall_time_s: float
 
 
 def _build_base_graph(cfg: dict, X, Y, train_mask_local, rng: SeededRng) -> ItemGraph:
@@ -134,52 +122,23 @@ def _build_base_graph(cfg: dict, X, Y, train_mask_local, rng: SeededRng) -> Item
     aug_rng = rng.substream("augment")
     for entry in g_cfg["augment"]:
         label_idx = LABEL_NAMES.index(entry["label"])
-        g = augment_label_edges(
-            g,
-            X,
-            Y,
-            label_idx,
-            entry["k"],
-            entry.get("max_nodes", 2500),
-            train_mask_local,
-            aug_rng,
-        )
+        g = augment_label_edges(g, X, Y, label_idx, entry["k"], entry["max_nodes"], train_mask_local, aug_rng)
     return g
 
 
-def _forward_eval(kind, params, adj, X):
-    """Clean (dropout-free) forward: (model representation, hidden state h).
+def _representation(kind, params, adj, X):
+    """Clean (dropout-free) forward: each item's model representation.
 
-    h = ReLU(A~ X W0) is the first layer; for gcn it is the
-    representation itself, so both entries are the same array.
+    gcn represents an item by its hidden state h = ReLU(A~ X W0), gae by
+    its latent Z and vgae by its mean mu.  ``adj`` may be the one-way
+    inductive operator: a clean forward only ever multiplies by it, never
+    by its transpose.
     """
     if kind == "gcn":
-        # first layer only: the representation is the hidden state h
-        h = models.hidden_layer(params, adj, X)["h"]
-        return h, h
+        return models.hidden_layer(params, adj, X)["h"]
     if kind == "gae":
-        out, cache = models.gae_forward(params, adj, X)
-        return out["Z"], cache["h"]
-    mu, _, cache = models.vgae_encode(params, adj, X)
-    return mu, cache["h"]
-
-
-def _inductive_test_reps(kind, params, B, s, X_train, X_test, h1_train):
-    """Directed-attachment forward for unseen items.
-
-    Layer 1 aggregates training features (and the item's own row); layer
-    2 aggregates the training graph's clean hidden states ``h1_train``
-    (from :func:`_forward_eval`).  No other test item enters anywhere, so
-    predictions are per-item independent.  ``B`` is the sparse test ×
-    train block from :func:`attachment_blocks`.
-    """
-    s_col = s[:, None]
-    agg1_test = B @ X_train + s_col * X_test
-    h1_test = np.maximum(matmul(agg1_test, params.w0), 0.0)
-    if kind == "gcn":
-        return h1_test  # penultimate representation, as on the train side
-    agg2_test = B @ h1_train + s_col * h1_test
-    return matmul(agg2_test, params.w1 if kind == "gae" else params.w_mu)
+        return models.gae_forward(params, adj, X)[0]["Z"]
+    return models.vgae_encode(params, adj, X)[0]
 
 
 def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta):
@@ -268,81 +227,44 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     return params, base_graph, epoch_logs
 
 
-def train_transductive(features, labels, train_mask, cfg: dict, rng: SeededRng) -> TrainedModel:
-    """Full-graph training: all features participate, loss on train rows."""
-    train_mask = np.asarray(train_mask, dtype=bool)
-    if not train_mask.any():
-        raise ValueError("training requires a nonempty train split")
-    start = time.perf_counter()
-    params, base_graph, epoch_logs = _train_loop(cfg, features, labels, train_mask, rng)
-    adj_clean = normalize_adjacency(base_graph)
-    reps, _ = _forward_eval(cfg["model"]["kind"], params, adj_clean, features)
-    wall = time.perf_counter() - start
-    return TrainedModel(
-        kind=cfg["model"]["kind"],
-        protocol="transductive",
-        params=params,
-        base_graph=base_graph,
-        report=TrainReport(
-            kind=cfg["model"]["kind"],
-            protocol="transductive",
-            seed=cfg["seed"],
-            epochs=epoch_logs,
-            wall_time_s=wall,
-        ),
-        representations=reps,
-    )
-
-
-def train_inductive(features, labels, train_mask, test_mask, cfg: dict, rng: SeededRng) -> TrainedModel:
-    """Train on the training subgraph only, then attach unseen items."""
-    train_mask = np.asarray(train_mask, dtype=bool)
-    test_mask = np.asarray(test_mask, dtype=bool)
-    if not train_mask.any():
-        raise ValueError("training requires a nonempty train split")
-    train_idx = np.flatnonzero(train_mask)
-    test_idx = np.flatnonzero(test_mask)
-    X_train = np.ascontiguousarray(features[train_idx])
-    X_test = np.ascontiguousarray(features[test_idx])
-    Y_train = labels[train_idx]
-    start = time.perf_counter()
-    params, base_graph, epoch_logs = _train_loop(
-        cfg, X_train, Y_train, np.ones(train_idx.size, dtype=bool), rng
-    )
-    adj_clean = normalize_adjacency(base_graph)
-    reps_train, h1_train = _forward_eval(cfg["model"]["kind"], params, adj_clean, X_train)
-    attach_k = cfg["graph"]["attach_k"] or cfg["graph"]["k"]
-    attach_k = min(attach_k, train_idx.size)
-    extended = attach_test_items(base_graph, X_train, X_test, attach_k)
-    B, s = attachment_blocks(extended, base_graph)
-    reps_test = _inductive_test_reps(
-        cfg["model"]["kind"], params, B, s, X_train, X_test, h1_train
-    )
-    reps = np.zeros((features.shape[0], reps_train.shape[1]), dtype=np.float64)
-    reps[train_idx] = reps_train
-    reps[test_idx] = reps_test
-    wall = time.perf_counter() - start
-    return TrainedModel(
-        kind=cfg["model"]["kind"],
-        protocol="inductive",
-        params=params,
-        base_graph=base_graph,
-        report=TrainReport(
-            kind=cfg["model"]["kind"],
-            protocol="inductive",
-            seed=cfg["seed"],
-            epochs=epoch_logs,
-            wall_time_s=wall,
-        ),
-        representations=reps,
-        extended_graph=extended,
-    )
-
-
 def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededRng) -> TrainedModel:
+    """Train one model, then represent the items with one clean forward.
+
+    Transductively the graph spans every item and the loss reads the
+    train rows; the forward runs on the clean normalized adjacency.
+    Inductively the items are taken in the local order [train..., test...]
+    and training sees the train rows alone; the forward then runs on the
+    operator of :func:`attach_test_items`, and its rows are scattered back
+    to the global order (items in neither split keep zero rows).
+    """
+    train_mask = np.asarray(train_mask, dtype=bool)
+    if not train_mask.any():
+        raise ValueError("training requires a nonempty train split")
+    start = time.perf_counter()
     if cfg["protocol"] == "inductive":
-        return train_inductive(features, labels, train_mask, test_mask, cfg, rng)
-    return train_transductive(features, labels, train_mask, cfg, rng)
+        order = np.concatenate([np.flatnonzero(train_mask), np.flatnonzero(test_mask)])
+        n_fit = int(train_mask.sum())
+        X = features[order]
+        params, base_graph, epoch_logs = _train_loop(
+            cfg, X[:n_fit], labels[order[:n_fit]], np.ones(n_fit, dtype=bool), rng
+        )
+        attach_k = min(cfg["graph"]["attach_k"] or cfg["graph"]["k"], n_fit)
+        adj = attach_test_items(base_graph, X[:n_fit], X[n_fit:], attach_k)
+    else:
+        order, X = None, features
+        params, base_graph, epoch_logs = _train_loop(cfg, X, labels, train_mask, rng)
+        adj = normalize_adjacency(base_graph)
+    reps = _representation(cfg["model"]["kind"], params, adj, X)
+    if order is not None:  # scatter the local rows back to the global order
+        local, reps = reps, np.zeros((features.shape[0], reps.shape[1]))
+        reps[order] = local
+    return TrainedModel(
+        params=params,
+        base_graph=base_graph,
+        representations=reps,
+        epochs=epoch_logs,
+        wall_time_s=time.perf_counter() - start,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,3 +71,39 @@ def brute_force_attach_edges(X_train, X_test, k) -> set[tuple[int, int]]:
         for t in range(X_test.shape[0])
         for j in ranked(sims[t], range(n_train), k)
     }
+
+
+def dense_attachment_operator(train_graph, X_train, X_test, k) -> np.ndarray:
+    """The inductive operator filled densely from the edge lists.
+
+    The training block is :func:`dense_normalized_adjacency` of
+    ``train_graph``.  Test row n_train + t holds 1/sqrt((k + 1) · dh_j) on
+    each of its :func:`brute_force_attach_edges` neighbours j (dh = degree
+    + 1 in ``train_graph``) and 1/(k + 1) on its own diagonal; every other
+    entry of the test rows and columns is 0.
+    """
+    n_train, n_test = X_train.shape[0], X_test.shape[0]
+    dh = np.ones(n_train)
+    for i, j in train_graph.pairs:
+        dh[i] += 1.0
+        dh[j] += 1.0
+    A = np.zeros((n_train + n_test, n_train + n_test))
+    A[:n_train, :n_train] = dense_normalized_adjacency(train_graph)
+    for j, v in brute_force_attach_edges(X_train, X_test, k):
+        A[v, j] = 1.0 / np.sqrt((k + 1.0) * dh[j])
+    A[n_train:, n_train:] = np.eye(n_test) / (k + 1.0)
+    return A
+
+
+def attach_edges(op, n_train) -> set[tuple[int, int]]:
+    """(train node, test row) per off-diagonal entry of an operator's test rows.
+
+    The form of :func:`brute_force_attach_edges`; test columns off the
+    diagonal are kept too, so a test-test entry shows as a mismatch.
+    """
+    edges = set()
+    for v in range(n_train, op.shape[0]):
+        for j in op.indices[op.indptr[v] : op.indptr[v + 1]].tolist():
+            if j != v:
+                edges.add((j, v))
+    return edges

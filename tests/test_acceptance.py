@@ -22,7 +22,6 @@ from gemi.config import default_config
 from gemi.fusion import product_of_experts
 from gemi.graph import (
     attach_test_items,
-    attachment_blocks,
     epsilon_graph,
     knn_graph_symmetric,
     normalize_adjacency,
@@ -34,7 +33,13 @@ from gemi.recommend import aggregate, evaluate
 from gemi.train import gradient_check_suite, objective_and_grads, train_model
 from gemi.users import sample_synthetic_users
 from datasets import make_planted_panels, write_embeddings, write_labels
-from graph_oracles import cosine_similarity_matrix, edge_set
+from graph_oracles import (
+    attach_edges,
+    brute_force_attach_edges,
+    cosine_similarity_matrix,
+    dense_attachment_operator,
+    edge_set,
+)
 
 GRID_POINTS = 2001
 GRID_SPAN = 8.0
@@ -188,14 +193,19 @@ def test_04_graph_oracles_brute_force():
         X_tr, X_te = X[:n_tr], X[n_tr:]
         if len(X_te) and 1 <= k <= n_tr and k < n_tr:
             tg = knn_graph_symmetric(X_tr, min(k, n_tr - 1))
-            ext = attach_test_items(tg, X_tr, X_te, k)
+            op = attach_test_items(tg, X_tr, X_te, k)
+            dense = op.toarray()
+            assert np.array_equal(dense[:n_tr, :n_tr], normalize_adjacency(tg).toarray())
+            assert not dense[:n_tr, n_tr:].any()
+            assert np.array_equal(dense[n_tr:], dense_attachment_operator(tg, X_tr, X_te, k)[n_tr:])
+            assert attach_edges(op, n_tr) == brute_force_attach_edges(X_tr, X_te, k)
             cross = l2_normalize_rows(X_te) @ l2_normalize_rows(X_tr).T
             for t in range(len(X_te)):
                 v = n_tr + t
-                got = {int(i) if j == v else int(j) for i, j in ext.pairs if v in (i, j)}
+                cols = op.indices[op.indptr[v] : op.indptr[v + 1]]
+                assert cols.size == k + 1 and cols[-1] == v  # k train columns, then its own diagonal
                 order = sorted(range(n_tr), key=lambda j: (-cross[t, j], j))
-                assert got == set(order[:k])
-                assert all(u < n_tr for u in got)  # never test-test
+                assert set(cols[:-1].tolist()) == set(order[:k])  # never test-test
 
         scores = rng.normal(size=n)
         kk = int(rng.integers(1, n + 1))
@@ -229,7 +239,7 @@ def test_05_leakage_invariants():
     a = run("transductive", table.features, table.labels)
     b = run("transductive", table.features, flipped)
     losses_match = all(
-        ea["total"] == eb["total"] for ea, eb in zip(a.report.epochs, b.report.epochs)
+        ea["total"] == eb["total"] for ea, eb in zip(a.epochs, b.epochs)
     )
     reps_match = np.array_equal(a.representations, b.representations)
 

@@ -93,6 +93,38 @@ class TestRun:
         assert main(["run", "--config", cfg_path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "seed",
+            "graph.k",
+            "graph.attach_k",
+            "graph.augment[0].k",
+            "graph.augment[0].max_nodes",
+            "model.hidden",
+            "model.latent",
+            "model.epochs",
+            "users.augment_target",
+            "users.top_k",
+            "eval.num_users",
+            "eval.interactions_k",
+            "eval.k_rec",
+        ],
+    )
+    def test_bool_integer_field_exit_2(self, dataset, tmp_path, capsys, field):
+        # true is a JSON boolean, never the integer 1
+        _, cfg = write_cfg(tmp_path, dataset)
+        if field.startswith("graph.augment"):
+            cfg["graph"]["augment"] = [{"label": "tree", "k": 2, field.rsplit(".", 1)[1]: True}]
+        elif "." in field:
+            group, key = field.split(".")
+            cfg.setdefault(group, {})[key] = True
+        else:
+            cfg[field] = True
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
     def test_bad_ratings_exit_2_before_training(self, dataset, tmp_path, monkeypatch, capsys):
         from gemi import cli
 
@@ -239,6 +271,21 @@ class TestSweep:
             if sub.is_dir():
                 seeds.add(json.loads((sub / "metrics.json").read_text())["seed"])
         assert len(seeds) == 2
+
+    @pytest.mark.parametrize(
+        "param, values",
+        [("model.lr", "0.5,0.50"), ("dataset.embeddings", "a/b,a_b")],
+        ids=["equal-numbers", "separator"],
+    )
+    def test_values_sharing_a_directory_exit_2(self, dataset, tmp_path, capsys, param, values):
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", cfg_path, "--param", param, "--values", values, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        first, second = values.split(",")
+        assert f"{first!r} and {second!r}" in err
+        assert not out.exists()  # rejected before any run
 
     def test_unknown_param_exit_2(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)

@@ -4,6 +4,7 @@ from dataclasses import asdict
 import pytest
 
 from gemi.config import (
+    AUGMENT_MAX_NODES,
     MODEL_KINDS,
     ConfigError,
     default_config,
@@ -66,6 +67,16 @@ class TestResolve:
     def test_augment_replaced_wholesale(self):
         cfg = resolve_config({"model": {"kind": "gae"}, "graph": {"augment": []}})
         assert cfg["graph"]["augment"] == []
+
+    def test_augment_max_nodes_resolved(self):
+        # the resolved config records the value the run uses
+        cfg = resolve_config({"graph": {"augment": [{"label": "animal", "k": 3}, {"label": "tree", "k": 4, "max_nodes": 9}]}})
+        assert cfg["graph"]["augment"] == [
+            {"label": "animal", "k": 3, "max_nodes": AUGMENT_MAX_NODES},
+            {"label": "tree", "k": 4, "max_nodes": 9},
+        ]
+        for kind in MODEL_KINDS:
+            assert all(e["max_nodes"] == AUGMENT_MAX_NODES for e in default_config(kind)["graph"]["augment"])
 
     def test_bad_seed(self):
         with pytest.raises(ConfigError, match="seed"):

@@ -9,7 +9,6 @@ from gemi import graph
 from gemi.graph import (
     ItemGraph,
     attach_test_items,
-    attachment_blocks,
     augment_label_edges,
     edge_dropout,
     epsilon_graph,
@@ -18,10 +17,12 @@ from gemi.graph import (
 )
 from gemi.numerics import SeededRng
 from graph_oracles import (
+    attach_edges,
     brute_force_attach_edges,
     brute_force_epsilon_edges,
     brute_force_knn_edges,
     cosine_similarity_matrix,
+    dense_attachment_operator,
     dense_normalized_adjacency,
     edge_set,
     tagged_edges,
@@ -264,47 +265,45 @@ class TestNormalizeAdjacency:
 
 
 class TestAttachment:
-    def _graphs(self, rng, n_train=15, n_test=4, k=3):
+    def _operator(self, rng, n_train=15, n_test=4, k=3):
         X_train = rng.normal(size=(n_train, 5))
         X_test = rng.normal(size=(n_test, 5))
         train_graph = knn_graph_symmetric(X_train, k)
-        extended = attach_test_items(train_graph, X_train, X_test, k)
-        return X_train, X_test, train_graph, extended
+        return X_train, X_test, train_graph, attach_test_items(train_graph, X_train, X_test, k)
 
     def test_no_test_test_edges(self, rng):
-        _, _, train_graph, extended = self._graphs(rng)
+        _, _, train_graph, op = self._operator(rng)
         n_train = train_graph.n
-        for i, j in extended.pairs.tolist():
-            assert not (i >= n_train and j >= n_train)
+        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+        test_cols = op.indices >= n_train
+        # a test column is read only by its own row: no test-test and no test-train flow
+        assert np.array_equal(op.indices[test_cols], rows[test_cols])
 
-    def test_attachment_edges_tagged_and_counted(self, rng):
-        _, _, train_graph, extended = self._graphs(rng, n_test=4, k=3)
-        attach = extended.pairs[extended.tags == "attachment"]
-        assert attach.shape[0] == 4 * 3
-        assert (attach[:, 1] >= train_graph.n).all()
+    def test_test_rows_hold_k_train_columns_and_diagonal(self, rng):
+        _, _, train_graph, op = self._operator(rng, n_test=4, k=3)
+        n_train = train_graph.n
+        for v in range(n_train, n_train + 4):
+            cols = op.indices[op.indptr[v] : op.indptr[v + 1]]
+            assert cols.size == 3 + 1
+            assert (cols[:-1] < n_train).all() and cols[-1] == v  # own diagonal last
 
     def test_train_side_untouched(self, rng):
-        _, _, train_graph, extended = self._graphs(rng)
-        kept = {
-            tuple(p)
-            for p, t in zip(extended.pairs.tolist(), extended.tags)
-            if t != "attachment"
-        }
-        assert kept == edge_set(train_graph)
+        _, _, train_graph, op = self._operator(rng)
+        adj = normalize_adjacency(train_graph)
+        n_train, nnz = train_graph.n, adj.nnz
+        assert np.array_equal(op.indptr[: n_train + 1], adj.indptr)
+        assert np.array_equal(op.indices[:nnz], adj.indices)
+        assert np.array_equal(op.data[:nnz], adj.data)
 
     def test_each_test_node_links_topk_trains(self, rng):
-        X_train, X_test, train_graph, extended = self._graphs(rng, k=3)
+        X_train, X_test, train_graph, op = self._operator(rng, k=3)
         n_train = train_graph.n
         Xtr = X_train / np.linalg.norm(X_train, axis=1, keepdims=True)
         Xte = X_test / np.linalg.norm(X_test, axis=1, keepdims=True)
         sims = Xte @ Xtr.T
         for t in range(X_test.shape[0]):
             expect = set(sorted(range(n_train), key=lambda j: (-sims[t, j], j))[:3])
-            got = {
-                i
-                for (i, j), tag in zip(extended.pairs.tolist(), extended.tags)
-                if tag == "attachment" and j == n_train + t
-            }
+            got = {j for j, v in attach_edges(op, n_train) if v == n_train + t}
             assert got == expect
 
     def test_k_too_large_errors(self, rng):
@@ -314,23 +313,20 @@ class TestAttachment:
             attach_test_items(g, X_train, rng.normal(size=(2, 3)), 5)
 
     def test_blocks_formula(self, rng):
-        _, _, train_graph, extended = self._graphs(rng, n_train=12, n_test=3, k=2)
-        B, s = attachment_blocks(extended, train_graph)
+        _, _, train_graph, op = self._operator(rng, n_train=12, n_test=3, k=2)
         dh_train = train_graph.degrees() + 1.0
         n_train = train_graph.n
+        dense = op.toarray()
         for t in range(3):
-            linked = [
-                i
-                for (i, j), tag in zip(extended.pairs.tolist(), extended.tags)
-                if tag == "attachment" and j == n_train + t
-            ]
+            v = n_train + t
+            linked = {j for j, u in attach_edges(op, n_train) if u == v}
             dh_t = len(linked) + 1.0
-            assert s[t] == 1.0 / dh_t
+            assert dense[v, v] == 1.0 / dh_t
             for i in range(n_train):
                 if i in linked:
-                    assert B[t, i] == 1.0 / np.sqrt(dh_t * dh_train[i])
+                    assert dense[v, i] == 1.0 / np.sqrt(dh_t * dh_train[i])
                 else:
-                    assert B[t, i] == 0.0
+                    assert dense[v, i] == 0.0
 
 
 def tie_heavy_features(rng, n, d):
@@ -390,10 +386,13 @@ class TestRowBlocks:
         X_train = INPUTS[inputs](rng, n_train)
         X_test = INPUTS[inputs](rng, n_test)
         train_graph = knn_graph_symmetric(X_train, 2)
-        extended = attach_test_items(train_graph, X_train, X_test, k)
-        expect = {e: "knn" for e in edge_set(train_graph)}
-        expect.update(dict.fromkeys(brute_force_attach_edges(X_train, X_test, k), "attachment"))
-        assert tagged_edges(extended) == expect
+        op = attach_test_items(train_graph, X_train, X_test, k)
+        assert op.shape == (n_train + n_test, n_train + n_test)
+        assert attach_edges(op, n_train) == brute_force_attach_edges(X_train, X_test, k)
+        dense = op.toarray()
+        assert np.array_equal(dense[:n_train, :n_train], normalize_adjacency(train_graph).toarray())
+        assert not dense[:n_train, n_train:].any()
+        assert np.array_equal(dense[n_train:], dense_attachment_operator(train_graph, X_train, X_test, k)[n_train:])
 
     @pytest.mark.parametrize("inputs", sorted(INPUTS))
     @pytest.mark.parametrize("seed,n,k_label", [(0, 30, 3), (1, 40, 6), (2, 25, 30)])
@@ -415,16 +414,12 @@ class TestRowBlocks:
         rng = SeededRng(9)
         X_train, X_test = tie_heavy_features(rng, 30, 3), rng.normal(size=(11, 3))
         train_graph = knn_graph_symmetric(X_train, 4)
-        extended = attach_test_items(train_graph, X_train, X_test, 5)
-        B, s = attachment_blocks(extended, train_graph)
-        n_train = train_graph.n
-        dh_train = train_graph.degrees() + 1.0
-        dense = np.zeros((11, n_train))
-        for i, j in brute_force_attach_edges(X_train, X_test, 5):
-            dense[j - n_train, i] = 1.0 / np.sqrt(6.0 * dh_train[i])
-        assert B.format == "csr" and B.nnz == 11 * 5
-        np.testing.assert_allclose(B.toarray(), dense, rtol=0, atol=0)
-        assert np.array_equal(s, np.full(11, 1.0 / 6.0))
+        op = attach_test_items(train_graph, X_train, X_test, 5)
+        dense = dense_attachment_operator(train_graph, X_train, X_test, 5)
+        assert op.format == "csr" and op.nnz == normalize_adjacency(train_graph).nnz + 11 * (5 + 1)
+        # the test rows exactly; the training block up to the oracle's own rounding
+        np.testing.assert_allclose(op.toarray()[30:], dense[30:], rtol=0, atol=0)
+        np.testing.assert_allclose(op.toarray(), dense, rtol=0, atol=1e-15)
 
 
 def test_knn_build_memory_stays_below_one_dense_matrix():

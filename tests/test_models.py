@@ -262,8 +262,8 @@ class TestSecondLayerOrder:
     @pytest.mark.parametrize("widths,expect", [
         # forward spmm widths, then backward: d = 4 inputs, c = 3 labels
         ("narrow", {"gcn": [4, 3, 3], "gae": [4, 3, 3], "vgae": [4, 3, 3, 3, 3]}),
-        ("wide", {"gcn": [4, 2, 2], "gae": [4, 2, 2], "vgae": [4, 2, 2, 2]}),
-        ("equal", {"gcn": [4, 3, 3], "gae": [4, 3, 3], "vgae": [4, 3, 3, 3]}),
+        ("wide", {"gcn": [4, 2, 2], "gae": [4, 2, 2], "vgae": [4, 2, 2]}),
+        ("equal", {"gcn": [4, 3, 3], "gae": [4, 3, 3], "vgae": [4, 3, 3]}),
     ], ids=["narrow", "wide", "equal"])
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
     def test_spmm_widths(self, kind, widths, expect, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from gemi import graph, models, train
 from gemi.config import default_config
-from gemi.graph import ItemGraph, attachment_blocks, knn_graph_symmetric, normalize_adjacency
+from gemi.graph import ItemGraph, knn_graph_symmetric, normalize_adjacency
 from gemi.losses import LossConfig, positive_weights, recon_pos_weight
 from gemi.numerics import SeededRng
 from gemi.train import (
@@ -13,20 +13,20 @@ from gemi.train import (
     adam_step,
     clip_global_norm,
     gradient_check,
-    train_inductive,
     train_model,
-    train_transductive,
 )
 from datasets import make_planted_panels
-from graph_oracles import dense_normalized_adjacency
+from graph_oracles import dense_attachment_operator, dense_normalized_adjacency
+from model_oracle import dense_forward
 from recon_oracle import edge_pos_weight
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def tiny_cfg(kind, epochs=6, **model_overrides):
+def tiny_cfg(kind, epochs=6, protocol="transductive", **model_overrides):
     cfg = default_config(kind)
     cfg["seed"] = 3
+    cfg["protocol"] = protocol
     cfg["model"]["epochs"] = epochs
     cfg["model"]["hidden"] = 8
     if kind != "gcn":
@@ -35,6 +35,14 @@ def tiny_cfg(kind, epochs=6, **model_overrides):
     cfg["graph"]["augment"] = []
     cfg["model"].update(model_overrides)
     return cfg
+
+
+def spy_attachment(monkeypatch) -> list:
+    """Record each operator that training builds with attach_test_items."""
+    built = []
+    real = train.attach_test_items
+    monkeypatch.setattr(train, "attach_test_items", lambda *args: built.append(real(*args)) or built[-1])
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -90,61 +98,67 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
     def test_loss_decreases(self, table, kind):
         cfg = tiny_cfg(kind, epochs=30)
-        model = train_transductive(table.features, table.labels, table.train_mask, cfg, SeededRng(3))
-        totals = [e["total"] for e in model.report.epochs]
+        model = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(3))
+        totals = [e["total"] for e in model.epochs]
         assert totals[-1] < totals[0]
         assert np.all(np.isfinite(totals))
 
     def test_deterministic_same_seed(self, table):
         cfg = tiny_cfg("gcn")
-        a = train_transductive(table.features, table.labels, table.train_mask, cfg, SeededRng(8))
-        b = train_transductive(table.features, table.labels, table.train_mask, cfg, SeededRng(8))
+        a = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(8))
+        b = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(8))
         assert np.array_equal(a.representations, b.representations)
-        assert [e["total"] for e in a.report.epochs] == [e["total"] for e in b.report.epochs]
+        assert [e["total"] for e in a.epochs] == [e["total"] for e in b.epochs]
 
     def test_different_seeds_differ(self, table):
         cfg = tiny_cfg("gcn")
-        a = train_transductive(table.features, table.labels, table.train_mask, cfg, SeededRng(8))
-        b = train_transductive(table.features, table.labels, table.train_mask, cfg, SeededRng(9))
+        a = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(8))
+        b = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(9))
         assert not np.array_equal(a.representations, b.representations)
 
-    def test_dispatch_by_protocol(self, table):
-        cfg = tiny_cfg("gcn")
-        cfg["protocol"] = "inductive"
+    def test_dispatch_by_protocol(self, table, monkeypatch):
+        # only the inductive protocol trains on the train rows alone and
+        # builds the attachment operator
+        built = spy_attachment(monkeypatch)
+        cfg = tiny_cfg("gcn", protocol="inductive")
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
-        assert m.protocol == "inductive"
+        assert len(built) == 1 and m.base_graph.n == table.train_mask.sum()
         cfg["protocol"] = "transductive"
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
-        assert m.protocol == "transductive"
+        assert len(built) == 1 and m.base_graph.n == 60
 
     def test_representation_dimensions(self, table):
-        gcn = train_transductive(table.features, table.labels, table.train_mask, tiny_cfg("gcn"), SeededRng(2))
+        gcn = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg("gcn"), SeededRng(2))
         assert gcn.representations.shape == (60, 8)  # penultimate hidden
-        gae = train_transductive(table.features, table.labels, table.train_mask, tiny_cfg("gae"), SeededRng(2))
+        gae = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg("gae"), SeededRng(2))
         assert gae.representations.shape == (60, 4)  # latent
 
     def test_gcn_representation_is_the_clean_hidden_layer(self, table):
-        m = train_transductive(table.features, table.labels, table.train_mask, tiny_cfg("gcn"), SeededRng(2))
+        m = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg("gcn"), SeededRng(2))
         adj = normalize_adjacency(m.base_graph)
         _, cache = models.gcn_forward(m.params, adj, table.features)
         assert np.array_equal(m.representations, cache["h"])
 
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
-    def test_sparse_attachment_matches_dense_formula(self, table, kind):
-        m = train_inductive(
-            table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg(kind), SeededRng(4)
-        )
-        B, s = attachment_blocks(m.extended_graph, m.base_graph)
-        dense_B = B.toarray()
+    def test_sparse_attachment_matches_dense_formula(self, table, kind, monkeypatch):
+        # the whole inductive forward against the dense one-way operator,
+        # in both second-layer orders: hidden 8 narrows to c = 3 and
+        # latent 4, hidden 2 widens
+        real = models._narrows
         X_tr, X_te = table.features[table.train_mask], table.features[table.test_mask]
-        h1_te = np.maximum((dense_B @ X_tr + s[:, None] * X_te) @ m.params.w0, 0.0)
-        expect = h1_te
-        if kind != "gcn":
-            A = normalize_adjacency(m.base_graph).toarray()
-            h1_tr = np.maximum((A @ X_tr) @ m.params.w0, 0.0)
-            w_out = m.params.w1 if kind == "gae" else m.params.w_mu
-            expect = (dense_B @ h1_tr + s[:, None] * h1_te) @ w_out
-        np.testing.assert_allclose(m.representations[table.test_mask], expect, rtol=0, atol=1e-12)
+        n_train = X_tr.shape[0]
+        for hidden in (8, 2):
+            rules = []
+            monkeypatch.setattr(models, "_narrows", lambda w: rules.append(real(w)) or rules[-1])
+            cfg = tiny_cfg(kind, protocol="inductive", hidden=hidden)
+            m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(4))
+            assert rules and all(r == (hidden == 8) for r in rules)
+            A = dense_attachment_operator(m.base_graph, X_tr, X_te, cfg["graph"]["k"])
+            eps = np.zeros((A.shape[0], cfg["model"]["latent"]))
+            out, inter = dense_forward(kind, m.params, A, np.vstack([X_tr, X_te]), eps=eps)
+            expect = inter["h"] if kind == "gcn" else out["Z" if kind == "gae" else "mu"]
+            np.testing.assert_allclose(m.representations[table.train_mask], expect[:n_train], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(m.representations[table.test_mask], expect[n_train:], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pairs", [[[0, 2], [1, 2], [2, 4]], []], ids=["edges", "no-edges"])
     def test_recon_targets_are_adjacency_plus_identity(self, pairs):
@@ -168,7 +182,7 @@ class TestTrainingLoop:
             return real(*args)
 
         monkeypatch.setattr(train, "objective_and_grads", spy)
-        m = train_transductive(table.features, table.labels, table.train_mask, tiny_cfg(kind, epochs=3), SeededRng(1))
+        m = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg(kind, epochs=3), SeededRng(1))
         assert len(patterns) == 3 and all(p is patterns[0] for p in patterns)
         # built from the base graph before edge dropout
         expect = normalize_adjacency(m.base_graph)
@@ -178,7 +192,7 @@ class TestTrainingLoop:
     def test_empty_train_split_raises(self, table):
         cfg = tiny_cfg("gcn")
         with pytest.raises(ValueError):
-            train_transductive(table.features, table.labels, np.zeros(60, dtype=bool), cfg, SeededRng(0))
+            train_model(table.features, table.labels, np.zeros(60, dtype=bool), table.test_mask, cfg, SeededRng(0))
 
 
 class TestTransductiveLeakage:
@@ -189,9 +203,9 @@ class TestTransductiveLeakage:
         labels2 = table.labels.copy()
         rng = np.random.default_rng(0)
         labels2[table.test_mask] = rng.integers(0, 2, size=labels2[table.test_mask].shape)
-        a = train_transductive(table.features, table.labels, table.train_mask, cfg, SeededRng(4))
-        b = train_transductive(table.features, labels2, table.train_mask, cfg, SeededRng(4))
-        assert [e["total"] for e in a.report.epochs] == [e["total"] for e in b.report.epochs]
+        a = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(4))
+        b = train_model(table.features, labels2, table.train_mask, table.test_mask, cfg, SeededRng(4))
+        assert [e["total"] for e in a.epochs] == [e["total"] for e in b.epochs]
         assert np.array_equal(a.representations, b.representations)
 
     @pytest.mark.parametrize("kind", ["gae", "vgae"])
@@ -199,8 +213,8 @@ class TestTransductiveLeakage:
         cfg = tiny_cfg(kind, epochs=5)
         labels2 = table.labels.copy()
         labels2[table.test_mask] = 1 - labels2[table.test_mask]
-        a = train_transductive(table.features, table.labels, table.train_mask, cfg, SeededRng(4))
-        b = train_transductive(table.features, labels2, table.train_mask, cfg, SeededRng(4))
+        a = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(4))
+        b = train_model(table.features, labels2, table.train_mask, table.test_mask, cfg, SeededRng(4))
         assert np.array_equal(a.representations, b.representations)
 
 
@@ -208,39 +222,44 @@ class TestInductiveLeakage:
     def test_test_items_isolated_from_each_other(self, table):
         # corrupting every other test item's features must leave item
         # representations bit-identical for the untouched ones
-        cfg = tiny_cfg("gcn", epochs=8)
+        cfg = tiny_cfg("gcn", epochs=8, protocol="inductive")
         test_idx = np.flatnonzero(table.test_mask)
         keep, corrupt = test_idx[::2], test_idx[1::2]
         feats2 = table.features.copy()
         feats2[corrupt] = np.random.default_rng(1).normal(size=(corrupt.size, 8)) * 10
-        a = train_inductive(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(6))
-        b = train_inductive(feats2, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(6))
+        a = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(6))
+        b = train_model(feats2, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(6))
         assert np.array_equal(a.representations[keep], b.representations[keep])
 
     def test_removing_test_items_changes_nothing_for_rest(self, table):
-        cfg = tiny_cfg("gae", epochs=5)
+        cfg = tiny_cfg("gae", epochs=5, protocol="inductive")
         test_idx = np.flatnonzero(table.test_mask)
         half_mask = table.test_mask.copy()
         half_mask[test_idx[1::2]] = False
-        a = train_inductive(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(6))
-        b = train_inductive(table.features, table.labels, table.train_mask, half_mask, cfg, SeededRng(6))
+        a = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(6))
+        b = train_model(table.features, table.labels, table.train_mask, half_mask, cfg, SeededRng(6))
         kept = np.flatnonzero(half_mask)
         assert np.array_equal(a.representations[kept], b.representations[kept])
 
     def test_test_labels_unused(self, table):
-        cfg = tiny_cfg("gcn", epochs=5)
+        cfg = tiny_cfg("gcn", epochs=5, protocol="inductive")
         labels2 = table.labels.copy()
         labels2[table.test_mask] = 0
-        a = train_inductive(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(2))
-        b = train_inductive(table.features, labels2, table.train_mask, table.test_mask, cfg, SeededRng(2))
+        a = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(2))
+        b = train_model(table.features, labels2, table.train_mask, table.test_mask, cfg, SeededRng(2))
         assert np.array_equal(a.representations, b.representations)
 
-    def test_extended_graph_has_no_test_test_edges(self, table):
-        cfg = tiny_cfg("gcn", epochs=3)
-        m = train_inductive(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(2))
+    def test_extended_graph_has_no_test_test_edges(self, table, monkeypatch):
+        cfg = tiny_cfg("gcn", epochs=3, protocol="inductive")
+        built = spy_attachment(monkeypatch)
+        train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(2))
+        (op,) = built
         n_train = int(table.train_mask.sum())
-        for i, j in m.extended_graph.pairs.tolist():
-            assert not (i >= n_train and j >= n_train)
+        assert op.shape == (60, 60)
+        rows = np.repeat(np.arange(60), np.diff(op.indptr))
+        test_cols = op.indices >= n_train
+        # a test column is read by its own row only: the diagonal
+        assert np.array_equal(op.indices[test_cols], rows[test_cols])
 
 
 class TestGradientCheck:
@@ -286,7 +305,7 @@ class TestGradientCheck:
             return real(*args)
 
         monkeypatch.setattr(train, "objective_and_grads", spy)
-        train_transductive(table.features, table.labels, table.train_mask, tiny_cfg("vgae", epochs=4), SeededRng(1))
+        train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg("vgae", epochs=4), SeededRng(1))
         assert calls == ["vgae"] * 4
         calls.clear()
         gradient_check("gae", "focal", seed=0)
