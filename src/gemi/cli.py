@@ -122,6 +122,9 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
     rng = SeededRng(cfg["seed"])
     if (table.split == "unassigned").any():
         table = assign_split(table, cfg["dataset"]["test_fraction"], rng.substream("split"))
+    for side, mask in (("train", table.train_mask), ("test", table.test_mask)):
+        if not mask.any():
+            raise IngestError(f"{cfg['dataset']['labels']}: the {side} split is empty")
 
     # users before training: a bad ratings file fails before any epoch runs
     users_rng = rng.substream("users")

@@ -177,6 +177,7 @@ def validate_config(cfg: dict) -> None:
     _check(g["kind"] in GRAPH_KINDS, "graph.kind", f"must be one of {GRAPH_KINDS}")
     _check_int(g["k"], "graph.k")
     _check(is_number(g["epsilon"]), "graph.epsilon", "must be a number")
+    _check(is_number(g["similarity_floor"]), "graph.similarity_floor", "must be a number")
     _check(is_number(g["edge_dropout"]) and 0.0 <= g["edge_dropout"] <= 1.0, "graph.edge_dropout", "must be in [0, 1]")
     _check(isinstance(g["augment"], list), "graph.augment", "must be a list")
     for i, entry in enumerate(g["augment"]):
@@ -186,6 +187,7 @@ def validate_config(cfg: dict) -> None:
         _check(entry.get("label") in LABEL_NAMES, f"{p}.label", f"must be one of {LABEL_NAMES}")
         _check_int(entry.get("k"), f"{p}.k")
         _check_int(entry.get("max_nodes", AUGMENT_MAX_NODES), f"{p}.max_nodes", minimum=2)
+    _check(isinstance(g["augment_exempt_from_dropout"], bool), "graph.augment_exempt_from_dropout", "must be a bool")
     if g["attach_k"] is not None:
         _check_int(g["attach_k"], "graph.attach_k")
     m = cfg["model"]
@@ -195,7 +197,8 @@ def validate_config(cfg: dict) -> None:
     _check(is_number(m["lr"]) and m["lr"] > 0, "model.lr", "must be positive")
     _check(is_number(m["weight_decay"]) and m["weight_decay"] >= 0, "model.weight_decay", "must be nonnegative")
     _check(is_number(m["dropout"]) and 0.0 <= m["dropout"] < 1.0, "model.dropout", "must be in [0, 1)")
-    _check(is_number(m["clip_norm"]) and m["clip_norm"] > 0, "model.clip_norm", "must be positive")
+    for key in ("clip_norm", "logsig_clamp"):
+        _check(is_number(m[key]) and m[key] > 0, f"model.{key}", "must be positive")
     _check(is_number(m["kl_ramp_fraction"]) and 0.0 < m["kl_ramp_fraction"] <= 1.0, "model.kl_ramp_fraction", "must be in (0, 1]")
     try:
         LossConfig(**cfg["loss"])

@@ -6,13 +6,15 @@ edges stay distinguishable from the base similarity structure.
 Self-loops enter only through the operators: :func:`normalize_adjacency`
 and the one-way inductive operator of :func:`attach_test_items`.
 
-The builders never hold the full n×n cosine matrix: they score
-:data:`BLOCK_ROWS` rows at a time (``Xn[I] @ Rn.T``), so the similarity
-work space is O(BLOCK_ROWS · n) floats.  A per-row top-k keeps every
-entry above the row's k-th largest value, then the lowest column indices
-among the entries equal to it, which is the order (similarity
-descending, index ascending) cut after k; :func:`row_top_k` is that
-rule, and evaluation ranks its candidates with it too.
+Cosine ranking has one owner, :func:`top_k_cosine`, which the graph
+builders and evaluation's recommendations share.  It takes raw rows and
+never holds the full cosine matrix: it scores :data:`BLOCK_ROWS` query
+rows at a time, normalizing the reference rows once and each query
+block as it scores it, so the work space is O(BLOCK_ROWS · n) floats.
+A per-row top-k keeps every entry above the row's k-th largest value,
+then the lowest column indices among the entries equal to it, which is
+the order (similarity descending, index ascending) cut after k;
+:func:`row_top_k` is that rule.
 """
 
 from __future__ import annotations
@@ -70,11 +72,15 @@ class ItemGraph:
         return np.bincount(self.pairs.ravel(), minlength=self.n)
 
 
-def _similarity_blocks(Qn: np.ndarray, Rn: np.ndarray):
-    """Yield (start, Qn[start:start + BLOCK_ROWS] @ Rn.T) over the rows of Qn."""
-    Rt = np.ascontiguousarray(Rn.T)
-    for start in range(0, Qn.shape[0], BLOCK_ROWS):
-        yield start, matmul(Qn[start : start + BLOCK_ROWS], Rt)
+def _similarity_blocks(Q: np.ndarray, R: np.ndarray):
+    """Yield (start, cosine similarities of Q[start:start + BLOCK_ROWS] with R's rows).
+
+    R is normalized once and each Q block as it is scored; rows normalize
+    independently, so a block holds the bits of the fully normalized rows.
+    """
+    Rt = np.ascontiguousarray(l2_normalize_rows(R).T)
+    for start in range(0, Q.shape[0], BLOCK_ROWS):
+        yield start, matmul(l2_normalize_rows(Q[start : start + BLOCK_ROWS]), Rt)
 
 
 def row_top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,19 +104,20 @@ def row_top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(keep)
 
 
-def _top_k_pairs(
-    Qn: np.ndarray, Rn: np.ndarray, k: int, floor: float | None = None, exclude_self: bool = False
+def top_k_cosine(
+    Q: np.ndarray, R: np.ndarray, k: int, floor: float | None = None, exclude_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k most similar columns of Qn @ Rn.T, one row block at a time.
+    """Each row of Q's k most cosine-similar rows of R, one row block at a time.
 
-    Similarities are clamped up to ``floor`` when given; ``exclude_self``
-    (Qn and Rn the same rows) sets each row's own column to -inf.  Ties
-    at the k-th value go to the lowest column indices (:func:`row_top_k`).
-    Returns (rows, cols) with exactly k entries per row; memory is
-    O(BLOCK_ROWS · Rn rows).
+    Q and R are raw rows; the scorer normalizes both.  Similarities are
+    clamped up to ``floor`` when given; ``exclude_self`` (Q and R the
+    same rows) sets each row's own column to -inf.  Ties at the k-th
+    value go to the lowest row indices of R (:func:`row_top_k`), which
+    requires 1 <= k <= R's row count.  Returns (rows, cols) with exactly
+    k entries per row, row-major; memory is O(BLOCK_ROWS · R rows).
     """
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for start, sims in _similarity_blocks(Qn, Rn):
+    for start, sims in _similarity_blocks(Q, R):
         b = sims.shape[0]
         if floor is not None:
             np.maximum(sims, floor, out=sims)
@@ -131,9 +138,7 @@ def _pairs_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([keys // n, keys % n])
 
 
-def knn_graph_symmetric(
-    X, k: int, similarity_floor: float = 0.0, node_subset=None
-) -> ItemGraph:
+def knn_graph_symmetric(X, k: int, similarity_floor: float = 0.0) -> ItemGraph:
     """Symmetric k-nearest-neighbor graph on cosine similarity.
 
     Each node links to its top-k most similar distinct nodes (after
@@ -141,21 +146,17 @@ def knn_graph_symmetric(
     directed picks closes symmetrically, so every node ends with degree
     at least k.  Rank ties break by ascending node index: a node takes
     every neighbor above its k-th largest similarity, then the lowest
-    indices among those equal to it.  With ``node_subset`` the graph is
-    built over those rows only, with local indices following the subset
-    order.  Similarities are scored in row blocks, so memory is
-    O(BLOCK_ROWS · n) plus the O(n·k) edges.
+    indices among those equal to it.  Similarities are scored in row
+    blocks (:func:`top_k_cosine`), so memory is O(BLOCK_ROWS · n) plus
+    the O(n·k) edges.
     """
     X = as_matrix(X)
-    if node_subset is not None:
-        X = X[np.asarray(node_subset, dtype=np.int64)]
     n = X.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
-    Xn = l2_normalize_rows(X)
-    src, dst = _top_k_pairs(Xn, Xn, k, floor=similarity_floor, exclude_self=True)
+    src, dst = top_k_cosine(X, X, k, floor=similarity_floor, exclude_self=True)
     pairs = _pairs_from_keys(_unique_pair_keys(src, dst, n), n)
     return ItemGraph.from_pairs(n, pairs, np.full(pairs.shape[0], "knn", dtype=object))
 
@@ -170,9 +171,8 @@ def epsilon_graph(X, epsilon: float) -> ItemGraph:
     number O(n²) for a small ε.
     """
     X = as_matrix(X)
-    Xn = l2_normalize_rows(X)
     chunks = [np.empty((0, 2), dtype=np.int64)]
-    for start, sims in _similarity_blocks(Xn, Xn):
+    for start, sims in _similarity_blocks(X, X):
         np.maximum(sims, 0.0, out=sims)
         # keep j > i only: block row r is global row start + r
         keep = np.triu((sims >= epsilon) & (sims > 0.0), k=start + 1)
@@ -212,8 +212,8 @@ def augment_label_edges(
         return g
     if pos.size > max_nodes:
         pos = np.sort(rng.choice(pos, size=max_nodes, replace=False))
-    Xp = l2_normalize_rows(as_matrix(X)[pos])
-    src, dst = _top_k_pairs(Xp, Xp, min(k_label, pos.size - 1), exclude_self=True)
+    Xp = as_matrix(X)[pos]
+    src, dst = top_k_cosine(Xp, Xp, min(k_label, pos.size - 1), exclude_self=True)
     new_keys = _unique_pair_keys(pos[src], pos[dst], g.n)
     # sentinel n² exceeds every pair key, so searchsorted stays in range
     existing = np.append(np.sort(g.pairs[:, 0] * g.n + g.pairs[:, 1]), g.n * g.n)
@@ -287,7 +287,7 @@ def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int):
     if k > n_train:
         raise ValueError(f"k={k} exceeds the training count {n_train}")
     # exactly k training columns per test row, row-major, columns ascending
-    _, cols = _top_k_pairs(l2_normalize_rows(X_test), l2_normalize_rows(X_train), k)
+    _, cols = top_k_cosine(X_test, X_train, k)
     n_test = X_test.shape[0]
     cols = cols.reshape(n_test, k)
     dh_t = k + 1.0

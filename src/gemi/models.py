@@ -115,10 +115,10 @@ def set_weights_from_vector(weights: dict[str, np.ndarray], vec: np.ndarray) -> 
         raise ValueError("vector length does not match parameter count")
 
 
-def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
-    """Inverted-dropout mask: entries 0 or 1/(1-rate)."""
+def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray | None:
+    """Inverted-dropout mask: entries 0 or 1/(1-rate); ``None`` (no mask) at rate 0."""
     if rate == 0.0:
-        return np.ones(shape)
+        return None
     keep = rng.random(shape) < (1.0 - rate)
     return keep / (1.0 - rate)
 

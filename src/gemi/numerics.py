@@ -9,6 +9,8 @@ Conventions used throughout the package:
   operators are symmetric; the inductive evaluation operator is one-way
   (unseen items read the training rows, never the reverse) and only
   clean forwards take it, so backward passes may assume symmetry.
+  :func:`spmm` takes any ``csr_array`` whose column count matches x's
+  rows; evaluation sums users' items with a U × n membership matrix.
   scipy is imported only inside the functions that build one, so
   importing gemi does not load it.
 * All randomness flows through :class:`SeededRng`; independent concerns
@@ -87,9 +89,8 @@ def matmul(a, b) -> np.ndarray:
 def spmm(adj, x) -> np.ndarray:
     """Sparse-dense product adj @ x (adj a csr_array) in O(nnz * cols); deterministic per input."""
     x = as_matrix(x)
-    n = adj.shape[0]
-    if x.shape[0] != n:
-        raise ValueError(f"spmm: adjacency is {n}x{n}, features have {x.shape[0]} rows")
+    if adj.shape[1] != x.shape[0]:
+        raise ValueError(f"spmm: inner dimensions disagree ({adj.shape} @ {x.shape})")
     return adj @ x
 
 

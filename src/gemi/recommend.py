@@ -7,15 +7,12 @@ the user prefers ℓ (continuous preferences threshold at 0.5) and the
 item carries ℓ; Precision@K divides by K_rec even when fewer candidates
 exist.  Aggregation reports population (1/U) mean and std per label.
 
-:func:`evaluate` is one array program over blocks of
-:data:`graph.BLOCK_ROWS` users: it means each user's item rows, scores
-every candidate with one block product, and picks each row's top K_rec
-with :func:`graph.row_top_k`, the graph builders' tie rule (similarity
-descending, candidate position ascending).  Work space is
-O(BLOCK_ROWS · (candidates + items · d)).  A block product can differ
-from a per-user product in the last bits of a score, so two candidates
-whose scores agree to within those bits may be ordered differently than
-a per-user loop would order them.
+:func:`evaluate` is one array program: a user's row is one
+:func:`numerics.spmm` of the user × item membership matrix with the
+representations, divided by the user's item count, and the candidates
+are ranked by :func:`graph.top_k_cosine`, the graph builders' scorer and
+tie rule (similarity descending, candidate position ascending).  Work
+space is the U × d user rows plus O(BLOCK_ROWS · candidates).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 
 from . import graph
 from .ingest import LABEL_NAMES
-from .numerics import EPS_NORM, as_matrix, matmul
+from .numerics import as_matrix, spmm
 from .users import Users
 
 PREFERENCE_THRESHOLD = 0.5
@@ -81,10 +78,6 @@ def aggregate(per_user: np.ndarray, *, model: str, representation: str, k_rec: i
     )
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt((rows**2).sum(axis=1)) + EPS_NORM
-
-
 def evaluate(
     reps,
     Y,
@@ -96,7 +89,7 @@ def evaluate(
     representation: str,
     seed: int,
 ) -> MetricsReport:
-    """Embed users, rank test items, count label hits, in user blocks.
+    """Embed users, rank test items, count label hits.
 
     ``reps`` is aligned to the global panel order; candidates are the
     test rows in ascending index order.  ``profiles`` is the population
@@ -114,22 +107,18 @@ def evaluate(
     if not counts.all():
         empty = profiles.ids[int(np.argmin(counts))]
         raise ValueError(f"profile {empty!r} has no interactions")
+    # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
+    from scipy.sparse import csr_array
+
     reps = as_matrix(reps)
-    test = reps[test_indices]
-    t_norm = _norms(test)
-    test_t = np.ascontiguousarray(test.T)
-    Y_test = np.asarray(Y)[test_indices] == 1
-    prefers = profiles.preferences >= PREFERENCE_THRESHOLD
+    members = csr_array((np.ones(items.size), items, offsets), shape=(len(profiles), reps.shape[0]))
+    users = spmm(members, reps)
+    users /= counts[:, None]
     k = min(k_rec, test_indices.size)
-    hits = np.zeros(prefers.shape, dtype=np.int64)
-    for start in range(0, len(profiles), graph.BLOCK_ROWS):
-        stop = min(start + graph.BLOCK_ROWS, len(profiles))
-        lo = offsets[start]
-        rows = reps[items[lo : offsets[stop]]]
-        users = np.add.reduceat(rows, offsets[start:stop] - lo, axis=0) / counts[start:stop, None]
-        sims = matmul(users, test_t) / (_norms(users)[:, None] * t_norm[None, :])
-        _, picks = graph.row_top_k(sims, k)
-        hits[start:stop] = Y_test[picks.reshape(stop - start, k)].sum(axis=1)
+    _, picks = graph.top_k_cosine(users, reps[test_indices], k)
+    Y_test = np.asarray(Y)[test_indices] == 1
+    hits = Y_test[picks.reshape(len(profiles), k)].sum(axis=1)
+    prefers = profiles.preferences >= PREFERENCE_THRESHOLD
     per_user = np.where(prefers, hits, 0) / k_rec
     return aggregate(
         per_user, model=model, representation=representation, k_rec=k_rec, seed=seed

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -85,6 +86,9 @@ class TestRun:
             ("users.noise_sigma", -0.1),
             ("loss.lambda_sup", "x"),
             ("loss.beta_max", -1.0),
+            ("model.logsig_clamp", -1),
+            ("graph.similarity_floor", "x"),
+            ("graph.augment_exempt_from_dropout", 3),
         ],
     )
     def test_bad_value_exit_2(self, dataset, tmp_path, capsys, field, value):
@@ -140,6 +144,23 @@ class TestRun:
         )
         assert main(["run", "--config", cfg_path]) == 2
         assert "ratings.csv:3: non-finite cell 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side, tag", [("test", "train"), ("train", "test")])
+    def test_empty_split_exit_2_before_training(self, dataset, tmp_path, monkeypatch, capsys, side, tag):
+        from gemi import cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train_model ran on an empty split")
+
+        monkeypatch.setattr(cli, "train_model", no_training)
+        table = dataset["table"]
+        labels = tmp_path / "all_one_split.csv"
+        write_labels(labels, dataclasses.replace(table, split=np.full(len(table.ids), tag, dtype=object)))
+        _, cfg = write_cfg(tmp_path, dataset)
+        cfg["dataset"]["labels"] = str(labels)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {labels}: the {side} split is empty")
 
     def test_seed_env_override(self, dataset, tmp_path, monkeypatch):
         cfg_path, _ = write_cfg(tmp_path, dataset)

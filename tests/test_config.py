@@ -107,6 +107,18 @@ class TestResolve:
         with pytest.raises(ConfigError, match=rf"^loss\.{field}: "):
             resolve_config({"loss": {field: value}})
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"model": {"logsig_clamp": -1}}, "model.logsig_clamp"),
+            ({"graph": {"similarity_floor": "x"}}, "graph.similarity_floor"),
+            ({"graph": {"augment_exempt_from_dropout": 3}}, "graph.augment_exempt_from_dropout"),
+        ],
+    )
+    def test_unchecked_fields_rejected(self, raw, field):
+        with pytest.raises(ConfigError, match=rf"^{field}: "):
+            resolve_config(raw)
+
     def test_error_names_field_path(self):
         with pytest.raises(ConfigError, match="model.dropout"):
             resolve_config({"model": {"kind": "gcn", "dropout": 1.5}})

@@ -14,6 +14,7 @@ from gemi.graph import (
     epsilon_graph,
     knn_graph_symmetric,
     normalize_adjacency,
+    top_k_cosine,
 )
 from gemi.numerics import SeededRng
 from graph_oracles import (
@@ -25,6 +26,7 @@ from graph_oracles import (
     dense_attachment_operator,
     dense_normalized_adjacency,
     edge_set,
+    ranked,
     tagged_edges,
 )
 
@@ -89,13 +91,6 @@ class TestKnnGraph:
         g_floored = knn_graph_symmetric(X, 1, similarity_floor=0.0)
         assert edge_set(g_raw) == brute_force_knn_edges(X, 1, floor=-np.inf)
         assert edge_set(g_floored) == brute_force_knn_edges(X, 1, floor=0.0)
-
-    def test_node_subset_uses_local_indices(self, rng):
-        X = rng.normal(size=(20, 4))
-        subset = np.array([3, 7, 11, 15, 19])
-        g = knn_graph_symmetric(X, 2, node_subset=subset)
-        assert g.n == 5
-        assert edge_set(g) == brute_force_knn_edges(X[subset], 2)
 
     def test_k_bounds(self, rng):
         X = rng.normal(size=(5, 3))
@@ -353,8 +348,42 @@ INPUTS = {
 }
 
 
+def rescaled_features(rng, n, d):
+    """Rows drawn from a few directions, each scaled by 1e-3 .. 1e3."""
+    base = rng.normal(size=(4, d))
+    return base[rng.integers(0, 4, size=n)] * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+
+
+def with_zero_rows(rng, n, d):
+    X = rng.normal(size=(n, d))
+    X[rng.random(n) < 0.3] = 0.0
+    return X
+
+
+RAW_INPUTS = {
+    "rescaled": lambda rng, n: rescaled_features(rng, n, 3),
+    "zero-rows": lambda rng, n: with_zero_rows(rng, n, 3),
+    "tie-heavy": lambda rng, n: tie_heavy_features(rng, n, 3),
+}
+
+
 @pytest.mark.usefixtures("small_blocks")
 class TestRowBlocks:
+    @pytest.mark.parametrize("inputs", sorted(RAW_INPUTS))
+    @pytest.mark.parametrize("floor", [None, 0.3])
+    @pytest.mark.parametrize("seed,n_q,n_r,k", [(0, 10, 12, 3), (1, 23, 9, 9), (2, 40, 30, 1), (3, 15, 22, 6)])
+    def test_top_k_cosine_matches_brute_force(self, inputs, floor, seed, n_q, n_r, k):
+        # raw, unnormalized rows: the scorer's own normalization must rank
+        # like the brute-force cosine matrix, across several row blocks; the
+        # floor clamps cosines, so it also catches an unnormalized query row
+        rng = SeededRng(seed)
+        Q, R = RAW_INPUTS[inputs](rng, n_q), RAW_INPUTS[inputs](rng, n_r)
+        sims = np.maximum(cosine_similarity_matrix(np.vstack([Q, R]))[:n_q, n_q:], -np.inf if floor is None else floor)
+        rows, cols = top_k_cosine(Q, R, k, floor=floor)
+        assert rows.tolist() == np.repeat(np.arange(n_q), k).tolist()
+        for q in range(n_q):
+            assert cols[rows == q].tolist() == sorted(ranked(sims[q], range(n_r), k))
+
     @pytest.mark.parametrize("inputs", sorted(INPUTS))
     @pytest.mark.parametrize("floor", [-np.inf, 0.0, 0.3])
     @pytest.mark.parametrize("seed,n,k", [(0, 10, 3), (1, 22, 1), (2, 36, 5), (3, 15, 14), (4, 40, 39)])

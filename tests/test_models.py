@@ -72,8 +72,8 @@ class TestInit:
 
 
 class TestDropout:
-    def test_rate_zero_is_ones(self, rng):
-        assert np.all(dropout_mask(rng, (5, 5), 0.0) == 1.0)
+    def test_rate_zero_is_no_mask(self, rng):
+        assert dropout_mask(rng, (5, 5), 0.0) is None
 
     def test_inverted_scaling_values(self, rng):
         m = dropout_mask(rng, (200, 200), 0.25)

@@ -86,6 +86,20 @@ class TestSparseAdjacency:
         with pytest.raises(ValueError):
             spmm(self._square(), np.ones((4, 2)))
 
+    def test_spmm_takes_a_rectangular_matrix(self):
+        from scipy.sparse import csr_array
+
+        members = csr_array(np.array([[1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 1.0]]))
+        x = np.arange(15, dtype=np.float64).reshape(5, 3)
+        assert np.array_equal(spmm(members, x), [[6.0, 8.0, 10.0], [21.0, 23.0, 25.0]])
+
+    def test_spmm_rejects_inner_dimension_mismatch(self):
+        from scipy.sparse import csr_array
+
+        # 2 x 5 times 2 x 3: the row counts agree, the inner dimensions do not
+        with pytest.raises(ValueError, match=r"\(2, 5\) @ \(2, 3\)"):
+            spmm(csr_array(np.ones((2, 5))), np.ones((2, 3)))
+
 
 def test_matmul_rejects_shape_mismatch(rng):
     with pytest.raises(ValueError):

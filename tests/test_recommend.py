@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -166,7 +167,7 @@ class TestEvaluate:
             evaluate(reps, Y, test_mask, nobody, 5, model="m", representation="model", seed=0)
 
     def test_empty_profile_raises(self, rng):
-        # np.add.reduceat would silently give an empty segment the next user's row
+        # an empty profile has no mean: its row would be 0 / 0
         reps, Y, test_mask, profiles = self._setup(rng)
         rows = rows_of(profiles)
         rows[2] = ()
@@ -212,6 +213,26 @@ class TestEvaluate:
         for k_rec in (1, 3, 7, n_test, n_test + 3):
             expect = brute_force_evaluate(reps, Y, test_mask, profiles, k_rec)
             assert np.array_equal(_evaluate(reps, Y, test_mask, profiles, k_rec), expect)
+
+    def test_user_means_sum_items_in_order(self, rng, monkeypatch):
+        # the sparse membership product adds a user's item rows left to right;
+        # np.add.reduceat adds the first row to a pairwise sum of the rest, so
+        # it agrees to a few ulp of these sums of at most six unit normals
+        reps, Y, test_mask, profiles = self._setup(rng, n=60, n_test=10, d=16, users=40)
+        ranked = []
+        top_k_cosine = graph.top_k_cosine
+
+        def spy(Q, R, k, **kwargs):
+            ranked.append(Q.copy())
+            return top_k_cosine(Q, R, k, **kwargs)
+
+        monkeypatch.setattr(graph, "top_k_cosine", spy)
+        _evaluate(reps, Y, test_mask, profiles, 5)
+        in_order = np.array([functools.reduce(np.add, reps[list(items)]) / len(items) for items in rows_of(profiles)])
+        reduceat = np.array([np.add.reduceat(reps[list(items)], [0], axis=0)[0] / len(items) for items in rows_of(profiles)])
+        assert len(ranked) == 1
+        assert np.array_equal(ranked[0], in_order)
+        np.testing.assert_allclose(ranked[0], reduceat, rtol=0, atol=4 * np.finfo(np.float64).eps)
 
     def test_user_blocks_match_single_block(self, rng, monkeypatch):
         # 40 users with 1..6 items each span 6 blocks of 7 and a short last one
