@@ -14,7 +14,11 @@ block as it scores it, so the work space is O(BLOCK_ROWS · n) floats.
 A per-row top-k keeps every entry above the row's k-th largest value,
 then the lowest column indices among the entries equal to it, which is
 the order (similarity descending, index ascending) cut after k;
-:func:`row_top_k` is that rule.
+:func:`row_top_k` is that rule.  It partitions :data:`SELECT_ROWS` rows
+at a time for their k-th values and marks ``sims >= kth`` in one mask
+of the block.  A tie-free row marks exactly k entries; only the rows
+with surplus ties at the k-th value are re-marked, keeping the lowest
+columns.  Its work space beyond that mask is O(SELECT_ROWS · n).
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from .numerics import SeededRng, as_matrix, l2_normalize_rows, matmul
 # Similarity rows scored at once.  At n = 50 000 one block is ~100 MB of
 # float64 per work array; at the benchmark's n it is a few MB.
 BLOCK_ROWS = 256
+
+# Rows that row_top_k partitions at once.  Its time was flat from 8 to 32
+# rows at 1 200 to 40 000 columns (2 vCPU, one BLAS thread); partitioning
+# all 256 rows of a block at once was 35% slower at 40 000 columns.
+SELECT_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,8 @@ class ItemGraph:
             lo = pairs.min(axis=1)
             hi = pairs.max(axis=1)
             pairs = np.column_stack([lo, hi])
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+            # lexicographic (lo, hi) order; n² fits in int64 for any n < 3·10⁹
+            order = np.argsort(lo * n + hi, kind="stable")
             pairs, tags = pairs[order], tags[order]
             dup = (np.diff(pairs[:, 0]) == 0) & (np.diff(pairs[:, 1]) == 0)
             if np.any(dup):
@@ -91,17 +101,31 @@ def row_top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     descending, column ascending) cut after k.  Requires 1 <= k <= the
     column count.  Returns (rows, cols) in row-major order, exactly k
     entries per row.
+
+    Works on :data:`SELECT_ROWS` rows at a time.  A slice's k-th values
+    come from a partitioned copy of the slice, and ``keep = sims >= kth``
+    is written into one boolean mask of the block.  On a tie-free row
+    that mask holds exactly k entries.  Only rows holding more (surplus
+    ties at the k-th value) are rebuilt: every entry above the k-th
+    value, then the first ``need`` equal ones by a running count.  The
+    work space is the mask plus O(SELECT_ROWS · columns); no block-sized
+    copy is made, and the picks come from one flat ``flatnonzero``.
     """
-    m = sims.shape[1]
-    # k-th largest per row; the list index copies, so the partitioned block is freed
-    kth = np.partition(sims, m - k, axis=1)[:, [m - k]]
-    keep = sims > kth
-    need = k - np.count_nonzero(keep, axis=1)
-    r_eq, c_eq = np.nonzero(sims == kth)  # row-major: columns ascend within a row
-    rank = np.arange(r_eq.size) - np.searchsorted(r_eq, r_eq)
-    take = rank < need[r_eq]
-    keep[r_eq[take], c_eq[take]] = True
-    return np.nonzero(keep)
+    b, m = sims.shape
+    keep = np.empty((b, m), dtype=bool)
+    for s in range(0, b, SELECT_ROWS):
+        part = sims[s : s + SELECT_ROWS]
+        kth = np.partition(part, m - k, axis=1)[:, m - k, None]
+        mask = keep[s : s + SELECT_ROWS]
+        np.greater_equal(part, kth, out=mask)
+        over = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
+        if over.size:
+            tied, t = part[over], kth[over]
+            above = tied > t
+            eq = tied == t
+            need = k - np.count_nonzero(above, axis=1)
+            mask[over] = above | (eq & (np.cumsum(eq, axis=1) <= need[:, None]))
+    return np.divmod(np.flatnonzero(keep), m)
 
 
 def top_k_cosine(
@@ -131,7 +155,10 @@ def top_k_cosine(
 
 def _unique_pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Sorted, duplicate-free keys min·n + max of the undirected pairs (a, b)."""
-    return np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    # sort and an adjacent-difference mask, not np.unique, whose hash path
+    # took 53 ms against 4 ms on the 144 000 keys of a 4 800-node kNN build
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def _pairs_from_keys(keys: np.ndarray, n: int) -> np.ndarray:

@@ -40,6 +40,12 @@ def ranked(sims_row, candidates, k) -> list[int]:
     return sorted(candidates, key=lambda j: (-sims_row[j], j))[:k]
 
 
+def sorted_row_top_k(sims, k) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of each row's :func:`ranked` first k columns, ascending per row."""
+    cols = [sorted(ranked(row, range(len(row)), k)) for row in sims]
+    return np.repeat(np.arange(len(cols)), k), np.array(cols, dtype=np.int64).ravel()
+
+
 def brute_force_knn_edges(X, k, floor=0.0) -> set[tuple[int, int]]:
     """Reference construction: per-node top-k picks, symmetric union."""
     n = X.shape[0]

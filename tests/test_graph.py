@@ -27,6 +27,7 @@ from graph_oracles import (
     dense_normalized_adjacency,
     edge_set,
     ranked,
+    sorted_row_top_k,
     tagged_edges,
 )
 
@@ -463,6 +464,58 @@ def test_knn_build_memory_stays_below_one_dense_matrix():
         tracemalloc.stop()
     assert g.degrees().min() >= 10
     assert peak < 72e6 / 4
+
+
+def mixed_tie_block(rng, b, m):
+    """Rows cycling through three kinds, so every row slice mixes them.
+
+    Distinct values (tie-free, one -inf self entry), a few repeated
+    values (surplus ties for most k), and one constant value (every
+    column tied).
+    """
+    sims = np.empty((b, m))
+    for r in range(b):
+        kind = r % 3
+        if kind == 0:
+            sims[r] = rng.permutation(m) / m
+            sims[r, r % m] = -np.inf
+        elif kind == 1:
+            sims[r] = rng.integers(-2, 3, size=m) / 2.0
+        else:
+            sims[r] = 0.25
+    return sims
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_top_k_mixed_ties_match_sort_oracle(seed):
+    # 37 rows span several row slices and a short last one; within each
+    # slice some rows are tie-free and some hold surplus ties, so only a
+    # part of the slice is re-marked
+    m = 12
+    sims = mixed_tie_block(SeededRng(seed), 37, m)
+    for k in (1, 2, m - 1, m):
+        kth = np.sort(sims, axis=1)[:, m - k, None]
+        surplus = np.count_nonzero(sims >= kth, axis=1) > k
+        if k < m:
+            assert surplus.any() and not surplus.all()
+        rows, cols = graph.row_top_k(sims, k)
+        expect_rows, expect_cols = sorted_row_top_k(sims, k)
+        assert np.array_equal(rows, expect_rows)
+        assert np.array_equal(cols, expect_cols)
+
+
+def test_row_top_k_makes_no_block_sized_copy():
+    # one 256 x 4000 float64 block is 8.2 MB; selecting on a tie-free
+    # block must not copy it whole (a whole-block np.partition would)
+    sims = SeededRng(4).random((256, 4000))
+    tracemalloc.start()
+    try:
+        rows, _ = graph.row_top_k(sims, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.size == 256 * 10
+    assert peak < sims.nbytes / 2
 
 
 @settings(max_examples=20, deadline=None)
