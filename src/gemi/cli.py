@@ -210,6 +210,8 @@ def _parse_value(token: str):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     cfg["seed"] = _env_seed(cfg["seed"])
     tokens = [tok for tok in args.values.split(",") if tok != ""]
@@ -286,6 +288,8 @@ def cmd_check(args) -> int:
     from .losses import LossConfig, supervised_loss_and_grad
     from .numerics import spmm
 
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds: must be at least 1, got {args.seeds}")
     rng = SeededRng(0)
     failures = 0
 

@@ -257,10 +257,8 @@ def assign_split(table: PanelTable, test_fraction: float, rng: SeededRng) -> Pan
             int(positives.min()),
         )
         order = rng.permutation(pool.size)
-        n_test = int(round(n_test_target))
-        test_local = set(order[:n_test].tolist())
-        for local, idx in enumerate(pool):
-            split[idx] = "test" if local in test_local else "train"
+        split[pool] = "train"
+        split[pool[order[: int(round(n_test_target))]]] = "test"
         return replace(table, split=split)
 
     # desired remaining test counts, overall and per label
@@ -290,6 +288,5 @@ def assign_split(table: PanelTable, test_fraction: float, rng: SeededRng) -> Pan
             for kk in np.flatnonzero(y[local]):
                 lane[kk] -= 1.0
                 remaining_pos[kk] -= 1.0
-    for local, idx in enumerate(pool):
-        split[idx] = "test" if choice[local] else "train"
+    split[pool] = np.where(choice, "test", "train")
     return replace(table, split=split)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .config import default_config
 from .graph import (
     ItemGraph,
     attach_test_items,
@@ -106,7 +107,7 @@ class TrainedModel:
     attachment operator inductively.
     """
 
-    params: object
+    params: dict[str, np.ndarray]
     base_graph: ItemGraph
     representations: np.ndarray
     epochs: list[dict]
@@ -134,14 +135,13 @@ def _representation(kind, params, adj, X):
     inductive operator: a clean forward only ever multiplies by it, never
     by its transpose.
     """
+    cache = models.hidden_layer(params, adj, X)
     if kind == "gcn":
-        return models.hidden_layer(params, adj, X)["h"]
-    if kind == "gae":
-        return models.gae_forward(params, adj, X)[0]["Z"]
-    return models.vgae_encode(params, adj, X)[0]
+        return cache["h"]
+    return models.output_layer(cache, params["w1" if kind == "gae" else "w_mu"])
 
 
-def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta):
+def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta, clamp):
     """The training objective of one model kind and its analytic gradient.
 
     Training calls this once per epoch and the gradient check calls it
@@ -149,8 +149,9 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
     ``masks`` are the feature-dropout masks, ``eps`` the VGAE noise,
     ``recon`` a csr_array whose pattern is the A + I reconstruction
     target (the clean normalized adjacency of the base graph) and
-    ``beta`` the KL weight; gcn ignores the last three, gae the last
-    one.  This is the only place the loss terms are weighted:
+    ``beta`` the KL weight and ``clamp`` the bound on VGAE's log sigma
+    (``model.logsig_clamp``); gcn ignores the last four, gae the last
+    two.  This is the only place the loss terms are weighted:
 
     * gcn:  sup
     * gae:  rec + lambda_sup · sup
@@ -165,7 +166,7 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
     if kind == "gae":
         out, cache = models.gae_forward(params, adj, X, masks)
     else:
-        out, cache = models.vgae_forward(params, adj, X, eps, masks)
+        out, cache = models.vgae_forward(params, adj, X, eps, clamp, masks)
     sup, d_sup = supervised_loss_and_grad(loss_cfg, out["logits"], Y, pos_w, mask)
     rec, dZ_rec = recon_loss_and_grad(out["Z"], recon)
     if kind == "gae":
@@ -192,10 +193,7 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     pos_w = positive_weights(Y[train_mask_local])
 
     params = models.init_params(kind, d, m_cfg["hidden"], m_cfg["latent"], c, rng.substream("init"))
-    if kind == "vgae":
-        params.clamp = m_cfg["logsig_clamp"]
-    weights = params.weights()
-    adam = AdamState.for_weights(weights)
+    adam = AdamState.for_weights(params)
 
     edge_rng = rng.substream("edge_dropout")
     drop_rng = rng.substream("feature_dropout")
@@ -215,14 +213,14 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
         eps = noise_rng.normal(size=(n, m_cfg["latent"])) if kind == "vgae" else None
         beta = kl_anneal(epoch, ramp, loss_cfg.beta_max)
         _, report, grads = objective_and_grads(
-            kind, params, adj, X, Y, train_mask_local, pos_w, loss_cfg, masks, eps, recon, beta
+            kind, params, adj, X, Y, train_mask_local, pos_w, loss_cfg, masks, eps, recon, beta, m_cfg["logsig_clamp"]
         )
         grads, grad_norm = clip_global_norm(grads, m_cfg["clip_norm"])
         report["grad_norm"] = float(grad_norm)
         for part, value in report.items():
             if not np.isfinite(value):
                 raise FloatingPointError(f"epoch {epoch}: non-finite {part} ({value})")
-        adam_step(adam, weights, grads, m_cfg["lr"], m_cfg["weight_decay"])
+        adam_step(adam, params, grads, m_cfg["lr"], m_cfg["weight_decay"])
         epoch_logs.append(report)
     return params, base_graph, epoch_logs
 
@@ -318,21 +316,20 @@ def gradient_check(
 
     Dropout masks and reparameterization noise are frozen, so the
     objective is a smooth deterministic function of the parameters.  A
-    failure is reported in the result, never raised.  The default
-    widths (hidden 5 above latent 3 and c = 3) take the narrowing order
-    of the second layer; a hidden below the output width takes the other.
+    failure is reported in the result, never raised.  VGAE's log sigma
+    is clamped at the default ``model.logsig_clamp``.
     """
     X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w = _check_instance(kind, loss_kind, seed, hidden, latent)
     beta = 0.7  # a nonzero KL weight, so the KL gradient is checked too
     # no edge dropout here, so adj's pattern is the A + I target
-    args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, adj, beta)
+    clamp = default_config("vgae")["model"]["logsig_clamp"]
+    args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, adj, beta, clamp)
     _, _, analytic = objective_and_grads(*args)
     flat_analytic = models.flatten_weights(analytic)
-    weights = params.weights()
-    x0 = models.flatten_weights(weights)
+    x0 = models.flatten_weights(params)
 
     def f(vec):
-        models.set_weights_from_vector(weights, vec)
+        models.set_weights_from_vector(params, vec)
         return objective_and_grads(*args)[0]
 
     try:
@@ -340,7 +337,7 @@ def gradient_check(
     except FloatingPointError:
         return GradientCheckResult(kind=kind, loss_kind=loss_kind, seed=seed, max_rel_err=float("inf"), passed=False)
     finally:
-        models.set_weights_from_vector(weights, x0)
+        models.set_weights_from_vector(params, x0)
     denom = np.maximum(np.maximum(np.abs(flat_analytic), np.abs(fd)), 1e-6)
     max_rel = float(np.max(np.abs(flat_analytic - fd) / denom))
     return GradientCheckResult(

@@ -88,21 +88,22 @@ def test_02_loss_identities():
     # onto the plain autoencoder, so the objectives must agree at beta=0
     vg = models.init_params("vgae", 6, 5, 4, 3, SeededRng(7).substream("init"))
     ga = models.init_params("gae", 6, 5, 4, 3, SeededRng(8).substream("init"))
-    ga.w0[...] = vg.w0
-    ga.w1[...] = vg.w_mu
-    ga.head[...] = vg.head
+    ga["w0"][...] = vg["w0"]
+    ga["w1"][...] = vg["w_mu"]
+    ga["head"][...] = vg["head"]
+    clamp = default_config("vgae")["model"]["logsig_clamp"]
     X = SeededRng(9).normal(size=(10, 6))
     g = knn_graph_symmetric(X, 2)
     adj = normalize_adjacency(g)
-    out_v, _ = models.vgae_forward(vg, adj, X, eps=np.zeros((10, 4)))
+    out_v, _ = models.vgae_forward(vg, adj, X, np.zeros((10, 4)), clamp)
     out_g, _ = models.gae_forward(ga, adj, X)
     assert np.array_equal(out_v["mu"], out_g["Z"])
     Y = (SeededRng(10).random((10, 3)) < 0.4).astype(np.int64)
     train = np.arange(10) < 7
     loss_cfg = LossConfig(lambda_sup=0.6, lambda_ssl=0.6)
     common = (adj, X, Y, train, positive_weights(Y[train]), loss_cfg, None)
-    total_v, _, _ = objective_and_grads("vgae", vg, *common, np.zeros((10, 4)), adj, 0.0)
-    total_g, _, _ = objective_and_grads("gae", ga, *common, None, adj, 0.0)
+    total_v, _, _ = objective_and_grads("vgae", vg, *common, np.zeros((10, 4)), adj, 0.0, clamp)
+    total_g, _, _ = objective_and_grads("gae", ga, *common, None, adj, 0.0, clamp)
     gap_joint = abs(total_v - total_g)
 
     ok = gap_focal <= 1e-12 and kl_zero == 0.0 and gap_joint <= 1e-12
@@ -249,8 +250,8 @@ def test_05_leakage_invariants():
     ia = run("inductive", table.features, table.labels)
     ib = run("inductive", perturbed, table.labels)
     weights_match = all(
-        np.array_equal(ia.params.weights()[k], ib.params.weights()[k])
-        for k in ia.params.weights()
+        np.array_equal(ia.params[k], ib.params[k])
+        for k in ia.params
     )
     others = test_rows[1:]
     others_match = np.array_equal(ia.representations[others], ib.representations[others])

@@ -308,6 +308,16 @@ class TestSweep:
         assert f"{first!r} and {second!r}" in err
         assert not out.exists()  # rejected before any run
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, dataset, tmp_path, capsys, jobs):
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", cfg_path, "--param", "model.lr",
+                     "--values", "0.01", "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --jobs: ")
+        assert not out.exists()  # rejected before any run
+
     def test_unknown_param_exit_2(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         assert main(["sweep", "--config", cfg_path, "--param", "model.nope",
@@ -390,6 +400,13 @@ class TestCheck:
         assert "FAIL" not in out
         assert "PASS  spmm within 1e-12 of the dense product" in out
         assert "PASS  spmm bit-identical across two calls" in out
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_exit_2(self, capsys, seeds):
+        assert main(["check", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --seeds: ")
+        assert captured.out == ""  # no check ran, none reported as passed
 
 
 class TestEntryPoint:

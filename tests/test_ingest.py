@@ -314,6 +314,7 @@ class TestAssignSplit:
         labels[labels.sum(axis=1) == 0, 0] = 1
         t = assign_split(self._table(60, labels, rng), 0.2, rng.substream("split"))
         assert set(t.split) <= {"train", "test"}
+        assert all(type(tag) is str for tag in t.split)
         assert abs(t.test_mask.sum() - 12) <= 2
 
     def test_stratifies_each_label(self, rng):
@@ -344,7 +345,10 @@ class TestAssignSplit:
         with caplog.at_level(logging.WARNING, logger="gemi.ingest"):
             t = assign_split(self._table(20, labels, rng), 0.25, rng.substream("s"))
         assert "random split" in caplog.text
-        assert t.test_mask.sum() == 5
+        # the first 5 of one permutation of the pool go to test
+        first = set(rng.substream("s").permutation(20)[:5].tolist())
+        assert list(t.split) == ["test" if i in first else "train" for i in range(20)]
+        assert all(type(tag) is str for tag in t.split)
 
     def test_deterministic_under_seed(self, rng):
         labels = (rng.random((40, 3)) < 0.4).astype(np.int64)

@@ -391,7 +391,7 @@ class TestAnnealAndJoint:
         cfg = LossConfig(lambda_sup=0.35, lambda_ssl=0.8)
         beta = 0.45
         total, report, _ = objective_and_grads(
-            kind, params, adj, X, Y, mask, positive_weights(Y[mask]), cfg, None, eps, adj, beta
+            kind, params, adj, X, Y, mask, positive_weights(Y[mask]), cfg, None, eps, adj, beta, 10.0
         )
         if kind == "gcn":
             assert list(report) == ["sup", "total"]

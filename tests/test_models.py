@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gemi import models
+from gemi.config import default_config
 from gemi.graph import knn_graph_symmetric, normalize_adjacency
 from gemi.losses import recon_loss_and_grad
 from gemi.models import (
@@ -23,6 +24,8 @@ from gemi.numerics import SeededRng, spmm
 from model_oracle import dense_backward
 from recon_oracle import dense_recon_loss_and_grad
 
+CLAMP = default_config("vgae")["model"]["logsig_clamp"]
+
 
 @pytest.fixture
 def small(rng):
@@ -40,27 +43,35 @@ class TestInit:
         assert np.abs(w).mean() > limit / 4  # roughly uniform, not collapsed
 
     @pytest.mark.parametrize("kind,names", [
-        ("gcn", {"w0", "w1"}),
-        ("gae", {"w0", "w1", "head"}),
-        ("vgae", {"w0", "w_mu", "w_sigma", "head"}),
+        ("gcn", ["w0", "w1"]),
+        ("gae", ["w0", "w1", "head"]),
+        ("vgae", ["w0", "w_mu", "w_sigma", "head"]),
     ])
     def test_param_shapes(self, kind, names, rng):
         p = init_params(kind, d=7, hidden=5, latent=4, c=3, rng=rng)
-        assert set(p.weights().keys()) == names
-        assert p.w0.shape == (7, 5)
+        assert list(p) == names
+        assert p["w0"].shape == (7, 5)
         if kind == "gcn":
-            assert p.w1.shape == (5, 3)
+            assert p["w1"].shape == (5, 3)
         elif kind == "gae":
-            assert p.w1.shape == (5, 4)
-            assert p.head.shape == (4, 3)
+            assert p["w1"].shape == (5, 4)
+            assert p["head"].shape == (4, 3)
         else:
-            assert p.w_mu.shape == (5, 4)
-            assert p.w_sigma.shape == (5, 4)
-            assert p.head.shape == (4, 3)
+            assert p["w_mu"].shape == (5, 4)
+            assert p["w_sigma"].shape == (5, 4)
+            assert p["head"].shape == (4, 3)
+
+    @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
+    def test_draw_order(self, kind):
+        # the weights are consecutive glorot draws from one substream, in
+        # key order: reordering the draws would change every trained model
+        p = init_params(kind, d=7, hidden=5, latent=4, c=3, rng=SeededRng(11).substream("init"))
+        rng = SeededRng(11).substream("init")
+        for name, w in p.items():
+            assert np.array_equal(w, glorot(rng, *w.shape)), name
 
     def test_flatten_round_trip(self, rng):
-        p = init_params("gae", d=4, hidden=3, latent=2, c=3, rng=rng)
-        weights = p.weights()
+        weights = init_params("gae", d=4, hidden=3, latent=2, c=3, rng=rng)
         vec = flatten_weights(weights)
         before = {k: v.copy() for k, v in weights.items()}
         set_weights_from_vector(weights, vec * 2.0)
@@ -91,8 +102,8 @@ class TestGcn:
         p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
         logits, cache = gcn_forward(p, adj, X)
         a = adj.toarray()
-        h = np.maximum(a @ X @ p.w0, 0.0)
-        np.testing.assert_allclose(logits, a @ h @ p.w1, atol=1e-12)
+        h = np.maximum(a @ X @ p["w0"], 0.0)
+        np.testing.assert_allclose(logits, a @ h @ p["w1"], atol=1e-12)
         np.testing.assert_allclose(cache["h"], h, atol=1e-12)
 
     def test_eval_mode_deterministic(self, small, rng):
@@ -140,7 +151,7 @@ class TestGae:
         X, adj = small
         p = init_params("gae", d=4, hidden=6, latent=3, c=3, rng=rng)
         out, cache = gae_forward(p, adj, X)
-        np.testing.assert_allclose(out["logits"], out["Z"] @ p.head, atol=1e-12)
+        np.testing.assert_allclose(out["logits"], out["Z"] @ p["head"], atol=1e-12)
         assert set(out) == {"Z", "logits"}  # no n × n decoder output
         _decoder_matches_gram_oracle(out["Z"], adj)
         assert np.array_equal(cache["Z"], out["Z"])
@@ -156,42 +167,39 @@ class TestVgae:
     def test_encoder_shares_first_layer(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        mu, ls, cache = vgae_encode(p, adj, X)
+        mu, ls, cache = vgae_encode(p, adj, X, CLAMP)
         a = adj.toarray()
-        h = np.maximum(a @ X @ p.w0, 0.0)
+        h = np.maximum(a @ X @ p["w0"], 0.0)
         m2 = a @ h
-        np.testing.assert_allclose(mu, m2 @ p.w_mu, atol=1e-12)
-        np.testing.assert_allclose(ls, np.clip(m2 @ p.w_sigma, -p.clamp, p.clamp), atol=1e-12)
+        np.testing.assert_allclose(mu, m2 @ p["w_mu"], atol=1e-12)
+        np.testing.assert_allclose(ls, np.clip(m2 @ p["w_sigma"], -CLAMP, CLAMP), atol=1e-12)
 
     def test_log_sigma_clamped(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        big = type(p)(
-            w0=p.w0 * 50.0, w_mu=p.w_mu, w_sigma=p.w_sigma * 50.0, head=p.head,
-            clamp=p.clamp,
-        )
-        _, ls, _ = vgae_encode(big, adj, X)
-        assert ls.max() <= p.clamp
-        assert ls.min() >= -p.clamp
+        big = {**p, "w0": p["w0"] * 50.0, "w_sigma": p["w_sigma"] * 50.0}
+        _, ls, _ = vgae_encode(big, adj, X, CLAMP)
+        assert ls.max() <= CLAMP
+        assert ls.min() >= -CLAMP
 
     def test_zero_eps_collapses_to_mu(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        out, _ = vgae_forward(p, adj, X, eps=np.zeros((10, 3)))
+        out, _ = vgae_forward(p, adj, X, np.zeros((10, 3)), CLAMP)
         assert np.array_equal(out["Z"], out["mu"])
 
     def test_sample_is_mu_plus_sigma_eps(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
         eps = SeededRng(9).normal(size=(10, 3))
-        out, _ = vgae_forward(p, adj, X, eps=eps)
+        out, _ = vgae_forward(p, adj, X, eps, CLAMP)
         np.testing.assert_allclose(out["Z"], out["mu"] + np.exp(out["log_sigma"]) * eps, atol=1e-12)
 
     def test_sampling_varies_with_rng(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        o1, _ = vgae_forward(p, adj, X, eps=rng.substream("e1").normal(size=(10, 3)))
-        o2, _ = vgae_forward(p, adj, X, eps=rng.substream("e2").normal(size=(10, 3)))
+        o1, _ = vgae_forward(p, adj, X, rng.substream("e1").normal(size=(10, 3)), CLAMP)
+        o2, _ = vgae_forward(p, adj, X, rng.substream("e2").normal(size=(10, 3)), CLAMP)
         assert np.array_equal(o1["mu"], o2["mu"])
         assert not np.array_equal(o1["Z"], o2["Z"])
 
@@ -205,8 +213,8 @@ def test_forward_spmm_consistency(small, rng):
     np.testing.assert_allclose(cache["m1"], spmm(adj, X), atol=0)
 
 
-# (hidden, latent) with c = 3 labels: "narrow" takes the multiply-first
-# order in the second layer, "wide" and "equal" the propagate-first one
+# (hidden, latent) with c = 3 labels: the second layer narrows in
+# "narrow", widens in "wide" and keeps its width in "equal"
 WIDTHS = {"narrow": (6, 3), "wide": (2, 4), "equal": (3, 3)}
 
 
@@ -237,7 +245,7 @@ def _model_pass(kind, p, adj, X, masks, eps, up):
     if kind == "gae":
         out, cache = gae_forward(p, adj, X, masks)
         return out, gae_backward(p, cache, up["d_logits"], up["dZ_rec"]), cache
-    out, cache = vgae_forward(p, adj, X, eps, masks)
+    out, cache = vgae_forward(p, adj, X, eps, CLAMP, masks)
     grads = vgae_backward(p, cache, up["d_logits"], up["dZ_rec"], up["d_mu_kl"], up["d_ls_kl"])
     return out, grads, cache
 
@@ -248,22 +256,21 @@ class TestSecondLayerOrder:
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
     def test_forward_and_grads_match_dense_oracle(self, kind, dropout, widths):
         X, adj, p, masks, eps, up = _order_case(kind, widths, dropout)
-        out, grads, cache = _model_pass(kind, p, adj, X, masks, eps, up)
-        expect_out, expect_grads = dense_backward(kind, p, adj.toarray(), X, masks=masks, eps=eps, **up)
+        out, grads, _ = _model_pass(kind, p, adj, X, masks, eps, up)
+        expect_out, expect_grads = dense_backward(kind, p, adj.toarray(), X, masks=masks, eps=eps, clamp=CLAMP, **up)
         assert set(out) == set(expect_out)
         for key in expect_out:
             np.testing.assert_allclose(out[key], expect_out[key], rtol=0, atol=1e-12, err_msg=key)
         assert set(grads) == set(expect_grads)
         for key in expect_grads:
             np.testing.assert_allclose(grads[key], expect_grads[key], rtol=0, atol=1e-12, err_msg=key)
-        # only the propagate-first order forms the hidden-width m2
-        assert ("m2" in cache) == (widths != "narrow")
 
     @pytest.mark.parametrize("widths,expect", [
-        # forward spmm widths, then backward: d = 4 inputs, c = 3 labels
+        # forward spmm widths, then backward: d = 4 inputs, then the
+        # output width, c = 3 labels for gcn and latent for gae/vgae
         ("narrow", {"gcn": [4, 3, 3], "gae": [4, 3, 3], "vgae": [4, 3, 3, 3, 3]}),
-        ("wide", {"gcn": [4, 2, 2], "gae": [4, 2, 2], "vgae": [4, 2, 2]}),
-        ("equal", {"gcn": [4, 3, 3], "gae": [4, 3, 3], "vgae": [4, 3, 3]}),
+        ("wide", {"gcn": [4, 3, 3], "gae": [4, 4, 4], "vgae": [4, 4, 4, 4, 4]}),
+        ("equal", {"gcn": [4, 3, 3], "gae": [4, 3, 3], "vgae": [4, 3, 3, 3, 3]}),
     ], ids=["narrow", "wide", "equal"])
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
     def test_spmm_widths(self, kind, widths, expect, monkeypatch):
@@ -285,8 +292,8 @@ class TestSecondLayerOrder:
         X, adj, vg, masks, _, _ = _order_case("vgae", widths, dropout)
         hidden, latent = WIDTHS[widths]
         ga = init_params("gae", 4, hidden, latent, 3, SeededRng(0))
-        ga.w0[...] = vg.w0
-        ga.w1[...] = vg.w_mu
-        out_v, _ = vgae_forward(vg, adj, X, np.zeros((12, latent)), masks)
+        ga["w0"][...] = vg["w0"]
+        ga["w1"][...] = vg["w_mu"]
+        out_v, _ = vgae_forward(vg, adj, X, np.zeros((12, latent)), CLAMP, masks)
         out_g, _ = gae_forward(ga, adj, X, masks)
         assert np.array_equal(out_v["mu"], out_g["Z"])

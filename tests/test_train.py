@@ -127,6 +127,23 @@ class TestTrainingLoop:
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
         assert len(built) == 1 and m.base_graph.n == 60
 
+    def test_logsig_clamp_reaches_training(self, table, monkeypatch):
+        # model.logsig_clamp bounds log sigma in every training forward
+        seen = []
+        real = models.vgae_forward
+
+        def spy(*args):
+            out, cache = real(*args)
+            seen.append(out["log_sigma"])
+            return out, cache
+
+        monkeypatch.setattr(models, "vgae_forward", spy)
+        cfg = tiny_cfg("vgae", epochs=3, logsig_clamp=0.5)
+        train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
+        assert len(seen) == 3
+        # saturated: the default clamp of 10 would leave these entries free
+        assert all(np.abs(ls).max() == 0.5 for ls in seen)
+
     def test_representation_dimensions(self, table):
         gcn = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg("gcn"), SeededRng(2))
         assert gcn.representations.shape == (60, 8)  # penultimate hidden
@@ -140,22 +157,19 @@ class TestTrainingLoop:
         assert np.array_equal(m.representations, cache["h"])
 
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
-    def test_sparse_attachment_matches_dense_formula(self, table, kind, monkeypatch):
-        # the whole inductive forward against the dense one-way operator,
-        # in both second-layer orders: hidden 8 narrows to c = 3 and
-        # latent 4, hidden 2 widens
-        real = models._narrows
+    def test_sparse_attachment_matches_dense_formula(self, table, kind):
+        # the whole inductive forward against the dense one-way operator:
+        # hidden 8 narrows to c = 3 and latent 4 in the second layer,
+        # hidden 2 widens
         X_tr, X_te = table.features[table.train_mask], table.features[table.test_mask]
         n_train = X_tr.shape[0]
         for hidden in (8, 2):
-            rules = []
-            monkeypatch.setattr(models, "_narrows", lambda w: rules.append(real(w)) or rules[-1])
             cfg = tiny_cfg(kind, protocol="inductive", hidden=hidden)
             m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(4))
-            assert rules and all(r == (hidden == 8) for r in rules)
             A = dense_attachment_operator(m.base_graph, X_tr, X_te, cfg["graph"]["k"])
             eps = np.zeros((A.shape[0], cfg["model"]["latent"]))
-            out, inter = dense_forward(kind, m.params, A, np.vstack([X_tr, X_te]), eps=eps)
+            clamp = cfg["model"]["logsig_clamp"]
+            out, inter = dense_forward(kind, m.params, A, np.vstack([X_tr, X_te]), eps=eps, clamp=clamp)
             expect = inter["h"] if kind == "gcn" else out["Z" if kind == "gae" else "mu"]
             np.testing.assert_allclose(m.representations[table.train_mask], expect[:n_train], rtol=0, atol=1e-12)
             np.testing.assert_allclose(m.representations[table.test_mask], expect[n_train:], rtol=0, atol=1e-12)
@@ -274,20 +288,11 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
-    def test_analytic_matches_fd_when_hidden_is_narrowest(self, kind, seed, monkeypatch):
-        # hidden 2 below latent 4 and c = 3: every second layer propagates
-        # first, the order the default check widths never take
-        rules = []
-        real = models._narrows
-
-        def spy(w_out):
-            rules.append(real(w_out))
-            return rules[-1]
-
-        monkeypatch.setattr(models, "_narrows", spy)
+    def test_analytic_matches_fd_when_hidden_is_narrowest(self, kind, seed):
+        # hidden 2 below latent 4 and c = 3: every second layer widens,
+        # a shape the default check widths never take
         res = gradient_check(kind, "focal", seed=seed, hidden=2, latent=4)
         assert res.passed, f"max rel err {res.max_rel_err:.2e}"
-        assert rules and not any(rules)
 
     @pytest.mark.parametrize("kind", ["gae", "vgae"])
     def test_passes_across_recon_blocks(self, kind, monkeypatch):
@@ -317,7 +322,7 @@ class TestGradientCheck:
 
         def nan_after_first(*args):
             total, report, grads = real(*args)
-            seen.append((args[1], {k: w.copy() for k, w in args[1].weights().items()}))
+            seen.append((args[1], {k: w.copy() for k, w in args[1].items()}))
             return (total if len(seen) == 1 else float("nan")), report, grads
 
         monkeypatch.setattr(train, "objective_and_grads", nan_after_first)
@@ -325,7 +330,7 @@ class TestGradientCheck:
         assert not res.passed
         assert res.max_rel_err == float("inf")
         params, before = seen[0]
-        for k, w in params.weights().items():
+        for k, w in params.items():
             assert np.array_equal(w, before[k])  # restored after the aborted sweep
 
 
@@ -342,7 +347,7 @@ def test_objective_memory_stays_below_one_dense_matrix(kind):
     params = models.init_params(kind, d, hidden, latent, 3, rng.substream("init"))
     masks = models.draw_feature_masks(rng.substream("drop"), n, d, hidden, 0.2)
     eps = rng.substream("noise").normal(size=(n, latent))
-    args = (kind, params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, eps, adj, 0.5)
+    args = (kind, params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, eps, adj, 0.5, 10.0)
     tracemalloc.start()
     try:
         total, _, _ = train.objective_and_grads(*args)
