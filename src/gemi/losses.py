@@ -152,29 +152,33 @@ def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
     Zt = np.ascontiguousarray(Z.T)
     total = 0.0
     dZ = np.empty_like(Z)
+    size = min(graph.BLOCK_ROWS, n) * n
+    E, W, X = np.empty(size), np.empty(size), np.empty(size)
     for start in range(0, n, graph.BLOCK_ROWS):
         stop = min(start + graph.BLOCK_ROWS, n)
+        b = stop - start
         S = matmul(Z[start:stop], Zt)
-        e = np.abs(S)
+        e, work, tmp = (buf[: b * n].reshape(b, n) for buf in (E, W, X))
+        np.abs(S, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)  # exp(-|s|), shared by softplus and sigma
         # the target-1 entries of this block, block-local rows
-        r = np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))
+        r = np.repeat(np.arange(b), np.diff(indptr[start : stop + 1]))
         c = indices[indptr[start] : indptr[stop]]
         # loss terms: softplus(s) = max(s, 0) + log1p(exp(-|s|)), and
         # pw·softplus(-s) on the targets
-        work = np.log1p(e)
-        work += np.maximum(S, 0.0)
+        np.log1p(e, out=work)
+        work += np.maximum(S, 0.0, out=tmp)
         work[r, c] = pw * (np.maximum(-S[r, c], 0.0) + np.log1p(e[r, c]))
         total += float(work.sum())
-        # score gradient: sigma(s) = where(s >= 0, 1, e) / (1 + e) off the
-        # targets, pw·(sigma(s) - 1) on them
-        np.copyto(work, e)
-        np.copyto(work, 1.0, where=S >= 0.0)
+        # score gradient: sigma(s) = exp(min(s, 0)) / (1 + exp(-|s|)) off
+        # the targets, pw·(sigma(s) - 1) on them; S holds it from here
+        np.minimum(S, 0.0, out=S)
+        np.exp(S, out=S)
         e += 1.0
-        work /= e
-        work[r, c] = pw * (work[r, c] - 1.0)
-        dZ[start:stop] = matmul(work, Z)
+        S /= e
+        S[r, c] = pw * (S[r, c] - 1.0)
+        dZ[start:stop] = matmul(S, Z)
     dZ *= 2.0 / (n * n)
     return total / (n * n), dZ
 
