@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -232,6 +231,8 @@ def cmd_sweep(args) -> int:
         jobs.append((run_cfg, subdir))
     os.makedirs(out_dir, exist_ok=True)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a plain run never imports it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             list(pool.map(_sweep_worker, jobs))
     else:

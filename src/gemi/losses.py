@@ -2,8 +2,9 @@
 
 Each loss term is one function that returns its value and its gradient
 together: :func:`supervised_loss_and_grad` (wbce, bce or focal on the
-label logits), :func:`recon_loss_and_grad` (the A + I reconstruction)
-and :func:`kl_and_grads` (the VGAE KL term).  None of them knows the
+label logits), :func:`recon_loss_and_grad` (the A + I reconstruction,
+scored in row blocks, each pair of the symmetric Z Zᵀ once) and
+:func:`kl_and_grads` (the VGAE KL term).  None of them knows the
 joint-objective weights; ``train.objective_and_grads`` alone weights
 the terms, values and gradients alike.
 
@@ -139,38 +140,47 @@ def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
     The loss is the mean over all n² entries of pw·softplus(-s) where
     the target is 1 and softplus(s) where it is 0, with s = z_i·z_j and
     pw = #zeros/#ones; evaluated from the logits, it stays finite when
-    sigma saturates.  Scores are formed :data:`graph.BLOCK_ROWS` rows at
-    a time (S_I = Z_I Z^T) and the target-1 entries of each block are
-    fixed up in place from the CSR slice of ``pattern``, so the work
-    space is O(BLOCK_ROWS · n) floats, never n × n.  The score gradient
-    G is symmetric, so dL/dZ = (G + G^T) Z = 2 G Z.
+    sigma saturates.  Z Z^T and the targets are symmetric, so each pair
+    is scored once: the block I = [start, stop) of :data:`graph.BLOCK_ROWS`
+    rows forms S = Z_I Z_{start:}^T, the pairs it has not met in an
+    earlier block.  Its first b columns (both ends in I) count once,
+    every later column twice, for the mirror entry never formed.  The
+    target-1 entries are the block's CSR rows of ``pattern`` at columns
+    >= start, fixed up in place.  The score gradient G is symmetric, so
+    dL/dZ = 2 G Z, and the block adds G_I,{start:} Z_{start:} to rows I
+    and its mirror G_I,{stop:}^T Z_I to the rows after.  Time is still
+    O(n² · latent), at 1.5 n² · latent multiply-adds instead of 2; the
+    work space is three b × n buffers allocated once per call, never
+    n × n.
     """
     Z = as_matrix(Z)
     n = Z.shape[0]
     pw = recon_pos_weight(pattern)
     indptr, indices = pattern.indptr, pattern.indices
-    Zt = np.ascontiguousarray(Z.T)
     total = 0.0
-    dZ = np.empty_like(Z)
+    dZ = np.zeros_like(Z)
     size = min(graph.BLOCK_ROWS, n) * n
     E, W, X = np.empty(size), np.empty(size), np.empty(size)
     for start in range(0, n, graph.BLOCK_ROWS):
         stop = min(start + graph.BLOCK_ROWS, n)
-        b = stop - start
-        S = matmul(Z[start:stop], Zt)
-        e, work, tmp = (buf[: b * n].reshape(b, n) for buf in (E, W, X))
+        b, m = stop - start, n - start
+        S = matmul(Z[start:stop], Z[start:].T)
+        e, work, tmp = (buf[: b * m].reshape(b, m) for buf in (E, W, X))
         np.abs(S, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)  # exp(-|s|), shared by softplus and sigma
-        # the target-1 entries of this block, block-local rows
+        # the target-1 entries of this block at columns >= start; the
+        # CSR columns are sorted, so one mask on the slice finds them
         r = np.repeat(np.arange(b), np.diff(indptr[start : stop + 1]))
-        c = indices[indptr[start] : indptr[stop]]
+        c = indices[indptr[start] : indptr[stop]] - start
+        upper = c >= 0
+        r, c = r[upper], c[upper]
         # loss terms: softplus(s) = max(s, 0) + log1p(exp(-|s|)), and
         # pw·softplus(-s) on the targets
         np.log1p(e, out=work)
         work += np.maximum(S, 0.0, out=tmp)
         work[r, c] = pw * (np.maximum(-S[r, c], 0.0) + np.log1p(e[r, c]))
-        total += float(work.sum())
+        total += float(work[:, :b].sum()) + 2.0 * float(work[:, b:].sum())
         # score gradient: sigma(s) = exp(min(s, 0)) / (1 + exp(-|s|)) off
         # the targets, pw·(sigma(s) - 1) on them; S holds it from here
         np.minimum(S, 0.0, out=S)
@@ -178,7 +188,8 @@ def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
         e += 1.0
         S /= e
         S[r, c] = pw * (S[r, c] - 1.0)
-        dZ[start:stop] = matmul(S, Z)
+        dZ[start:stop] += matmul(S, Z[start:])
+        dZ[stop:] += matmul(S[:, b:].T, Z[start:stop])
     dZ *= 2.0 / (n * n)
     return total / (n * n), dZ
 

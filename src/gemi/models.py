@@ -117,23 +117,22 @@ def output_layer(cache, w_out):
 
 def _linear_backward(x, w, d_out):
     """Gradients of out = x @ w: returns (dW, dx)."""
-    d_w = matmul(np.ascontiguousarray(x.T), d_out)
-    d_x = matmul(d_out, np.ascontiguousarray(w.T))
+    d_w = matmul(x.T, d_out)
+    d_x = matmul(d_out, w.T)
     return d_w, d_x
 
 
 def _output_backward(cache, branches):
     """Gradient of :func:`output_layer` for each (W_out, d_out) branch on one cache.
 
-    Each d_out is propagated (A~ is symmetric) and hdᵀ is formed once
-    for every branch (VGAE's mu and log_sigma).  Returns
-    ([dW_out per branch], d_hd).
+    Each d_out is propagated (A~ is symmetric) and multiplied by the
+    transposed view hdᵀ (VGAE has two branches, mu and log_sigma).
+    Returns ([dW_out per branch], d_hd).
     """
     adj = cache["adj"]
-    hd_t = np.ascontiguousarray(cache["hd"].T)
     d_ps = [spmm(adj, d_out) for _, d_out in branches]
-    d_hd = reduce(np.add, (matmul(d_p, np.ascontiguousarray(w.T)) for (w, _), d_p in zip(branches, d_ps)))
-    return [matmul(hd_t, d_p) for d_p in d_ps], d_hd
+    d_hd = reduce(np.add, (matmul(d_p, w.T) for (w, _), d_p in zip(branches, d_ps)))
+    return [matmul(cache["hd"].T, d_p) for d_p in d_ps], d_hd
 
 
 def _hidden_backward(cache, d_hd) -> np.ndarray:
@@ -141,7 +140,7 @@ def _hidden_backward(cache, d_hd) -> np.ndarray:
     _, mask_hidden = cache["masks"]
     d_h = d_hd * mask_hidden if mask_hidden is not None else d_hd
     d_h_pre = d_h * (cache["h_pre"] > 0.0)
-    return matmul(np.ascontiguousarray(cache["m1"].T), d_h_pre)
+    return matmul(cache["m1"].T, d_h_pre)
 
 
 def gcn_forward(params, adj, X, masks=None):

@@ -2,7 +2,9 @@
 
 Conventions used throughout the package:
 
-* A dense matrix is a C-contiguous float64 2-D ndarray.
+* A dense matrix is a float64 2-D ndarray.  :func:`as_matrix` makes
+  it C-contiguous; :func:`matmul` takes views as they are, so a
+  transposed or row-sliced operand reaches BLAS without a copy.
 * A sparse matrix is a ``scipy.sparse.csr_array`` in canonical form
   (column indices sorted within each row, no duplicates).  Adjacency
   operators are square and hold finite positive weights.  Training
@@ -79,8 +81,12 @@ def as_matrix(x) -> np.ndarray:
 
 
 def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
+    """a @ b in float64.  Views are not copied: np.matmul hands transposed
+    and strided operands with one unit stride to BLAS as they are."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul: expected 2-D matrices, got ndim {a.ndim} @ {b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions disagree ({a.shape} @ {b.shape})")
     return np.matmul(a, b)

@@ -282,6 +282,21 @@ class TestSweep:
         for sub in subdirs:
             assert (sub / "metrics.json").is_file()
 
+    def test_parallel_sweep_matches_serial(self, dataset, tmp_path):
+        # two values on two worker processes, no more
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            assert main(["sweep", "--config", cfg_path, "--param", "model.lr",
+                         "--values", "0.001,0.01", "--out", str(out), "--jobs", jobs]) == 0
+        serial, parallel = outs["1"], outs["2"]
+        assert (parallel / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+        subdirs = sorted(p.name for p in serial.iterdir() if p.is_dir())
+        assert subdirs == sorted(p.name for p in parallel.iterdir() if p.is_dir())
+        assert len(subdirs) == 2
+        for sub in subdirs:
+            assert (parallel / sub / "metrics.json").read_bytes() == (serial / sub / "metrics.json").read_bytes()
+
     def test_derived_seeds_differ_per_value(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         out = tmp_path / "sweep2"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemi import graph, models
+from gemi import graph, losses, models
 from gemi.graph import ItemGraph, normalize_adjacency
 from gemi.losses import (
     LossConfig,
@@ -13,7 +13,7 @@ from gemi.losses import (
     recon_loss_and_grad,
     supervised_loss_and_grad,
 )
-from gemi.numerics import SeededRng, finite_difference_gradient
+from gemi.numerics import SeededRng, finite_difference_gradient, matmul
 from gemi.train import objective_and_grads
 from recon_oracle import (
     dense_recon_loss_and_grad,
@@ -292,14 +292,38 @@ class TestBlockedRecon:
 
     @pytest.mark.parametrize("case", ["random", "no-edges", "complete", "isolated"])
     @pytest.mark.parametrize("n", [10, 14, 23, 40])
-    def test_matches_dense_oracle(self, case, n):
+    def test_matches_dense_oracle(self, case, n, monkeypatch):
         rng = SeededRng(1000 * n + len(case))
         g = _recon_graph(case, n, rng)
         Z = rng.normal(size=(n, 3), scale=1.5)
-        loss, dZ = recon_loss_and_grad(Z, normalize_adjacency(g))
         expect_loss, expect_dZ = dense_recon_loss_and_grad(Z, recon_targets(g))
-        np.testing.assert_allclose(loss, expect_loss, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(dZ, expect_dZ, rtol=0, atol=1e-12 * np.abs(expect_dZ).max())
+        # one-row blocks score every pair off the diagonal block; 2n rows
+        # make one block that scores all of them in its diagonal block
+        for rows in (7, 1, 2 * n):
+            monkeypatch.setattr(graph, "BLOCK_ROWS", rows)
+            loss, dZ = recon_loss_and_grad(Z, normalize_adjacency(g))
+            np.testing.assert_allclose(loss, expect_loss, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(dZ, expect_dZ, rtol=0, atol=1e-12 * np.abs(expect_dZ).max())
+
+    @pytest.mark.parametrize("n", [10, 23, 40])
+    def test_scores_each_pair_once(self, n, monkeypatch):
+        # the score products Z_I Z_{start:}^T form sum b·(n - start)
+        # entries, at most (n² + 7n)/2 for 7-row blocks, not n²
+        rng = SeededRng(n)
+        Z = rng.normal(size=(n, 3))
+        scored = []
+
+        def spy(a, b):
+            out = matmul(a, b)
+            if np.shares_memory(a, Z):
+                scored.append(out.size)
+            return out
+
+        monkeypatch.setattr(losses, "matmul", spy)
+        recon_loss_and_grad(Z, normalize_adjacency(_recon_graph("random", n, rng)))
+        assert len(scored) == -(-n // 7)
+        assert sum(scored) == sum(min(7, n - start) * (n - start) for start in range(0, n, 7))
+        assert sum(scored) <= (n * n + 7 * n) / 2
 
     def test_saturated_scores_finite(self):
         # Z Z^T = [[800, -800], [-800, 800]] exactly: every sign agrees

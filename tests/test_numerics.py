@@ -114,6 +114,14 @@ def test_cli_import_leaves_scipy_unloaded(gemi_env):
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pool_unloaded(gemi_env):
+    # only `gemi sweep --jobs N` with N > 1 needs a process pool
+    code = "import sys, gemi.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=gemi_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_l2_normalize_rows_unit_norm(rng):
     x = rng.normal(size=(6, 4))
     norms = np.linalg.norm(l2_normalize_rows(x), axis=1)

@@ -296,10 +296,13 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("kind", ["gae", "vgae"])
     def test_passes_across_recon_blocks(self, kind, monkeypatch):
-        # 4-row blocks split the n = 9 instance into blocks of 4, 4 and 1
-        monkeypatch.setattr(graph, "BLOCK_ROWS", 4)
-        res = gradient_check(kind, "focal", seed=0)
-        assert res.passed, f"max rel err {res.max_rel_err:.2e}"
+        # 4-row blocks split the n = 9 instance into blocks of 4, 4 and 1;
+        # 1-row blocks leave every pair off the diagonal block, so only
+        # the transposed product carries the lower triangle
+        for rows in (4, 1):
+            monkeypatch.setattr(graph, "BLOCK_ROWS", rows)
+            res = gradient_check(kind, "focal", seed=0)
+            assert res.passed, f"{rows}-row blocks: max rel err {res.max_rel_err:.2e}"
 
     def test_training_and_check_share_one_objective(self, table, monkeypatch):
         calls = []
