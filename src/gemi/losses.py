@@ -150,8 +150,8 @@ def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
     dL/dZ = 2 G Z, and the block adds G_I,{start:} Z_{start:} to rows I
     and its mirror G_I,{stop:}^T Z_I to the rows after.  Time is still
     O(n² · latent), at 1.5 n² · latent multiply-adds instead of 2; the
-    work space is three b × n buffers allocated once per call, never
-    n × n.
+    work space is the block's scores and two b × n buffers allocated
+    once per call, never n × n.
     """
     Z = as_matrix(Z)
     n = Z.shape[0]
@@ -160,14 +160,13 @@ def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
     total = 0.0
     dZ = np.zeros_like(Z)
     size = min(graph.BLOCK_ROWS, n) * n
-    E, W, X = np.empty(size), np.empty(size), np.empty(size)
+    E, W = np.empty(size), np.empty(size)
     for start in range(0, n, graph.BLOCK_ROWS):
         stop = min(start + graph.BLOCK_ROWS, n)
         b, m = stop - start, n - start
         S = matmul(Z[start:stop], Z[start:].T)
-        e, work, tmp = (buf[: b * m].reshape(b, m) for buf in (E, W, X))
-        np.abs(S, out=e)
-        np.negative(e, out=e)
+        e, work = (buf[: b * m].reshape(b, m) for buf in (E, W))
+        np.copysign(S, -1.0, out=e)
         np.exp(e, out=e)  # exp(-|s|), shared by softplus and sigma
         # the target-1 entries of this block at columns >= start; the
         # CSR columns are sorted, so one mask on the slice finds them
@@ -177,14 +176,18 @@ def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
         r, c = r[upper], c[upper]
         # loss terms: softplus(s) = max(s, 0) + log1p(exp(-|s|)), and
         # pw·softplus(-s) on the targets
+        on_targets = pw * (np.maximum(-S[r, c], 0.0) + np.log1p(e[r, c]))
         np.log1p(e, out=work)
-        work += np.maximum(S, 0.0, out=tmp)
-        work[r, c] = pw * (np.maximum(-S[r, c], 0.0) + np.log1p(e[r, c]))
+        np.maximum(S, 0.0, out=S)
+        work += S
+        work[r, c] = on_targets
         total += float(work[:, :b].sum()) + 2.0 * float(work[:, b:].sum())
         # score gradient: sigma(s) = exp(min(s, 0)) / (1 + exp(-|s|)) off
-        # the targets, pw·(sigma(s) - 1) on them; S holds it from here
-        np.minimum(S, 0.0, out=S)
-        np.exp(S, out=S)
+        # the targets, pw·(sigma(s) - 1) on them.  The numerator is 1
+        # where max(s, 0) > 0 and exp(-|s|) elsewhere, so it is
+        # max(exp(-|s|), [max(s, 0) > 0]); S holds it from here
+        np.greater(S, 0.0, out=S)
+        np.maximum(e, S, out=S)
         e += 1.0
         S /= e
         S[r, c] = pw * (S[r, c] - 1.0)
