@@ -168,8 +168,8 @@ def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
         e, work = (buf[: b * m].reshape(b, m) for buf in (E, W))
         np.copysign(S, -1.0, out=e)
         np.exp(e, out=e)  # exp(-|s|), shared by softplus and sigma
-        # the target-1 entries of this block at columns >= start; the
-        # CSR columns are sorted, so one mask on the slice finds them
+        # the target-1 entries of this block at columns >= start,
+        # block-local rows and columns
         r = np.repeat(np.arange(b), np.diff(indptr[start : stop + 1]))
         c = indices[indptr[start] : indptr[stop]] - start
         upper = c >= 0
