@@ -124,6 +124,11 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
     for side, mask in (("train", table.train_mask), ("test", table.test_mask)):
         if not mask.any():
             raise IngestError(f"{cfg['dataset']['labels']}: the {side} split is empty")
+    inductive, k = cfg["protocol"] == "inductive", cfg["graph"]["k"]
+    n = int(table.train_mask.sum()) if inductive else len(table.ids)
+    if cfg["graph"]["kind"] == "knn" and k >= n:
+        nodes = "train items" if inductive else "items"
+        raise ConfigError(f"graph.k: {k} must be smaller than the {cfg['protocol']} graph's node count, {n} {nodes}")
 
     # users before training: a bad ratings file fails before any epoch runs
     users_rng = rng.substream("users")

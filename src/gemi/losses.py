@@ -102,19 +102,15 @@ def supervised_loss_and_grad(cfg: LossConfig, logits, Y, pos_weights, mask) -> t
         p_t = y * s + (1.0 - y) * (1.0 - s)
         alpha_t = cfg.alpha * y + (1.0 - cfg.alpha) * (1.0 - y)
         ompt = 1.0 - p_t
-        if cfg.gamma == 0.0:
-            modulation = np.ones_like(z)
-            dmod = np.zeros_like(z)
-        else:
-            modulation = ompt**cfg.gamma
-            # d(1-p_t)^g/dz = -g (1-p_t)^{g-1} (2y-1) s(1-s); guard the
-            # saturated case p_t == 1.0 where the power would produce inf*0
-            base = np.where(ompt > 0.0, ompt, 1.0)
-            dmod = np.where(
-                ompt > 0.0,
-                -cfg.gamma * base ** (cfg.gamma - 1.0) * (2.0 * y - 1.0) * s * (1.0 - s),
-                0.0,
-            )
+        modulation = ompt**cfg.gamma
+        # d(1-p_t)^g/dz = -g (1-p_t)^{g-1} (2y-1) s(1-s); guard the
+        # saturated case p_t == 1.0 where the power would produce inf*0
+        base = np.where(ompt > 0.0, ompt, 1.0)
+        dmod = np.where(
+            ompt > 0.0,
+            -cfg.gamma * base ** (cfg.gamma - 1.0) * (2.0 * y - 1.0) * s * (1.0 - s),
+            0.0,
+        )
         elements, d_elements = (
             alpha_t * modulation * elements,
             alpha_t * (dmod * elements + modulation * d_elements),

@@ -33,8 +33,12 @@ evaluation operator of :func:`gemi.graph.attach_test_items` is one-way
 (test rows read training columns, never the reverse); only clean
 forwards take it, so no backward ever sees it.  Backward passes treat
 the reparameterization noise as a constant (pathwise estimator).
-Caches hold every intermediate needed, so a backward call never
-recomputes a forward quantity.
+
+Caches hold only what the backward reads: :func:`hidden_layer` caches
+``adj``, ``m1`` = A~ drop(X), ``hd`` (after ReLU and dropout) and
+``mask_hidden``; the output layers add ``Z``, VGAE also ``eps``,
+``log_sigma`` and ``inside``.  ``_hidden_backward`` consumes the fresh
+``d_hd`` that ``_output_backward`` returns.
 """
 
 from __future__ import annotations
@@ -91,23 +95,21 @@ def draw_feature_masks(rng: SeededRng, n: int, d: int, hidden: int, rate: float)
 
 
 def hidden_layer(params, adj, X, masks=None):
-    """First layer of all three kinds: h = ReLU(A~ drop(X) W0).
+    """First layer of all three kinds: hd = drop(ReLU(A~ drop(X) W0)).
 
     ``adj`` is the normalized csr_array A~ and ``masks`` the (input,
     hidden) dropout masks from :func:`draw_feature_masks`; ``None`` is
-    a clean evaluation pass.  Returns the cache that the output layers
-    and the backward passes read; ``hd`` is h after hidden dropout.
+    a clean evaluation pass, whose ``hd`` is h itself.  ReLU and the
+    hidden mask are applied in place on the pre-activation buffer.
     """
+    mask_in, mask_hidden = masks if masks is not None else (None, None)
     X = as_matrix(X)
-    if masks is None:
-        masks = (None, None)
-    mask_in, mask_hidden = masks
-    X0 = X * mask_in if mask_in is not None else X
-    m1 = spmm(adj, X0)
-    h_pre = matmul(m1, params["w0"])
-    h = np.maximum(h_pre, 0.0)
-    hd = h * mask_hidden if mask_hidden is not None else h
-    return {"adj": adj, "m1": m1, "h_pre": h_pre, "h": h, "hd": hd, "masks": masks}
+    m1 = spmm(adj, X * mask_in if mask_in is not None else X)
+    hd = matmul(m1, params["w0"])
+    np.maximum(hd, 0.0, out=hd)
+    if mask_hidden is not None:
+        hd *= mask_hidden
+    return {"adj": adj, "m1": m1, "hd": hd, "mask_hidden": mask_hidden}
 
 
 def output_layer(cache, w_out):
@@ -136,11 +138,17 @@ def _output_backward(cache, branches):
 
 
 def _hidden_backward(cache, d_hd) -> np.ndarray:
-    """Gradient of :func:`hidden_layer`: d_hd -> dW0."""
-    _, mask_hidden = cache["masks"]
-    d_h = d_hd * mask_hidden if mask_hidden is not None else d_hd
-    d_h_pre = d_h * (cache["h_pre"] > 0.0)
-    return matmul(cache["m1"].T, d_h_pre)
+    """Gradient of :func:`hidden_layer`: d_hd -> dW0; masks and gates ``d_hd`` in place.
+
+    The ReLU gate reads ``hd > 0``: the mask scale 1/(1 - rate) is at
+    least 1, so where the mask is nonzero that is ``h_pre > 0``, and where
+    it is zero d_h is already a signed zero that either gate keeps.
+    """
+    mask_hidden = cache["mask_hidden"]
+    if mask_hidden is not None:
+        d_hd *= mask_hidden
+    d_hd *= cache["hd"] > 0.0
+    return matmul(cache["m1"].T, d_hd)
 
 
 def gcn_forward(params, adj, X, masks=None):

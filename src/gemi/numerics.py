@@ -15,9 +15,10 @@ Conventions used throughout the package:
   rows; evaluation sums users' items with a U × n membership matrix.
   scipy is imported only inside the functions that build one, so
   importing gemi does not load it.
-* All randomness flows through :class:`SeededRng`; independent concerns
-  draw from named substreams so adding a consumer never shifts the
-  stream of another.
+* All randomness flows through :class:`SeededRng`, a numpy
+  ``Generator``, so draws are its ``Generator`` methods; independent
+  concerns draw from named substreams so adding a consumer never shifts
+  the stream of another.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def _tag_to_int(tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class SeededRng:
-    """PCG64 generator with purpose-tagged child streams.
+class SeededRng(np.random.Generator):
+    """PCG64 ``Generator`` with purpose-tagged child streams.
 
     ``substream(tag)`` derives an independent generator from the parent
     seed and the hashed tag, so the draw order of one consumer never
@@ -46,30 +47,10 @@ class SeededRng:
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._path = tuple(_path)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._path)
-        self.gen = np.random.Generator(np.random.PCG64(seq))
+        super().__init__(np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self._path)))
 
     def substream(self, tag: str) -> "SeededRng":
         return SeededRng(self.seed, self._path + (_tag_to_int(tag),))
-
-    # passthroughs for the common draws
-    def random(self, size=None):
-        return self.gen.random(size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.gen.normal(loc, scale, size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.gen.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size)
-
-    def choice(self, a, size=None, replace=True, p=None):
-        return self.gen.choice(a, size=size, replace=replace, p=p)
-
-    def permutation(self, x):
-        return self.gen.permutation(x)
 
 
 def as_matrix(x) -> np.ndarray:

@@ -137,7 +137,7 @@ def _representation(kind, params, adj, X):
     """
     cache = models.hidden_layer(params, adj, X)
     if kind == "gcn":
-        return cache["h"]
+        return cache["hd"]  # no mask on a clean pass, so hd is h
     return models.output_layer(cache, params["w1" if kind == "gae" else "w_mu"])
 
 
@@ -294,7 +294,7 @@ def _check_instance(kind: str, loss_kind: str, seed: int, hidden: int = 5, laten
         eps = inst.substream("noise").normal(size=(n, latent))
         # reject draws whose pre-activations sit within finite-difference
         # reach of the ReLU kink; every kind shares the first layer
-        if np.abs(models.hidden_layer(params, adj, X, masks)["h_pre"]).min() > 1e-3:
+        if np.abs(models.hidden_layer(params, adj, X, masks)["m1"] @ params["w0"]).min() > 1e-3:
             break
     loss_cfg = LossConfig(kind=loss_kind)
     if not Y[mask].sum():

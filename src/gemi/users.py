@@ -271,7 +271,6 @@ def bootstrap_augment(
     observed = np.asarray(observed_panels, dtype=np.int64)
     sizes = np.diff(bases.indptr).tolist()  # a Python int high draws faster
     c = bases.preferences.shape[1]
-    gen = rng.gen
     picked = np.empty(target, dtype=np.int64)
     slot_draws = np.empty((target, k), dtype=np.int64)
     replaced = np.empty((target, k), dtype=bool)
@@ -280,17 +279,17 @@ def bootstrap_augment(
     biases = np.empty(target)
     noise = np.empty((target, c))
     for i in range(target):
-        base = gen.integers(0, len(bases))
+        base = rng.integers(0, len(bases))
         picked[i] = base
-        slot_draws[i] = gen.integers(0, sizes[base], size=k)
-        mask = gen.random(k) < p_replace
+        slot_draws[i] = rng.integers(0, sizes[base], size=k)
+        mask = rng.random(k) < p_replace
         replaced[i] = mask
         swaps = np.count_nonzero(mask)
         if swaps:
-            sub_draws.append(gen.integers(0, observed.size, size=swaps))
-        gains[i] = gen.uniform(gain_low, gain_high)
-        biases[i] = gen.normal(0.0, bias_sigma)
-        noise[i] = gen.normal(0.0, noise_sigma, size=c)
+            sub_draws.append(rng.integers(0, observed.size, size=swaps))
+        gains[i] = rng.uniform(gain_low, gain_high)
+        biases[i] = rng.normal(0.0, bias_sigma)
+        noise[i] = rng.normal(0.0, noise_sigma, size=c)
 
     slots = bases.items[bases.indptr[picked, None] + slot_draws]
     if sub_draws:

@@ -162,6 +162,22 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {labels}: the {side} split is empty")
 
+    @pytest.mark.parametrize("protocol", ["transductive", "inductive"])
+    def test_knn_k_above_node_count_exit_2_before_users(self, dataset, tmp_path, monkeypatch, capsys, protocol):
+        from gemi import cli
+
+        def no_users(*args, **kwargs):
+            raise AssertionError("users were built for an impossible graph")
+
+        monkeypatch.setattr(cli, "_build_profiles", no_users)
+        table = dataset["table"]
+        n = len(table.ids) if protocol == "transductive" else int(table.train_mask.sum())
+        cfg_path, _ = write_cfg(tmp_path, dataset, protocol=protocol, graph={"k": n})
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph.k:")
+        assert f"{protocol} graph's node count, {n}" in err
+
     def test_seed_env_override(self, dataset, tmp_path, monkeypatch):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         monkeypatch.setenv("GEMI_SEED", "99")

@@ -104,7 +104,7 @@ class TestGcn:
         a = adj.toarray()
         h = np.maximum(a @ X @ p["w0"], 0.0)
         np.testing.assert_allclose(logits, a @ h @ p["w1"], atol=1e-12)
-        np.testing.assert_allclose(cache["h"], h, atol=1e-12)
+        np.testing.assert_allclose(cache["hd"], h, atol=1e-12)
 
     def test_eval_mode_deterministic(self, small, rng):
         X, adj = small

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemi.graph import ItemGraph, knn_graph_symmetric, normalize_adjacency
-from gemi.numerics import SeededRng, finite_difference_gradient, l2_normalize_rows, matmul, spmm
+from gemi.numerics import SeededRng, _tag_to_int, finite_difference_gradient, l2_normalize_rows, matmul, spmm
 from graph_oracles import dense_normalized_adjacency
 
 
@@ -38,6 +38,9 @@ class TestSeededRng:
         a = SeededRng(1).substream("x").substream("y").random(4)
         b = SeededRng(1).substream("x").substream("y").random(4)
         assert np.array_equal(a, b)
+        # a substream is the plain numpy Generator of its (seed, tag path)
+        seq = np.random.SeedSequence(entropy=1, spawn_key=(_tag_to_int("x"), _tag_to_int("y")))
+        assert np.array_equal(a, np.random.Generator(np.random.PCG64(seq)).random(4))
 
 
 class TestSparseAdjacency:

@@ -154,7 +154,7 @@ class TestTrainingLoop:
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg("gcn"), SeededRng(2))
         adj = normalize_adjacency(m.base_graph)
         _, cache = models.gcn_forward(m.params, adj, table.features)
-        assert np.array_equal(m.representations, cache["h"])
+        assert np.array_equal(m.representations, cache["hd"])
 
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
     def test_sparse_attachment_matches_dense_formula(self, table, kind):
@@ -359,3 +359,26 @@ def test_objective_memory_stays_below_one_dense_matrix(kind):
         tracemalloc.stop()
     assert np.isfinite(total)
     assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.0])
+def test_gcn_objective_keeps_under_three_hidden_width_buffers(rate):
+    # one GCN step needs m1, hd and one hidden-width gradient; the
+    # cache holds no pre-activation or undropped copy of h
+    n, d, hidden = 4000, 16, 128
+    rng = SeededRng(5)
+    X = rng.normal(size=(n, d))
+    Y = (rng.random((n, 3)) < 0.3).astype(np.int64)
+    mask = np.ones(n, dtype=bool)
+    adj = normalize_adjacency(knn_graph_symmetric(X, 10))
+    params = models.init_params("gcn", d, hidden, 0, 3, rng.substream("init"))
+    masks = models.draw_feature_masks(rng.substream("drop"), n, d, hidden, rate)
+    args = ("gcn", params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, None, None, 0.0, 10.0)
+    tracemalloc.start()
+    try:
+        total, _, _ = train.objective_and_grads(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(total)
+    assert peak < 3 * n * hidden * 8
