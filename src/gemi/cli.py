@@ -35,6 +35,7 @@ from .ingest import (
     load_interactions,
     load_labels,
 )
+from .graph import graph_summary
 from .numerics import SeededRng
 from .train import gradient_check_suite, train_model
 
@@ -158,6 +159,10 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
                 "seed": cfg["seed"],
                 "wall_time_s": trained.wall_time_s,
                 "epochs": trained.epochs,
+                "graph": {
+                    **graph_summary(trained.base_graph),
+                    "edges_dropped_per_epoch": trained.edges_dropped_per_epoch,
+                },
             },
             fh,
             sort_keys=True,

@@ -3,7 +3,8 @@
 Each loss term is one function that returns its value and its gradient
 together: :func:`supervised_loss_and_grad` (wbce, bce or focal on the
 label logits), :func:`recon_loss_and_grad` (the A + I reconstruction,
-scored in row blocks, each pair of the symmetric Z Zᵀ once) and
+scored in row blocks, each pair of the symmetric Z Zᵀ once, against
+:class:`ReconTargets` laid out once per run) and
 :func:`kl_and_grads` (the VGAE KL term).  None of them knows the
 joint-objective weights; ``train.objective_and_grads`` alone weights
 the terms, values and gradients alike.
@@ -130,63 +131,93 @@ def recon_pos_weight(pattern) -> float:
     return (n * n - pattern.nnz) / pattern.nnz
 
 
-def recon_loss_and_grad(Z, pattern) -> tuple[float, np.ndarray]:
+class ReconTargets:
+    """The A + I reconstruction targets laid out once for :func:`recon_loss_and_grad`.
+
+    ``pattern`` is a csr_array whose stored entries are exactly A + I
+    (the clean normalized adjacency has that pattern).  Built once per
+    run, it holds ``n``, ``pw``, the :data:`graph.BLOCK_ROWS` in effect
+    when it was built, each block's target-1 entries at columns >= start
+    as flat indices r·(n - start) + c into the contiguous block, and the
+    two b × n work buffers that the first call allocates and every call
+    reuses.  The buffers are overwritten on each call and carry nothing
+    between calls.
+    """
+
+    def __init__(self, pattern):
+        n = pattern.shape[0]
+        indptr, indices = pattern.indptr, pattern.indices
+        self.n = n
+        self.pw = recon_pos_weight(pattern)
+        self.block_rows = graph.BLOCK_ROWS
+        self.flat = []
+        for start in range(0, n, self.block_rows):
+            stop = min(start + self.block_rows, n)
+            r = np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))
+            c = indices[indptr[start] : indptr[stop]] - start
+            upper = c >= 0
+            self.flat.append(r[upper] * (n - start) + c[upper])
+        # allocated by the first call, not here: allocated before the first
+        # forward, they raised gae-transductive's peak RSS by about 0.9 MB
+        # (heap layout, 5 seeds)
+        self.buffers = None
+
+
+def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
     """Weighted BCE between sigma(Z Z^T) and the A + I targets, and dL/dZ.
 
     The loss is the mean over all n² entries of pw·softplus(-s) where
     the target is 1 and softplus(s) where it is 0, with s = z_i·z_j and
     pw = #zeros/#ones; evaluated from the logits, it stays finite when
     sigma saturates.  Z Z^T and the targets are symmetric, so each pair
-    is scored once: the block I = [start, stop) of :data:`graph.BLOCK_ROWS`
+    is scored once: the block I = [start, stop) of ``targets.block_rows``
     rows forms S = Z_I Z_{start:}^T, the pairs it has not met in an
     earlier block.  Its first b columns (both ends in I) count once,
     every later column twice, for the mirror entry never formed.  The
-    target-1 entries are the block's CSR rows of ``pattern`` at columns
-    >= start, fixed up in place.  The score gradient G is symmetric, so
-    dL/dZ = 2 G Z, and the block adds G_I,{start:} Z_{start:} to rows I
-    and its mirror G_I,{stop:}^T Z_I to the rows after.  Time is still
-    O(n² · latent), at 1.5 n² · latent multiply-adds instead of 2; the
-    work space is the block's scores and two b × n buffers allocated
-    once per call, never n × n.
+    target-1 entries are fixed up in place by the block's flat indices
+    in ``targets`` (:class:`ReconTargets`).  The score gradient G is
+    symmetric, so dL/dZ = 2 G Z, and the block adds G_I,{start:} Z_{start:}
+    to rows I and its mirror G_I,{stop:}^T Z_I to the rows after.  Time
+    is still O(n² · latent), at 1.5 n² · latent multiply-adds instead of
+    2; the work space is the block's scores plus the two b × n buffers
+    that ``targets`` holds, never n × n.
     """
     Z = as_matrix(Z)
     n = Z.shape[0]
-    pw = recon_pos_weight(pattern)
-    indptr, indices = pattern.indptr, pattern.indices
+    if n != targets.n:
+        raise ValueError(f"Z has {n} rows but the targets cover {targets.n} nodes")
+    pw = targets.pw
+    if targets.buffers is None:
+        size = min(targets.block_rows, n) * n
+        targets.buffers = np.empty(size), np.empty(size)
     total = 0.0
     dZ = np.zeros_like(Z)
-    size = min(graph.BLOCK_ROWS, n) * n
-    E, W = np.empty(size), np.empty(size)
-    for start in range(0, n, graph.BLOCK_ROWS):
-        stop = min(start + graph.BLOCK_ROWS, n)
+    for start, flat in zip(range(0, n, targets.block_rows), targets.flat):
+        stop = min(start + targets.block_rows, n)
         b, m = stop - start, n - start
         S = matmul(Z[start:stop], Z[start:].T)
-        e, work = (buf[: b * m].reshape(b, m) for buf in (E, W))
-        np.copysign(S, -1.0, out=e)
+        s = S.reshape(-1)  # matmul's fresh output is C-contiguous: a view
+        e, work = (buf[: b * m] for buf in targets.buffers)
+        np.copysign(s, -1.0, out=e)
         np.exp(e, out=e)  # exp(-|s|), shared by softplus and sigma
-        # the target-1 entries of this block at columns >= start,
-        # block-local rows and columns
-        r = np.repeat(np.arange(b), np.diff(indptr[start : stop + 1]))
-        c = indices[indptr[start] : indptr[stop]] - start
-        upper = c >= 0
-        r, c = r[upper], c[upper]
         # loss terms: softplus(s) = max(s, 0) + log1p(exp(-|s|)), and
         # pw·softplus(-s) on the targets
-        on_targets = pw * (np.maximum(-S[r, c], 0.0) + np.log1p(e[r, c]))
+        on_targets = pw * (np.maximum(-s[flat], 0.0) + np.log1p(e[flat]))
         np.log1p(e, out=work)
-        np.maximum(S, 0.0, out=S)
-        work += S
-        work[r, c] = on_targets
+        np.maximum(s, 0.0, out=s)
+        work += s
+        work[flat] = on_targets
+        work = work.reshape(b, m)
         total += float(work[:, :b].sum()) + 2.0 * float(work[:, b:].sum())
         # score gradient: sigma(s) = exp(min(s, 0)) / (1 + exp(-|s|)) off
         # the targets, pw·(sigma(s) - 1) on them.  The numerator is 1
         # where max(s, 0) > 0 and exp(-|s|) elsewhere, so it is
         # max(exp(-|s|), [max(s, 0) > 0]); S holds it from here
-        np.greater(S, 0.0, out=S)
-        np.maximum(e, S, out=S)
+        np.greater(s, 0.0, out=s)
+        np.maximum(e, s, out=s)
         e += 1.0
-        S /= e
-        S[r, c] = pw * (S[r, c] - 1.0)
+        s /= e
+        s[flat] = pw * (s[flat] - 1.0)
         dZ[start:stop] += matmul(S, Z[start:])
         dZ[stop:] += matmul(S[:, b:].T, Z[start:stop])
     dZ *= 2.0 / (n * n)

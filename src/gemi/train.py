@@ -10,6 +10,13 @@ loss sees train rows only; inductively, test items are invisible until
 training ends and are then attached by a one-way operator whose rows
 never read another test item, so one test item can never influence
 another's prediction.  Both protocols share one evaluation forward.
+
+State built once per run: the training loop lays out the base graph's
+adjacency pattern, its clean operator and, for gae/vgae, the
+reconstruction targets before the first epoch.  An epoch draws only its
+edge-dropout keep mask, selects its operator from the pattern and
+scores the targets; the transductive evaluation forward reuses the
+clean operator.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 from . import models
 from .config import default_config
 from .graph import (
+    AdjacencyPattern,
     ItemGraph,
     attach_test_items,
     augment_label_edges,
@@ -33,6 +41,7 @@ from .graph import (
 from .ingest import LABEL_NAMES
 from .losses import (
     LossConfig,
+    ReconTargets,
     kl_and_grads,
     kl_anneal,
     positive_weights,
@@ -104,13 +113,15 @@ class TrainedModel:
     ``representations`` is aligned to the global panel order: the clean
     forward of the trained weights on the evaluation operator, the full
     graph's normalized adjacency transductively and the one-way
-    attachment operator inductively.
+    attachment operator inductively.  ``edges_dropped_per_epoch`` is the
+    mean count of base-graph edges that edge dropout removed per epoch.
     """
 
     params: dict[str, np.ndarray]
     base_graph: ItemGraph
     representations: np.ndarray
     epochs: list[dict]
+    edges_dropped_per_epoch: float
     wall_time_s: float
 
 
@@ -147,11 +158,11 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
     Training calls this once per epoch and the gradient check calls it
     with frozen inputs, so the check verifies the code that trains.
     ``masks`` are the feature-dropout masks, ``eps`` the VGAE noise,
-    ``recon`` a csr_array whose pattern is the A + I reconstruction
-    target (the clean normalized adjacency of the base graph) and
-    ``beta`` the KL weight and ``clamp`` the bound on VGAE's log sigma
-    (``model.logsig_clamp``); gcn ignores the last four, gae the last
-    two.  This is the only place the loss terms are weighted:
+    ``recon`` the :class:`~gemi.losses.ReconTargets` of the A + I
+    reconstruction target (laid out from the clean normalized adjacency
+    of the base graph), ``beta`` the KL weight and ``clamp`` the bound on
+    VGAE's log sigma (``model.logsig_clamp``); gcn ignores the last
+    four, gae the last two.  This is the only place the loss terms are weighted:
 
     * gcn:  sup
     * gae:  rec + lambda_sup · sup
@@ -182,7 +193,11 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
 
 
 def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
-    """Core optimization over a fixed node set; returns params and logs."""
+    """Core optimization over a fixed node set.
+
+    Returns (params, base graph, its clean operator, epoch logs, mean
+    edges dropped per epoch).
+    """
     kind = cfg["model"]["kind"]
     m_cfg = cfg["model"]
     loss_cfg = LossConfig(**cfg["loss"])
@@ -199,16 +214,20 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     drop_rng = rng.substream("feature_dropout")
     noise_rng = rng.substream("noise")
 
+    pattern = AdjacencyPattern(base_graph)
+    clean_adj = pattern.operator()
     # the clean normalized adjacency is nonzero exactly on the A + I
-    # reconstruction targets; built once per run, before edge dropout
-    recon = normalize_adjacency(base_graph) if kind in ("gae", "vgae") else None
+    # reconstruction targets
+    recon = ReconTargets(clean_adj) if kind in ("gae", "vgae") else None
     ramp = max(1, int(round(m_cfg["kl_ramp_fraction"] * m_cfg["epochs"])))
-    exempt = ("label-augment",) if cfg["graph"]["augment_exempt_from_dropout"] else ()
+    exempt = base_graph.tags == "label-augment" if cfg["graph"]["augment_exempt_from_dropout"] else None
 
     epoch_logs = []
+    dropped = 0
     for epoch in range(m_cfg["epochs"]):
-        g_epoch = edge_dropout(base_graph, cfg["graph"]["edge_dropout"], edge_rng, exempt)
-        adj = normalize_adjacency(g_epoch)
+        keep = edge_dropout(base_graph, cfg["graph"]["edge_dropout"], edge_rng, exempt)
+        dropped += base_graph.m - int(np.count_nonzero(keep))
+        adj = pattern.operator(keep)
         masks = models.draw_feature_masks(drop_rng, n, d, m_cfg["hidden"], m_cfg["dropout"])
         eps = noise_rng.normal(size=(n, m_cfg["latent"])) if kind == "vgae" else None
         beta = kl_anneal(epoch, ramp, loss_cfg.beta_max)
@@ -222,7 +241,7 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
                 raise FloatingPointError(f"epoch {epoch}: non-finite {part} ({value})")
         adam_step(adam, params, grads, m_cfg["lr"], m_cfg["weight_decay"])
         epoch_logs.append(report)
-    return params, base_graph, epoch_logs
+    return params, base_graph, clean_adj, epoch_logs, dropped / m_cfg["epochs"]
 
 
 def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededRng) -> TrainedModel:
@@ -243,15 +262,14 @@ def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededR
         order = np.concatenate([np.flatnonzero(train_mask), np.flatnonzero(test_mask)])
         n_fit = int(train_mask.sum())
         X = features[order]
-        params, base_graph, epoch_logs = _train_loop(
+        params, base_graph, _, epoch_logs, dropped = _train_loop(
             cfg, X[:n_fit], labels[order[:n_fit]], np.ones(n_fit, dtype=bool), rng
         )
         attach_k = min(cfg["graph"]["attach_k"] or cfg["graph"]["k"], n_fit)
         adj = attach_test_items(base_graph, X[:n_fit], X[n_fit:], attach_k)
     else:
         order, X = None, features
-        params, base_graph, epoch_logs = _train_loop(cfg, X, labels, train_mask, rng)
-        adj = normalize_adjacency(base_graph)
+        params, base_graph, adj, epoch_logs, dropped = _train_loop(cfg, X, labels, train_mask, rng)
     reps = _representation(cfg["model"]["kind"], params, adj, X)
     if order is not None:  # scatter the local rows back to the global order
         local, reps = reps, np.zeros((features.shape[0], reps.shape[1]))
@@ -261,6 +279,7 @@ def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededR
         base_graph=base_graph,
         representations=reps,
         epochs=epoch_logs,
+        edges_dropped_per_epoch=dropped,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -321,9 +340,11 @@ def gradient_check(
     """
     X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w = _check_instance(kind, loss_kind, seed, hidden, latent)
     beta = 0.7  # a nonzero KL weight, so the KL gradient is checked too
-    # no edge dropout here, so adj's pattern is the A + I target
+    # no edge dropout here, so adj's pattern is the A + I target; built
+    # here, so a patched graph.BLOCK_ROWS reaches the check
+    recon = ReconTargets(adj) if kind in ("gae", "vgae") else None
     clamp = default_config("vgae")["model"]["logsig_clamp"]
-    args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, adj, beta, clamp)
+    args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta, clamp)
     _, _, analytic = objective_and_grads(*args)
     flat_analytic = models.flatten_weights(analytic)
     x0 = models.flatten_weights(params)

@@ -3,7 +3,9 @@
 Each oracle spells its rule out over the full similarity matrix with a
 Python sort per row, independent of the row-blocked builders in
 ``gemi.graph``; the normalized adjacency is filled densely from the
-edge list, independent of the CSR that ``normalize_adjacency`` builds.
+edge list, independent of the CSR that ``normalize_adjacency`` builds,
+or assembled by scipy from COO triplets, independent of the entry
+selection of ``AdjacencyPattern``.
 """
 
 import numpy as np
@@ -24,6 +26,27 @@ def dense_normalized_adjacency(g) -> np.ndarray:
         a[i, j] = a[j, i] = 1.0
     dhat = a.sum(axis=1)
     return a / np.sqrt(np.outer(dhat, dhat))
+
+
+def coo_normalized_adjacency(g, keep=None):
+    """D^{-1/2} (A + I) D^{-1/2} of the kept edges, converted by scipy from COO.
+
+    Each kept edge (i, j) puts 1/sqrt(dh_i) · 1/sqrt(dh_j) on (i, j) and
+    (j, i), each node 1/dh on its diagonal, dh = kept degree + 1; scipy
+    sorts the triplets into canonical CSR.  ``keep`` is a bool mask over
+    ``g.pairs`` (``None`` keeps every edge).
+    """
+    from scipy.sparse import csr_array
+
+    pairs = g.pairs if keep is None else g.pairs[keep]
+    dhat = np.bincount(pairs.ravel(), minlength=g.n) + 1.0
+    inv_sqrt = 1.0 / np.sqrt(dhat)
+    i, j = pairs[:, 0], pairs[:, 1]
+    w = inv_sqrt[i] * inv_sqrt[j]
+    nodes = np.arange(g.n)
+    rows = np.concatenate([i, j, nodes])
+    cols = np.concatenate([j, i, nodes])
+    return csr_array((np.concatenate([w, w, 1.0 / dhat]), (rows, cols)), shape=(g.n, g.n))
 
 
 def edge_set(g) -> set[tuple[int, int]]:

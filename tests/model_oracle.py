@@ -13,7 +13,8 @@ import numpy as np
 
 def dense_forward(kind, params, A, X, masks=None, eps=None, clamp=None):
     """(outputs, intermediates) of one pass; ``A`` is the dense A~."""
-    mask_in, mask_hidden = masks if masks is not None else (1.0, 1.0)
+    keep_in, keep_hidden, scale = masks if masks is not None else (1.0, 1.0, 1.0)
+    mask_in, mask_hidden = keep_in * scale, keep_hidden * scale
     m1 = A @ (X * mask_in)
     h_pre = m1 @ params["w0"]
     h = np.maximum(h_pre, 0.0)

@@ -27,7 +27,7 @@ from gemi.graph import (
     normalize_adjacency,
     row_top_k,
 )
-from gemi.losses import LossConfig, kl_and_grads, positive_weights, supervised_loss_and_grad
+from gemi.losses import LossConfig, ReconTargets, kl_and_grads, positive_weights, supervised_loss_and_grad
 from gemi.numerics import EPS_NORM, SeededRng, l2_normalize_rows
 from gemi.recommend import aggregate, evaluate
 from gemi.train import gradient_check_suite, objective_and_grads, train_model
@@ -102,8 +102,9 @@ def test_02_loss_identities():
     train = np.arange(10) < 7
     loss_cfg = LossConfig(lambda_sup=0.6, lambda_ssl=0.6)
     common = (adj, X, Y, train, positive_weights(Y[train]), loss_cfg, None)
-    total_v, _, _ = objective_and_grads("vgae", vg, *common, np.zeros((10, 4)), adj, 0.0, clamp)
-    total_g, _, _ = objective_and_grads("gae", ga, *common, None, adj, 0.0, clamp)
+    recon = ReconTargets(adj)
+    total_v, _, _ = objective_and_grads("vgae", vg, *common, np.zeros((10, 4)), recon, 0.0, clamp)
+    total_g, _, _ = objective_and_grads("gae", ga, *common, None, recon, 0.0, clamp)
     gap_joint = abs(total_v - total_g)
 
     ok = gap_focal <= 1e-12 and kl_zero == 0.0 and gap_joint <= 1e-12

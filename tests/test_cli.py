@@ -49,6 +49,28 @@ class TestRun:
         printed = capsys.readouterr().out
         assert "gemi-gcn" in printed
 
+    def test_train_report_describes_the_graph(self, dataset, tmp_path, monkeypatch):
+        import gemi.cli
+
+        trained = []
+        real = gemi.cli.train_model
+        monkeypatch.setattr(gemi.cli, "train_model", lambda *a: trained.append(real(*a)) or trained[-1])
+        augment = [{"label": "animal", "k": 3, "max_nodes": 40}]
+        cfg_path, _ = write_cfg(tmp_path, dataset, graph={"k": 4, "augment": augment, "edge_dropout": 0.3})
+        assert main(["run", "--config", cfg_path]) == 0
+        out = tmp_path / "out"
+        block = json.loads((out / "train_report.json").read_text())["graph"]
+        g = trained[0].base_graph
+        deg = g.degrees()
+        assert block["n"] == g.n
+        assert set(block["edges"]) == {"knn", "label-augment"}
+        assert sum(block["edges"].values()) == g.m
+        assert block["degree"] == {"min": int(deg.min()), "median": float(np.median(deg)), "max": int(deg.max())}
+        assert block["isolated"] == int(np.count_nonzero(deg == 0))
+        assert 0.0 < block["edges_dropped_per_epoch"] < g.m
+        assert block["edges_dropped_per_epoch"] == trained[0].edges_dropped_per_epoch
+        assert "graph" not in json.loads((out / "metrics.json").read_text())
+
     def test_out_flag_overrides_config(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         target = tmp_path / "elsewhere"

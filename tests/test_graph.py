@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gemi import graph
 from gemi.graph import (
+    AdjacencyPattern,
     ItemGraph,
     attach_test_items,
     augment_label_edges,
@@ -22,6 +23,7 @@ from graph_oracles import (
     brute_force_attach_edges,
     brute_force_epsilon_edges,
     brute_force_knn_edges,
+    coo_normalized_adjacency,
     cosine_similarity_matrix,
     dense_attachment_operator,
     dense_normalized_adjacency,
@@ -179,23 +181,34 @@ class TestAugmentLabelEdges:
         assert np.array_equal(a.pairs, b.pairs)
 
 
+def kept_graph(g, keep) -> ItemGraph:
+    """The edges an edge-dropout keep mask keeps, with their tags."""
+    return ItemGraph(n=g.n, pairs=g.pairs[keep], tags=g.tags[keep])
+
+
+def augment_exempt(g) -> np.ndarray:
+    """The exempt mask training builds once per run: the label-augment edges."""
+    return np.isin(g.tags, ["label-augment"])
+
+
 class TestEdgeDropout:
     def test_p_zero_identity(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(12, 3)), 2)
-        out = edge_dropout(g, 0.0, rng.substream("d"))
-        assert edge_set(out) == edge_set(g)
+        keep = edge_dropout(g, 0.0, rng.substream("d"))
+        assert keep.dtype == bool and keep.shape == (g.m,)
+        assert edge_set(kept_graph(g, keep)) == edge_set(g)
 
     def test_p_one_drops_all(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(12, 3)), 2)
-        out = edge_dropout(g, 1.0, rng.substream("d"))
-        assert out.m == 0
+        keep = edge_dropout(g, 1.0, rng.substream("d"))
+        assert kept_graph(g, keep).m == 0
 
     def test_exempt_tags_survive(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(12, 3)), 2)
         tags = g.tags.copy()
         tags[:3] = "label-augment"
         g = ItemGraph(n=g.n, pairs=g.pairs, tags=tags)
-        out = edge_dropout(g, 1.0, rng.substream("d"), exempt_tags=("label-augment",))
+        out = kept_graph(g, edge_dropout(g, 1.0, rng.substream("d"), exempt=augment_exempt(g)))
         assert out.m == 3
         assert set(out.tags) == {"label-augment"}
 
@@ -206,8 +219,8 @@ class TestEdgeDropout:
         tags = g.tags.copy()
         tags[:4] = "label-augment"
         g2 = ItemGraph(n=g.n, pairs=g.pairs, tags=tags)
-        out_plain = edge_dropout(g, 0.5, SeededRng(12))
-        out_exempt = edge_dropout(g2, 0.5, SeededRng(12), exempt_tags=("label-augment",))
+        out_plain = kept_graph(g, edge_dropout(g, 0.5, SeededRng(12)))
+        out_exempt = kept_graph(g2, edge_dropout(g2, 0.5, SeededRng(12), exempt=augment_exempt(g2)))
         plain_kept = edge_set(out_plain)
         for (i, j), tag in zip(g2.pairs.tolist(), g2.tags):
             if tag != "label-augment":
@@ -217,7 +230,7 @@ class TestEdgeDropout:
         g = ItemGraph.from_pairs(
             200, np.column_stack([np.arange(100), np.arange(100, 200)]), ["knn"] * 100
         )
-        kept = edge_dropout(g, 0.3, SeededRng(5)).m
+        kept = kept_graph(g, edge_dropout(g, 0.3, SeededRng(5))).m
         assert 55 <= kept <= 85  # ~Binomial(100, 0.7)
 
 
@@ -245,8 +258,9 @@ class TestNormalizeAdjacency:
 
     def test_canonical_after_edge_dropout(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(40, 5)), 4)
-        dropped = edge_dropout(g, 0.5, SeededRng(3))
-        adj = normalize_adjacency(dropped)
+        keep = edge_dropout(g, 0.5, SeededRng(3))
+        dropped = kept_graph(g, keep)
+        adj = AdjacencyPattern(g).operator(keep)
         assert adj.has_canonical_format
         np.testing.assert_allclose(adj.toarray(), dense_normalized_adjacency(dropped), atol=1e-14)
 
@@ -258,6 +272,56 @@ class TestNormalizeAdjacency:
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.max() <= 1.0 + 1e-9
         assert eigs.min() >= -1.0 - 1e-9
+
+
+def _pattern_case(seed):
+    """A random tagged graph with isolated nodes, and its exempt mask or None."""
+    rng = SeededRng(seed)
+    n = 25
+    keep = np.triu(rng.random((n, n)) < 0.25, k=1)
+    keep[::5] = False
+    keep[:, ::5] = False  # every fifth node is isolated
+    pairs = np.argwhere(keep)
+    tags = np.where(rng.random(len(pairs)) < 0.3, "label-augment", "knn")
+    g = ItemGraph.from_pairs(n, pairs, tags)
+    return g, augment_exempt(g) if seed % 2 else None
+
+
+def assert_same_csr(got, expect):
+    assert got.format == "csr" and got.shape == expect.shape
+    assert got.has_canonical_format
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(expect, attr)), attr
+
+
+class TestAdjacencyPattern:
+    """The per-epoch operator selected from the pattern, bit for bit the COO build."""
+
+    @pytest.mark.parametrize("p_e", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_operator_matches_coo_oracle(self, seed, p_e):
+        g, exempt = _pattern_case(seed)
+        pattern = AdjacencyPattern(g)
+        edge_rng = SeededRng(seed).substream("edge_dropout")
+        for _ in range(3):  # one pattern serves every epoch
+            keep = edge_dropout(g, p_e, edge_rng, exempt)
+            assert_same_csr(pattern.operator(keep), coo_normalized_adjacency(g, keep))
+        assert_same_csr(pattern.operator(), coo_normalized_adjacency(g))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_no_edges(self, n):
+        g = ItemGraph.from_pairs(n, [], [])
+        pattern = AdjacencyPattern(g)
+        for p_e in (0.0, 1.0):
+            keep = edge_dropout(g, p_e, SeededRng(n))
+            assert_same_csr(pattern.operator(keep), coo_normalized_adjacency(g, keep))
+        assert np.array_equal(pattern.operator().toarray(), np.eye(n))
+
+    def test_normalize_adjacency_is_the_all_kept_operator(self, rng):
+        g = knn_graph_symmetric(rng.normal(size=(30, 4)), 3)
+        all_kept = np.ones(g.m, dtype=bool)
+        assert_same_csr(normalize_adjacency(g), coo_normalized_adjacency(g))
+        assert_same_csr(AdjacencyPattern(g).operator(all_kept), normalize_adjacency(g))
 
 
 class TestAttachment:

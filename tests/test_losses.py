@@ -7,6 +7,7 @@ from gemi import graph, losses, models
 from gemi.graph import ItemGraph, normalize_adjacency
 from gemi.losses import (
     LossConfig,
+    ReconTargets,
     kl_and_grads,
     kl_anneal,
     positive_weights,
@@ -301,7 +302,7 @@ class TestBlockedRecon:
         # make one block that scores all of them in its diagonal block
         for rows in (7, 1, 2 * n):
             monkeypatch.setattr(graph, "BLOCK_ROWS", rows)
-            loss, dZ = recon_loss_and_grad(Z, normalize_adjacency(g))
+            loss, dZ = recon_loss_and_grad(Z, ReconTargets(normalize_adjacency(g)))
             np.testing.assert_allclose(loss, expect_loss, rtol=1e-12, atol=0)
             np.testing.assert_allclose(dZ, expect_dZ, rtol=0, atol=1e-12 * np.abs(expect_dZ).max())
 
@@ -320,15 +321,44 @@ class TestBlockedRecon:
             return out
 
         monkeypatch.setattr(losses, "matmul", spy)
-        recon_loss_and_grad(Z, normalize_adjacency(_recon_graph("random", n, rng)))
+        recon_loss_and_grad(Z, ReconTargets(normalize_adjacency(_recon_graph("random", n, rng))))
         assert len(scored) == -(-n // 7)
         assert sum(scored) == sum(min(7, n - start) * (n - start) for start in range(0, n, 7))
         assert sum(scored) <= (n * n + 7 * n) / 2
 
+    def test_targets_carry_no_state_between_calls(self):
+        # one targets object reused over a sequence of Z, saturated ones
+        # included, gives the bits of a fresh object per call
+        rng = SeededRng(11)
+        pattern = normalize_adjacency(_recon_graph("isolated", 23, rng))
+        reused = ReconTargets(pattern)
+        for scale in (1.0, 40.0, 0.1, 3.0):
+            Z = rng.normal(size=(23, 3), scale=scale)
+            loss, dZ = recon_loss_and_grad(Z, reused)
+            fresh_loss, fresh_dZ = recon_loss_and_grad(Z, ReconTargets(pattern))
+            assert loss == fresh_loss
+            assert np.array_equal(dZ, fresh_dZ)
+
+    def test_keeps_the_block_size_it_was_built_with(self, monkeypatch):
+        rng = SeededRng(12)
+        pattern = normalize_adjacency(_recon_graph("random", 20, rng))
+        Z = rng.normal(size=(20, 3))
+        targets = ReconTargets(pattern)
+        expect = recon_loss_and_grad(Z, targets)
+        monkeypatch.setattr(graph, "BLOCK_ROWS", 3)
+        loss, dZ = recon_loss_and_grad(Z, targets)
+        assert targets.block_rows == 7 and len(targets.flat) == 3
+        assert loss == expect[0] and np.array_equal(dZ, expect[1])
+
+    def test_rejects_z_of_another_node_count(self):
+        targets = ReconTargets(normalize_adjacency(ItemGraph.from_pairs(4, [[0, 1]], ["knn"])))
+        with pytest.raises(ValueError, match="4 nodes"):
+            recon_loss_and_grad(np.ones((5, 2)), targets)
+
     def test_saturated_scores_finite(self):
         # Z Z^T = [[800, -800], [-800, 800]] exactly: every sign agrees
         # with the A + I target, as in the oracle's saturated case
-        pattern = normalize_adjacency(ItemGraph.from_pairs(2, [], []))
+        pattern = ReconTargets(normalize_adjacency(ItemGraph.from_pairs(2, [], [])))
         Z = np.array([[20.0, 20.0], [-20.0, -20.0]])
         loss, dZ = recon_loss_and_grad(Z, pattern)
         assert loss == 0.0
@@ -345,7 +375,7 @@ class TestBlockedRecon:
     def test_grad_matches_fd(self):
         rng = SeededRng(7)
         g = _recon_graph("isolated", 10, rng)
-        pattern = normalize_adjacency(g)
+        pattern = ReconTargets(normalize_adjacency(g))
         Z = rng.normal(size=(10, 3))
         _, dZ = recon_loss_and_grad(Z, pattern)
 
@@ -415,7 +445,7 @@ class TestAnnealAndJoint:
         cfg = LossConfig(lambda_sup=0.35, lambda_ssl=0.8)
         beta = 0.45
         total, report, _ = objective_and_grads(
-            kind, params, adj, X, Y, mask, positive_weights(Y[mask]), cfg, None, eps, adj, beta, 10.0
+            kind, params, adj, X, Y, mask, positive_weights(Y[mask]), cfg, None, eps, ReconTargets(adj), beta, 10.0
         )
         if kind == "gcn":
             assert list(report) == ["sup", "total"]

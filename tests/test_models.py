@@ -4,7 +4,7 @@ import pytest
 from gemi import models
 from gemi.config import default_config
 from gemi.graph import knn_graph_symmetric, normalize_adjacency
-from gemi.losses import recon_loss_and_grad
+from gemi.losses import ReconTargets, recon_loss_and_grad
 from gemi.models import (
     draw_feature_masks,
     dropout_mask,
@@ -87,13 +87,15 @@ class TestDropout:
         assert dropout_mask(rng, (5, 5), 0.0) is None
 
     def test_inverted_scaling_values(self, rng):
-        m = dropout_mask(rng, (200, 200), 0.25)
-        vals = np.unique(m)
-        assert set(vals.tolist()) <= {0.0, 1.0 / 0.75}
+        keep = dropout_mask(rng, (200, 200), 0.25)
+        *_, scale = draw_feature_masks(rng, 2, 2, 2, 0.25)
+        assert keep.dtype == bool
+        assert set(np.unique(keep * scale).tolist()) <= {0.0, 1.0 / 0.75}
 
     def test_mean_preserving(self, rng):
-        m = dropout_mask(rng, (300, 300), 0.4)
-        assert abs(m.mean() - 1.0) < 0.02
+        keep = dropout_mask(rng, (300, 300), 0.4)
+        *_, scale = draw_feature_masks(rng, 2, 2, 2, 0.4)
+        assert abs((keep * scale).mean() - 1.0) < 0.02
 
 
 class TestGcn:
@@ -133,7 +135,7 @@ def _decoder_matches_gram_oracle(Z, adj):
     # the decoder lives inside the reconstruction loss: its logits must
     # be Z Z^T, which the dense oracle forms explicitly
     targets = (adj.toarray() > 0).astype(np.float64)
-    loss, dZ = recon_loss_and_grad(Z, adj)
+    loss, dZ = recon_loss_and_grad(Z, ReconTargets(adj))
     expect_loss, expect_dZ = dense_recon_loss_and_grad(Z, targets)
     np.testing.assert_allclose(loss, expect_loss, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dZ, expect_dZ, rtol=0, atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from gemi import graph, models, train
 from gemi.config import default_config
 from gemi.graph import ItemGraph, knn_graph_symmetric, normalize_adjacency
-from gemi.losses import LossConfig, positive_weights, recon_pos_weight
+from gemi.losses import LossConfig, ReconTargets, positive_weights, recon_pos_weight
 from gemi.numerics import SeededRng
 from gemi.train import (
     AdamState,
@@ -175,7 +175,7 @@ class TestTrainingLoop:
             np.testing.assert_allclose(m.representations[table.test_mask], expect[n_train:], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pairs", [[[0, 2], [1, 2], [2, 4]], []], ids=["edges", "no-edges"])
-    def test_recon_targets_are_adjacency_plus_identity(self, pairs):
+    def test_recon_targets_are_adjacency_plus_identity(self, pairs, monkeypatch):
         g = ItemGraph.from_pairs(5, pairs, ["knn"] * len(pairs))
         pattern = normalize_adjacency(g)
         # the stored entries, read the way the blocked objective reads them
@@ -185,23 +185,54 @@ class TestTrainingLoop:
         expect = (dense_normalized_adjacency(g) > 0).astype(np.float64)
         assert np.array_equal(targets, expect)
         assert recon_pos_weight(pattern) == edge_pos_weight(expect)
+        # the laid-out targets: each block's flat indices cover the upper
+        # triangle of A + I from the block's first row on
+        monkeypatch.setattr(graph, "BLOCK_ROWS", 2)
+        laid_out = ReconTargets(pattern)
+        upper = np.zeros((5, 5))
+        for start, flat in zip(range(0, 5, 2), laid_out.flat):
+            r, c = np.divmod(flat, 5 - start)
+            upper[start + r, start + c] = 1.0
+        assert np.array_equal(upper, np.triu(expect))
+        assert laid_out.n == 5 and laid_out.pw == edge_pos_weight(expect)
 
     @pytest.mark.parametrize("kind", ["gae", "vgae"])
     def test_one_recon_pattern_per_run(self, table, kind, monkeypatch):
-        patterns = []
-        real = train.objective_and_grads
+        used, built_from = [], []
+        real, real_targets = train.objective_and_grads, train.ReconTargets
 
         def spy(*args):
-            patterns.append(args[10])
+            used.append(args[10])
             return real(*args)
 
+        def spy_targets(pattern):
+            built_from.append(pattern)
+            return real_targets(pattern)
+
         monkeypatch.setattr(train, "objective_and_grads", spy)
+        monkeypatch.setattr(train, "ReconTargets", spy_targets)
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg(kind, epochs=3), SeededRng(1))
-        assert len(patterns) == 3 and all(p is patterns[0] for p in patterns)
-        # built from the base graph before edge dropout
+        assert len(used) == 3 and all(t is used[0] for t in used)
+        assert isinstance(used[0], real_targets) and len(built_from) == 1
+        # built from the base graph's clean operator, before edge dropout
         expect = normalize_adjacency(m.base_graph)
-        assert np.array_equal(patterns[0].indptr, expect.indptr)
-        assert np.array_equal(patterns[0].indices, expect.indices)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(built_from[0], attr), getattr(expect, attr)), attr
+
+    @pytest.mark.parametrize("kind", ["gcn", "gae"])
+    def test_one_adjacency_pattern_per_run(self, table, kind, monkeypatch):
+        # training selects every epoch's operator from one pattern, and the
+        # transductive evaluation forward reuses its clean operator
+        built = []
+        real_init = graph.AdjacencyPattern.__init__
+
+        def counting_init(self, g):
+            built.append(g)
+            real_init(self, g)
+
+        monkeypatch.setattr(graph.AdjacencyPattern, "__init__", counting_init)
+        m = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg(kind, epochs=3), SeededRng(1))
+        assert len(built) == 1 and built[0] is m.base_graph
 
     def test_empty_train_split_raises(self, table):
         cfg = tiny_cfg("gcn")
@@ -350,7 +381,7 @@ def test_objective_memory_stays_below_one_dense_matrix(kind):
     params = models.init_params(kind, d, hidden, latent, 3, rng.substream("init"))
     masks = models.draw_feature_masks(rng.substream("drop"), n, d, hidden, 0.2)
     eps = rng.substream("noise").normal(size=(n, latent))
-    args = (kind, params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, eps, adj, 0.5, 10.0)
+    args = (kind, params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, eps, ReconTargets(adj), 0.5, 10.0)
     tracemalloc.start()
     try:
         total, _, _ = train.objective_and_grads(*args)
