@@ -295,7 +295,7 @@ def cmd_users(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .graph import knn_graph_symmetric, normalize_adjacency
+    from .graph import AdjacencyPattern, knn_graph_symmetric
     from .losses import LossConfig, supervised_loss_and_grad
     from .numerics import spmm
 
@@ -311,7 +311,7 @@ def cmd_check(args) -> int:
             failures += 1
 
     # sparse product: close to the dense oracle, and repeatable bit for bit
-    adj = normalize_adjacency(knn_graph_symmetric(rng.normal(size=(12, 4)), 3))
+    adj = AdjacencyPattern(knn_graph_symmetric(rng.normal(size=(12, 4)), 3)).operator()
     x = rng.normal(size=(12, 5))
     prod = spmm(adj, x)
     report(

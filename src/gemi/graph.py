@@ -3,12 +3,12 @@
 Graphs are undirected and self-loop-free; each undirected edge carries a
 provenance tag (``knn``, ``epsilon``, ``label-augment``) so augmentation
 edges stay distinguishable from the base similarity structure.
-Self-loops enter only through the operators: :func:`normalize_adjacency`
-and the one-way inductive operator of :func:`attach_test_items`.  The
-normalized operator is built by :class:`AdjacencyPattern`, which lays
-out the CSR entries of A + I once per graph; training builds one per
-run and selects each epoch's operator from it by the keep mask that
-:func:`edge_dropout` returns.
+Self-loops enter only through the operators.  The normalized operator
+has one builder, :class:`AdjacencyPattern`, which lays out the CSR
+entries of A + I once per graph; training builds one per run, selects
+each epoch's operator from it by the keep mask that :func:`edge_dropout`
+returns, and keeps its clean (all-kept) operator.  The one-way inductive
+operator of :func:`attach_test_items` extends that clean operator.
 
 Cosine ranking has one owner, :func:`top_k_cosine`, which the graph
 builders and evaluation's recommendations share.  It takes raw rows and
@@ -342,29 +342,21 @@ class AdjacencyPattern:
         return csr_array((data, cols, indptr), shape=(self.n, self.n))
 
 
-def normalize_adjacency(g: ItemGraph):
-    """Symmetric normalization with self-loops.
-
-    Returns D^{-1/2} (A + I) D^{-1/2} as a canonical n × n
-    ``scipy.sparse.csr_array``, where D is the degree matrix of A + I;
-    an isolated node keeps the entry 1 from its self-loop.  This is
-    :class:`AdjacencyPattern`'s operator with every edge kept.
-    """
-    return AdjacencyPattern(g).operator()
-
-
-def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int):
+def attach_test_items(train_adj, X_train, X_test, k: int):
     """The inductive evaluation operator: unseen items attached one way.
 
-    Returns an (n_train + n_test)² ``scipy.sparse.csr_array``.  Rows
-    0..n_train-1 are :func:`normalize_adjacency` of ``train_graph``, bit
-    for bit.  Row n_train + t holds 1/sqrt(dh_t · dh_j) on test item t's
-    top-k most similar training nodes j (ties by ascending training
-    index, scored in blocks of test rows: O(BLOCK_ROWS · n_train) work
-    space), then 1/dh_t on its own diagonal as the row's last entry;
-    dh = degree + 1, with dh_t = k + 1 and training degrees taken from
-    ``train_graph``.  No row reads another test item's column, so test
-    items cannot influence each other or the training rows.
+    ``train_adj`` is the training graph's clean operator
+    (:meth:`AdjacencyPattern.operator` with every edge kept): a canonical
+    n_train × n_train csr_array whose stored entries are exactly A + I.
+    Returns an (n_train + n_test)² ``scipy.sparse.csr_array`` whose rows
+    0..n_train-1 are ``train_adj``, bit for bit.  Row n_train + t holds
+    1/sqrt(dh_t · dh_j) on test item t's top-k most similar training
+    nodes j (ties by ascending training index, scored in blocks of test
+    rows: O(BLOCK_ROWS · n_train) work space), then 1/dh_t on its own
+    diagonal as the row's last entry; dh = degree + 1, with dh_t = k + 1
+    and each training dh_j the stored-entry count of ``train_adj``'s row
+    j.  No row reads another test item's column, so test items cannot
+    influence each other or the training rows.
     """
     # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
     from scipy.sparse import csr_array
@@ -372,8 +364,8 @@ def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int):
     X_train = as_matrix(X_train)
     X_test = as_matrix(X_test)
     n_train = X_train.shape[0]
-    if n_train != train_graph.n:
-        raise ValueError("train_graph and X_train disagree on node count")
+    if train_adj.shape != (n_train, n_train):
+        raise ValueError(f"train_adj has shape {train_adj.shape}, but X_train has {n_train} rows")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > n_train:
@@ -383,11 +375,10 @@ def attach_test_items(train_graph: ItemGraph, X_train, X_test, k: int):
     n_test = X_test.shape[0]
     cols = cols.reshape(n_test, k)
     dh_t = k + 1.0
-    w = 1.0 / np.sqrt(dh_t * (train_graph.degrees() + 1.0)[cols])
-    train_rows = normalize_adjacency(train_graph)
+    w = 1.0 / np.sqrt(dh_t * np.diff(train_adj.indptr)[cols])
     own = n_train + np.arange(n_test, dtype=np.int64)
-    data = np.concatenate([train_rows.data, np.column_stack([w, np.full(n_test, 1.0 / dh_t)]).ravel()])
-    indices = np.concatenate([train_rows.indices, np.column_stack([cols, own]).ravel()])
-    indptr = np.concatenate([train_rows.indptr, train_rows.nnz + (k + 1) * np.arange(1, n_test + 1)])
+    data = np.concatenate([train_adj.data, np.column_stack([w, np.full(n_test, 1.0 / dh_t)]).ravel()])
+    indices = np.concatenate([train_adj.indices, np.column_stack([cols, own]).ravel()])
+    indptr = np.concatenate([train_adj.indptr, train_adj.nnz + (k + 1) * np.arange(1, n_test + 1)])
     n = n_train + n_test
     return csr_array((data, indices, indptr), shape=(n, n))

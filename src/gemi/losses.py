@@ -121,22 +121,13 @@ def supervised_loss_and_grad(cfg: LossConfig, logits, Y, pos_weights, mask) -> t
     return float(elements.sum(axis=1).mean()), grad
 
 
-def recon_pos_weight(pattern) -> float:
-    """(#zeros / #ones) of the A + I reconstruction targets, from counts.
-
-    ``pattern`` is a csr_array whose stored entries are exactly A + I
-    (the normalized adjacency has that pattern); its values are unused.
-    """
-    n = pattern.shape[0]
-    return (n * n - pattern.nnz) / pattern.nnz
-
-
 class ReconTargets:
     """The A + I reconstruction targets laid out once for :func:`recon_loss_and_grad`.
 
     ``pattern`` is a csr_array whose stored entries are exactly A + I
-    (the clean normalized adjacency has that pattern).  Built once per
-    run, it holds ``n``, ``pw``, the :data:`graph.BLOCK_ROWS` in effect
+    (the clean normalized adjacency has that pattern); its values are
+    unused.  Built once per run, it holds ``n``, ``pw`` = #zeros/#ones of
+    the targets (from the counts), the :data:`graph.BLOCK_ROWS` in effect
     when it was built, each block's target-1 entries at columns >= start
     as flat indices r·(n - start) + c into the contiguous block, and the
     two b × n work buffers that the first call allocates and every call
@@ -148,7 +139,7 @@ class ReconTargets:
         n = pattern.shape[0]
         indptr, indices = pattern.indptr, pattern.indices
         self.n = n
-        self.pw = recon_pos_weight(pattern)
+        self.pw = (n * n - pattern.nnz) / pattern.nnz
         self.block_rows = graph.BLOCK_ROWS
         self.flat = []
         for start in range(0, n, self.block_rows):

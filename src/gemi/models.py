@@ -27,12 +27,14 @@ W_sigma, on the same cached H), never the concatenated
 [W_mu | W_sigma]: one product per branch keeps mu at zero noise equal
 to GAE's Z of the same weights bit for bit.
 
-Operators: every training A~ is symmetric, and the backward passes
-exploit that (its transpose product is the same spmm).  The inductive
-evaluation operator of :func:`gemi.graph.attach_test_items` is one-way
-(test rows read training columns, never the reverse); only clean
-forwards take it, so no backward ever sees it.  Backward passes treat
-the reparameterization noise as a constant (pathwise estimator).
+Operators: every training A~ is selected from the run's
+:class:`gemi.graph.AdjacencyPattern` and is symmetric, and the backward
+passes exploit that (its transpose product is the same spmm).  The
+inductive evaluation operator of :func:`gemi.graph.attach_test_items`
+extends the clean training operator by one-way rows (test rows read
+training columns, never the reverse); only clean forwards take it, so
+no backward ever sees it.  Backward passes treat the reparameterization
+noise as a constant (pathwise estimator).
 
 Dropout masks are bool keep masks with one scale 1/(1 - rate), applied
 as ``x *= keep`` then ``x *= scale``: the same products as a float mask

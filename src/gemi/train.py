@@ -15,8 +15,9 @@ State built once per run: the training loop lays out the base graph's
 adjacency pattern, its clean operator and, for gae/vgae, the
 reconstruction targets before the first epoch.  An epoch draws only its
 edge-dropout keep mask, selects its operator from the pattern and
-scores the targets; the transductive evaluation forward reuses the
-clean operator.
+scores the targets.  The clean operator is the run's only normalized
+operator: the transductive evaluation forward reuses it, and the
+inductive one extends it by the attached test rows.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .graph import (
     edge_dropout,
     epsilon_graph,
     knn_graph_symmetric,
-    normalize_adjacency,
 )
 from .ingest import LABEL_NAMES
 from .losses import (
@@ -251,8 +251,9 @@ def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededR
     train rows; the forward runs on the clean normalized adjacency.
     Inductively the items are taken in the local order [train..., test...]
     and training sees the train rows alone; the forward then runs on the
-    operator of :func:`attach_test_items`, and its rows are scattered back
-    to the global order (items in neither split keep zero rows).
+    clean operator extended by :func:`attach_test_items`, and its rows are
+    scattered back to the global order (items in neither split keep zero
+    rows).
     """
     train_mask = np.asarray(train_mask, dtype=bool)
     if not train_mask.any():
@@ -262,11 +263,12 @@ def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededR
         order = np.concatenate([np.flatnonzero(train_mask), np.flatnonzero(test_mask)])
         n_fit = int(train_mask.sum())
         X = features[order]
-        params, base_graph, _, epoch_logs, dropped = _train_loop(
+        params, base_graph, adj, epoch_logs, dropped = _train_loop(
             cfg, X[:n_fit], labels[order[:n_fit]], np.ones(n_fit, dtype=bool), rng
         )
         attach_k = min(cfg["graph"]["attach_k"] or cfg["graph"]["k"], n_fit)
-        adj = attach_test_items(base_graph, X[:n_fit], X[n_fit:], attach_k)
+        # rebinding adj frees the clean operator once the attachment holds its copy
+        adj = attach_test_items(adj, X[:n_fit], X[n_fit:], attach_k)
     else:
         order, X = None, features
         params, base_graph, adj, epoch_logs, dropped = _train_loop(cfg, X, labels, train_mask, rng)
@@ -307,7 +309,7 @@ def _check_instance(kind: str, loss_kind: str, seed: int, hidden: int = 5, laten
         mask = np.zeros(n, dtype=bool)
         mask[inst.permutation(n)[: max(2, n // 2)]] = True
         g = knn_graph_symmetric(X, 2)
-        adj = normalize_adjacency(g)
+        adj = AdjacencyPattern(g).operator()
         params = models.init_params(kind, d, hidden, latent, 3, inst.substream("init"))
         masks = models.draw_feature_masks(inst.substream("drop"), n, d, hidden, 0.2)
         eps = inst.substream("noise").normal(size=(n, latent))

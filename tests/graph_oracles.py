@@ -3,9 +3,10 @@
 Each oracle spells its rule out over the full similarity matrix with a
 Python sort per row, independent of the row-blocked builders in
 ``gemi.graph``; the normalized adjacency is filled densely from the
-edge list, independent of the CSR that ``normalize_adjacency`` builds,
-or assembled by scipy from COO triplets, independent of the entry
-selection of ``AdjacencyPattern``.
+edge list, or assembled by scipy from COO triplets, both independent of
+the CSR entry selection of ``AdjacencyPattern``, which builds every
+operator of a run and whose clean operator ``attach_test_items``
+extends.
 """
 
 import numpy as np

@@ -21,10 +21,10 @@ from gemi.cli import main
 from gemi.config import default_config
 from gemi.fusion import product_of_experts
 from gemi.graph import (
+    AdjacencyPattern,
     attach_test_items,
     epsilon_graph,
     knn_graph_symmetric,
-    normalize_adjacency,
     row_top_k,
 )
 from gemi.losses import LossConfig, ReconTargets, kl_and_grads, positive_weights, supervised_loss_and_grad
@@ -36,6 +36,7 @@ from datasets import make_planted_panels, write_embeddings, write_labels
 from graph_oracles import (
     attach_edges,
     brute_force_attach_edges,
+    coo_normalized_adjacency,
     cosine_similarity_matrix,
     dense_attachment_operator,
     edge_set,
@@ -94,7 +95,7 @@ def test_02_loss_identities():
     clamp = default_config("vgae")["model"]["logsig_clamp"]
     X = SeededRng(9).normal(size=(10, 6))
     g = knn_graph_symmetric(X, 2)
-    adj = normalize_adjacency(g)
+    adj = AdjacencyPattern(g).operator()
     out_v, _ = models.vgae_forward(vg, adj, X, np.zeros((10, 4)), clamp)
     out_g, _ = models.gae_forward(ga, adj, X)
     assert np.array_equal(out_v["mu"], out_g["Z"])
@@ -195,9 +196,9 @@ def test_04_graph_oracles_brute_force():
         X_tr, X_te = X[:n_tr], X[n_tr:]
         if len(X_te) and 1 <= k <= n_tr and k < n_tr:
             tg = knn_graph_symmetric(X_tr, min(k, n_tr - 1))
-            op = attach_test_items(tg, X_tr, X_te, k)
+            op = attach_test_items(AdjacencyPattern(tg).operator(), X_tr, X_te, k)
             dense = op.toarray()
-            assert np.array_equal(dense[:n_tr, :n_tr], normalize_adjacency(tg).toarray())
+            assert np.array_equal(dense[:n_tr, :n_tr], coo_normalized_adjacency(tg).toarray())
             assert not dense[:n_tr, n_tr:].any()
             assert np.array_equal(dense[n_tr:], dense_attachment_operator(tg, X_tr, X_te, k)[n_tr:])
             assert attach_edges(op, n_tr) == brute_force_attach_edges(X_tr, X_te, k)

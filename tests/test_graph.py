@@ -14,7 +14,6 @@ from gemi.graph import (
     edge_dropout,
     epsilon_graph,
     knn_graph_symmetric,
-    normalize_adjacency,
     top_k_cosine,
 )
 from gemi.numerics import SeededRng
@@ -238,11 +237,11 @@ class TestNormalizeAdjacency:
     def test_matches_dense_formula(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(14, 4)), 3)
         expect = dense_normalized_adjacency(g)
-        np.testing.assert_allclose(normalize_adjacency(g).toarray(), expect, atol=1e-14)
+        np.testing.assert_allclose(AdjacencyPattern(g).operator().toarray(), expect, atol=1e-14)
 
     def test_isolated_node_self_entry(self):
         g = ItemGraph.from_pairs(3, [[0, 1]], ["knn"])
-        dense = normalize_adjacency(g).toarray()
+        dense = AdjacencyPattern(g).operator().toarray()
         assert dense[2, 2] == 1.0
 
     @pytest.mark.parametrize(
@@ -250,7 +249,7 @@ class TestNormalizeAdjacency:
     )
     def test_canonical_csr(self, pairs):
         g = ItemGraph.from_pairs(4, pairs, ["knn"] * len(pairs))
-        adj = normalize_adjacency(g)
+        adj = AdjacencyPattern(g).operator()
         assert adj.has_canonical_format
         assert adj.shape == (4, 4)
         assert adj.nnz == 2 * g.m + g.n
@@ -266,7 +265,7 @@ class TestNormalizeAdjacency:
 
     def test_spectrum_bounded_by_one(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(20, 4)), 4)
-        dense = normalize_adjacency(g).toarray()
+        dense = AdjacencyPattern(g).operator().toarray()
         assert np.all(dense >= 0)
         assert np.array_equal(dense, dense.T)
         eigs = np.linalg.eigvalsh(dense)
@@ -317,11 +316,12 @@ class TestAdjacencyPattern:
             assert_same_csr(pattern.operator(keep), coo_normalized_adjacency(g, keep))
         assert np.array_equal(pattern.operator().toarray(), np.eye(n))
 
-    def test_normalize_adjacency_is_the_all_kept_operator(self, rng):
+    def test_all_kept_mask_gives_the_clean_operator(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(30, 4)), 3)
+        pattern = AdjacencyPattern(g)
         all_kept = np.ones(g.m, dtype=bool)
-        assert_same_csr(normalize_adjacency(g), coo_normalized_adjacency(g))
-        assert_same_csr(AdjacencyPattern(g).operator(all_kept), normalize_adjacency(g))
+        assert_same_csr(pattern.operator(), coo_normalized_adjacency(g))
+        assert_same_csr(pattern.operator(all_kept), pattern.operator())
 
 
 class TestAttachment:
@@ -329,7 +329,8 @@ class TestAttachment:
         X_train = rng.normal(size=(n_train, 5))
         X_test = rng.normal(size=(n_test, 5))
         train_graph = knn_graph_symmetric(X_train, k)
-        return X_train, X_test, train_graph, attach_test_items(train_graph, X_train, X_test, k)
+        op = attach_test_items(AdjacencyPattern(train_graph).operator(), X_train, X_test, k)
+        return X_train, X_test, train_graph, op
 
     def test_no_test_test_edges(self, rng):
         _, _, train_graph, op = self._operator(rng)
@@ -349,7 +350,7 @@ class TestAttachment:
 
     def test_train_side_untouched(self, rng):
         _, _, train_graph, op = self._operator(rng)
-        adj = normalize_adjacency(train_graph)
+        adj = coo_normalized_adjacency(train_graph)
         n_train, nnz = train_graph.n, adj.nnz
         assert np.array_equal(op.indptr[: n_train + 1], adj.indptr)
         assert np.array_equal(op.indices[:nnz], adj.indices)
@@ -370,7 +371,17 @@ class TestAttachment:
         X_train = rng.normal(size=(4, 3))
         g = knn_graph_symmetric(X_train, 2)
         with pytest.raises(ValueError):
-            attach_test_items(g, X_train, rng.normal(size=(2, 3)), 5)
+            attach_test_items(AdjacencyPattern(g).operator(), X_train, rng.normal(size=(2, 3)), 5)
+
+    def test_operator_shape_must_match_the_training_rows(self, rng):
+        X_train, X_test = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
+        adj = AdjacencyPattern(knn_graph_symmetric(X_train, 2)).operator()
+        with pytest.raises(ValueError, match="shape"):
+            attach_test_items(adj, X_train[:5], X_test, 2)  # wrong node count
+        with pytest.raises(ValueError, match="shape"):
+            attach_test_items(adj[:, :5], X_train[:5], X_test, 2)  # not square
+        with pytest.raises(ValueError, match="shape"):
+            attach_test_items(adj[:5], X_train[:5], X_test, 2)  # not square
 
     def test_blocks_formula(self, rng):
         _, _, train_graph, op = self._operator(rng, n_train=12, n_test=3, k=2)
@@ -480,11 +491,11 @@ class TestRowBlocks:
         X_train = INPUTS[inputs](rng, n_train)
         X_test = INPUTS[inputs](rng, n_test)
         train_graph = knn_graph_symmetric(X_train, 2)
-        op = attach_test_items(train_graph, X_train, X_test, k)
+        op = attach_test_items(AdjacencyPattern(train_graph).operator(), X_train, X_test, k)
         assert op.shape == (n_train + n_test, n_train + n_test)
         assert attach_edges(op, n_train) == brute_force_attach_edges(X_train, X_test, k)
         dense = op.toarray()
-        assert np.array_equal(dense[:n_train, :n_train], normalize_adjacency(train_graph).toarray())
+        assert np.array_equal(dense[:n_train, :n_train], coo_normalized_adjacency(train_graph).toarray())
         assert not dense[:n_train, n_train:].any()
         assert np.array_equal(dense[n_train:], dense_attachment_operator(train_graph, X_train, X_test, k)[n_train:])
 
@@ -508,9 +519,9 @@ class TestRowBlocks:
         rng = SeededRng(9)
         X_train, X_test = tie_heavy_features(rng, 30, 3), rng.normal(size=(11, 3))
         train_graph = knn_graph_symmetric(X_train, 4)
-        op = attach_test_items(train_graph, X_train, X_test, 5)
+        op = attach_test_items(AdjacencyPattern(train_graph).operator(), X_train, X_test, 5)
         dense = dense_attachment_operator(train_graph, X_train, X_test, 5)
-        assert op.format == "csr" and op.nnz == normalize_adjacency(train_graph).nnz + 11 * (5 + 1)
+        assert op.format == "csr" and op.nnz == coo_normalized_adjacency(train_graph).nnz + 11 * (5 + 1)
         # the test rows exactly; the training block up to the oracle's own rounding
         np.testing.assert_allclose(op.toarray()[30:], dense[30:], rtol=0, atol=0)
         np.testing.assert_allclose(op.toarray(), dense, rtol=0, atol=1e-15)

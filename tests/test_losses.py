@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemi import graph, losses, models
-from gemi.graph import ItemGraph, normalize_adjacency
+from gemi.graph import AdjacencyPattern, ItemGraph
 from gemi.losses import (
     LossConfig,
     ReconTargets,
@@ -302,7 +302,7 @@ class TestBlockedRecon:
         # make one block that scores all of them in its diagonal block
         for rows in (7, 1, 2 * n):
             monkeypatch.setattr(graph, "BLOCK_ROWS", rows)
-            loss, dZ = recon_loss_and_grad(Z, ReconTargets(normalize_adjacency(g)))
+            loss, dZ = recon_loss_and_grad(Z, ReconTargets(AdjacencyPattern(g).operator()))
             np.testing.assert_allclose(loss, expect_loss, rtol=1e-12, atol=0)
             np.testing.assert_allclose(dZ, expect_dZ, rtol=0, atol=1e-12 * np.abs(expect_dZ).max())
 
@@ -321,7 +321,7 @@ class TestBlockedRecon:
             return out
 
         monkeypatch.setattr(losses, "matmul", spy)
-        recon_loss_and_grad(Z, ReconTargets(normalize_adjacency(_recon_graph("random", n, rng))))
+        recon_loss_and_grad(Z, ReconTargets(AdjacencyPattern(_recon_graph("random", n, rng)).operator()))
         assert len(scored) == -(-n // 7)
         assert sum(scored) == sum(min(7, n - start) * (n - start) for start in range(0, n, 7))
         assert sum(scored) <= (n * n + 7 * n) / 2
@@ -330,7 +330,7 @@ class TestBlockedRecon:
         # one targets object reused over a sequence of Z, saturated ones
         # included, gives the bits of a fresh object per call
         rng = SeededRng(11)
-        pattern = normalize_adjacency(_recon_graph("isolated", 23, rng))
+        pattern = AdjacencyPattern(_recon_graph("isolated", 23, rng)).operator()
         reused = ReconTargets(pattern)
         for scale in (1.0, 40.0, 0.1, 3.0):
             Z = rng.normal(size=(23, 3), scale=scale)
@@ -341,7 +341,7 @@ class TestBlockedRecon:
 
     def test_keeps_the_block_size_it_was_built_with(self, monkeypatch):
         rng = SeededRng(12)
-        pattern = normalize_adjacency(_recon_graph("random", 20, rng))
+        pattern = AdjacencyPattern(_recon_graph("random", 20, rng)).operator()
         Z = rng.normal(size=(20, 3))
         targets = ReconTargets(pattern)
         expect = recon_loss_and_grad(Z, targets)
@@ -351,14 +351,14 @@ class TestBlockedRecon:
         assert loss == expect[0] and np.array_equal(dZ, expect[1])
 
     def test_rejects_z_of_another_node_count(self):
-        targets = ReconTargets(normalize_adjacency(ItemGraph.from_pairs(4, [[0, 1]], ["knn"])))
+        targets = ReconTargets(AdjacencyPattern(ItemGraph.from_pairs(4, [[0, 1]], ["knn"])).operator())
         with pytest.raises(ValueError, match="4 nodes"):
             recon_loss_and_grad(np.ones((5, 2)), targets)
 
     def test_saturated_scores_finite(self):
         # Z Z^T = [[800, -800], [-800, 800]] exactly: every sign agrees
         # with the A + I target, as in the oracle's saturated case
-        pattern = ReconTargets(normalize_adjacency(ItemGraph.from_pairs(2, [], [])))
+        pattern = ReconTargets(AdjacencyPattern(ItemGraph.from_pairs(2, [], [])).operator())
         Z = np.array([[20.0, 20.0], [-20.0, -20.0]])
         loss, dZ = recon_loss_and_grad(Z, pattern)
         assert loss == 0.0
@@ -375,7 +375,7 @@ class TestBlockedRecon:
     def test_grad_matches_fd(self):
         rng = SeededRng(7)
         g = _recon_graph("isolated", 10, rng)
-        pattern = ReconTargets(normalize_adjacency(g))
+        pattern = ReconTargets(AdjacencyPattern(g).operator())
         Z = rng.normal(size=(10, 3))
         _, dZ = recon_loss_and_grad(Z, pattern)
 
@@ -437,7 +437,7 @@ class TestAnnealAndJoint:
         X = rng.normal(size=(n, d))
         Y = (rng.random((n, 3)) < 0.4).astype(np.int64)
         mask = np.arange(n) < 7
-        adj = normalize_adjacency(graph.knn_graph_symmetric(X, 2))
+        adj = AdjacencyPattern(graph.knn_graph_symmetric(X, 2)).operator()
         params = models.init_params(kind, d, hidden, latent, 3, rng.substream("init"))
         eps = rng.substream("noise").normal(size=(n, latent))
         # weights distinct from each other and from 1, so a swapped or

@@ -3,7 +3,7 @@ import pytest
 
 from gemi import models
 from gemi.config import default_config
-from gemi.graph import knn_graph_symmetric, normalize_adjacency
+from gemi.graph import AdjacencyPattern, knn_graph_symmetric
 from gemi.losses import ReconTargets, recon_loss_and_grad
 from gemi.models import (
     draw_feature_masks,
@@ -30,7 +30,7 @@ CLAMP = default_config("vgae")["model"]["logsig_clamp"]
 @pytest.fixture
 def small(rng):
     X = rng.normal(size=(10, 4))
-    adj = normalize_adjacency(knn_graph_symmetric(X, 3))
+    adj = AdjacencyPattern(knn_graph_symmetric(X, 3)).operator()
     return X, adj
 
 
@@ -144,7 +144,7 @@ def _decoder_matches_gram_oracle(Z, adj):
 class TestDecoder:
     def test_scores_are_gram_matrix(self, rng):
         Z = rng.normal(size=(6, 3))
-        adj = normalize_adjacency(knn_graph_symmetric(rng.normal(size=(6, 2)), 2))
+        adj = AdjacencyPattern(knn_graph_symmetric(rng.normal(size=(6, 2)), 2)).operator()
         _decoder_matches_gram_oracle(Z, adj)
 
 
@@ -225,7 +225,7 @@ def _order_case(kind, widths, dropout, seed=5):
     n, d, c = 12, 4, 3
     hidden, latent = WIDTHS[widths]
     X = rng.substream("x").normal(size=(n, d))
-    adj = normalize_adjacency(knn_graph_symmetric(X, 3))
+    adj = AdjacencyPattern(knn_graph_symmetric(X, 3)).operator()
     p = init_params(kind, d, hidden, latent, c, rng.substream("init"))
     masks = draw_feature_masks(rng.substream("drop"), n, d, hidden, 0.4) if dropout else None
     eps = rng.substream("noise").normal(size=(n, latent))

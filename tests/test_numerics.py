@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemi.graph import ItemGraph, knn_graph_symmetric, normalize_adjacency
+from gemi.graph import AdjacencyPattern, ItemGraph, knn_graph_symmetric
 from gemi.numerics import SeededRng, _tag_to_int, finite_difference_gradient, l2_normalize_rows, matmul, spmm
 from graph_oracles import dense_normalized_adjacency
 
@@ -51,7 +51,7 @@ class TestSparseAdjacency:
         return ItemGraph.from_pairs(5, pairs, ["knn"] * 6)
 
     def _square(self):
-        return normalize_adjacency(self._square_graph())
+        return AdjacencyPattern(self._square_graph()).operator()
 
     def test_dense_round_trip(self):
         expect = np.zeros((5, 5))
@@ -80,7 +80,7 @@ class TestSparseAdjacency:
             rng = SeededRng(int(case[-1]))
             g = knn_graph_symmetric(rng.normal(size=(20, 6)), 4)
             x = rng.normal(size=(20, 5))
-        adj = normalize_adjacency(g)
+        adj = AdjacencyPattern(g).operator()
         got = spmm(adj, x)
         np.testing.assert_allclose(got, dense_normalized_adjacency(g) @ x, rtol=0, atol=1e-12)
         assert np.array_equal(got, spmm(adj, x))

@@ -5,8 +5,8 @@ import pytest
 
 from gemi import graph, models, train
 from gemi.config import default_config
-from gemi.graph import ItemGraph, knn_graph_symmetric, normalize_adjacency
-from gemi.losses import LossConfig, ReconTargets, positive_weights, recon_pos_weight
+from gemi.graph import AdjacencyPattern, ItemGraph, knn_graph_symmetric
+from gemi.losses import LossConfig, ReconTargets, positive_weights
 from gemi.numerics import SeededRng
 from gemi.train import (
     AdamState,
@@ -16,7 +16,7 @@ from gemi.train import (
     train_model,
 )
 from datasets import make_planted_panels
-from graph_oracles import dense_attachment_operator, dense_normalized_adjacency
+from graph_oracles import coo_normalized_adjacency, dense_attachment_operator, dense_normalized_adjacency
 from model_oracle import dense_forward
 from recon_oracle import edge_pos_weight
 
@@ -38,11 +38,17 @@ def tiny_cfg(kind, epochs=6, protocol="transductive", **model_overrides):
 
 
 def spy_attachment(monkeypatch) -> list:
-    """Record each operator that training builds with attach_test_items."""
-    built = []
+    """Record (the clean operator it extends, the operator it returns) for
+    each attach_test_items call that training makes."""
+    calls = []
     real = train.attach_test_items
-    monkeypatch.setattr(train, "attach_test_items", lambda *args: built.append(real(*args)) or built[-1])
-    return built
+
+    def spy(train_adj, X_train, X_test, k):
+        calls.append((train_adj, real(train_adj, X_train, X_test, k)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(train, "attach_test_items", spy)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +158,7 @@ class TestTrainingLoop:
 
     def test_gcn_representation_is_the_clean_hidden_layer(self, table):
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg("gcn"), SeededRng(2))
-        adj = normalize_adjacency(m.base_graph)
+        adj = coo_normalized_adjacency(m.base_graph)
         _, cache = models.gcn_forward(m.params, adj, table.features)
         assert np.array_equal(m.representations, cache["hd"])
 
@@ -177,14 +183,13 @@ class TestTrainingLoop:
     @pytest.mark.parametrize("pairs", [[[0, 2], [1, 2], [2, 4]], []], ids=["edges", "no-edges"])
     def test_recon_targets_are_adjacency_plus_identity(self, pairs, monkeypatch):
         g = ItemGraph.from_pairs(5, pairs, ["knn"] * len(pairs))
-        pattern = normalize_adjacency(g)
+        pattern = AdjacencyPattern(g).operator()
         # the stored entries, read the way the blocked objective reads them
         targets = np.zeros((5, 5))
         targets[np.repeat(np.arange(5), np.diff(pattern.indptr)), pattern.indices] = 1.0
         # the normalized adjacency is nonzero exactly on A + I
         expect = (dense_normalized_adjacency(g) > 0).astype(np.float64)
         assert np.array_equal(targets, expect)
-        assert recon_pos_weight(pattern) == edge_pos_weight(expect)
         # the laid-out targets: each block's flat indices cover the upper
         # triangle of A + I from the block's first row on
         monkeypatch.setattr(graph, "BLOCK_ROWS", 2)
@@ -215,24 +220,48 @@ class TestTrainingLoop:
         assert len(used) == 3 and all(t is used[0] for t in used)
         assert isinstance(used[0], real_targets) and len(built_from) == 1
         # built from the base graph's clean operator, before edge dropout
-        expect = normalize_adjacency(m.base_graph)
+        expect = coo_normalized_adjacency(m.base_graph)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(built_from[0], attr), getattr(expect, attr)), attr
 
-    @pytest.mark.parametrize("kind", ["gcn", "gae"])
-    def test_one_adjacency_pattern_per_run(self, table, kind, monkeypatch):
-        # training selects every epoch's operator from one pattern, and the
-        # transductive evaluation forward reuses its clean operator
-        built = []
-        real_init = graph.AdjacencyPattern.__init__
+    @pytest.mark.parametrize(
+        "kind,protocol",
+        [("gcn", "transductive"), ("gae", "transductive"), ("gcn", "inductive"), ("gae", "inductive")],
+        ids=["gcn", "gae", "gcn-inductive", "gae-inductive"],
+    )
+    def test_one_adjacency_pattern_per_run(self, table, kind, protocol, monkeypatch):
+        # training selects every epoch's operator from one pattern; the
+        # evaluation forward reuses its clean operator transductively and
+        # runs on the attachment that extends it inductively
+        built, clean, evaluated = [], [], []
+        real_init, real_loop, real_rep = graph.AdjacencyPattern.__init__, train._train_loop, train._representation
 
         def counting_init(self, g):
             built.append(g)
             real_init(self, g)
 
+        def spy_loop(*args):
+            out = real_loop(*args)
+            clean.append(out[2])
+            return out
+
+        def spy_rep(kind, params, adj, X):
+            evaluated.append(adj)
+            return real_rep(kind, params, adj, X)
+
         monkeypatch.setattr(graph.AdjacencyPattern, "__init__", counting_init)
-        m = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg(kind, epochs=3), SeededRng(1))
+        monkeypatch.setattr(train, "_train_loop", spy_loop)
+        monkeypatch.setattr(train, "_representation", spy_rep)
+        attached = spy_attachment(monkeypatch)
+        cfg = tiny_cfg(kind, epochs=3, protocol=protocol)
+        m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
         assert len(built) == 1 and built[0] is m.base_graph
+        assert len(clean) == 1 and len(evaluated) == 1
+        if protocol == "transductive":
+            assert not attached and evaluated[0] is clean[0]
+        else:
+            ((extended, op),) = attached
+            assert extended is clean[0] and evaluated[0] is op
 
     def test_empty_train_split_raises(self, table):
         cfg = tiny_cfg("gcn")
@@ -298,7 +327,7 @@ class TestInductiveLeakage:
         cfg = tiny_cfg("gcn", epochs=3, protocol="inductive")
         built = spy_attachment(monkeypatch)
         train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(2))
-        (op,) = built
+        ((_, op),) = built
         n_train = int(table.train_mask.sum())
         assert op.shape == (60, 60)
         rows = np.repeat(np.arange(60), np.diff(op.indptr))
@@ -377,7 +406,7 @@ def test_objective_memory_stays_below_one_dense_matrix(kind):
     X = rng.normal(size=(n, d))
     Y = (rng.random((n, 3)) < 0.3).astype(np.int64)
     mask = np.ones(n, dtype=bool)
-    adj = normalize_adjacency(knn_graph_symmetric(X, 10))
+    adj = AdjacencyPattern(knn_graph_symmetric(X, 10)).operator()
     params = models.init_params(kind, d, hidden, latent, 3, rng.substream("init"))
     masks = models.draw_feature_masks(rng.substream("drop"), n, d, hidden, 0.2)
     eps = rng.substream("noise").normal(size=(n, latent))
@@ -401,7 +430,7 @@ def test_gcn_objective_keeps_under_three_hidden_width_buffers(rate):
     X = rng.normal(size=(n, d))
     Y = (rng.random((n, 3)) < 0.3).astype(np.int64)
     mask = np.ones(n, dtype=bool)
-    adj = normalize_adjacency(knn_graph_symmetric(X, 10))
+    adj = AdjacencyPattern(knn_graph_symmetric(X, 10)).operator()
     params = models.init_params("gcn", d, hidden, 0, 3, rng.substream("init"))
     masks = models.draw_feature_masks(rng.substream("drop"), n, d, hidden, rate)
     args = ("gcn", params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, None, None, 0.0, 10.0)
