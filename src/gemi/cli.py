@@ -130,6 +130,9 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
     if cfg["graph"]["kind"] == "knn" and k >= n:
         nodes = "train items" if inductive else "items"
         raise ConfigError(f"graph.k: {k} must be smaller than the {cfg['protocol']} graph's node count, {n} {nodes}")
+    attach_k = cfg["graph"]["attach_k"]
+    if inductive and attach_k is not None and attach_k > n:
+        raise ConfigError(f"graph.attach_k: {attach_k} must not exceed the training count, {n} train items")
 
     # users before training: a bad ratings file fails before any epoch runs
     users_rng = rng.substream("users")

@@ -1,21 +1,23 @@
 """The three graph backbones with hand-derived backward passes.
 
+One :func:`forward` and one :func:`backward` serve every model kind.
+All three share the first layer H = drop(ReLU(A~ drop(X) W0))
+(:func:`hidden_layer`); the caller draws the inverted-dropout masks and
+the VGAE noise, so a forward never consumes randomness of its own.
 Forward formulas:
 
-* GCN:  Z = A~ ReLU(A~ X W0) W1, with optional inverted-dropout masks
-  on X and the hidden activations; the caller draws the masks, so a
-  forward never consumes randomness of its own.
-* GAE:  two-layer GCN encoder to a latent Z, inner-product decoder
-  sigma(Z Z^T), linear label head on Z.  The decoder is evaluated only
-  inside the reconstruction loss (:func:`gemi.losses.recon_loss_and_grad`),
-  which hands its dL/dZ to the backward pass.
-* VGAE: shared first layer H = ReLU(A~ X W0), then mu = A~ H W_mu and
-  log_sigma = clamp(A~ H W_sig); Z = mu + exp(log_sigma) * eps.
+* GCN:  logits = A~ H W1.
+* GAE:  latent Z = A~ H W1 and label head logits = Z head.  The
+  inner-product decoder sigma(Z Z^T) is evaluated only inside the
+  reconstruction loss (:func:`gemi.losses.recon_loss_and_grad`), which
+  hands its dL/dZ to :func:`backward`.
+* VGAE: mu = A~ H W_mu and log_sigma = clamp(A~ H W_sig);
+  Z = mu + exp(log_sigma) * eps and logits = Z head.
 
 Weights: a model is a plain dict from weight name to array, as
 :func:`init_params` draws it; Adam, clipping, the flat-vector helpers
-and the gradient check all work on that dict, and every backward pass
-returns its gradients under the same names.
+and the gradient check all work on that dict, and :func:`backward`
+returns its gradients under the same names, in the same order.
 
 Order: the second layer A~ H W_out forms H W_out first and propagates
 only that, forward and backward, so its spmm runs at the output width.
@@ -42,9 +44,10 @@ of 0 and 1/(1 - rate), at an eighth of its memory.
 
 Caches hold only what the backward reads: :func:`hidden_layer` caches
 ``adj``, ``m1`` = A~ drop(X), ``hd`` (after ReLU and dropout),
-``mask_hidden`` and its ``scale``; the output layers add ``Z``, VGAE
-also ``eps``, ``log_sigma`` and ``inside``.  ``_hidden_backward`` consumes the fresh
-``d_hd`` that ``_output_backward`` returns.
+``mask_hidden`` and its ``scale``; :func:`forward` adds ``Z`` for GAE
+and VGAE, and VGAE also ``eps``, ``log_sigma`` and ``inside``.
+``_hidden_backward`` consumes the fresh ``d_hd`` that
+``_output_backward`` returns.
 """
 
 from __future__ import annotations
@@ -134,24 +137,18 @@ def output_layer(cache, w_out):
     return spmm(cache["adj"], matmul(cache["hd"], w_out))
 
 
-def _linear_backward(x, w, d_out):
-    """Gradients of out = x @ w: returns (dW, dx)."""
-    d_w = matmul(x.T, d_out)
-    d_x = matmul(d_out, w.T)
-    return d_w, d_x
+def _output_backward(params, cache, branches):
+    """Gradient of :func:`output_layer` for each branch on one cache.
 
-
-def _output_backward(cache, branches):
-    """Gradient of :func:`output_layer` for each (W_out, d_out) branch on one cache.
-
-    Each d_out is propagated (A~ is symmetric) and multiplied by the
-    transposed view hdᵀ (VGAE has two branches, mu and log_sigma).
-    Returns ([dW_out per branch], d_hd).
+    ``branches`` maps a weight name to its d_out.  Each d_out is
+    propagated (A~ is symmetric) and multiplied by the transposed view
+    hdᵀ (VGAE has two branches, mu and log_sigma).  Returns
+    ({name: dW_out}, d_hd).
     """
     adj = cache["adj"]
-    d_ps = [spmm(adj, d_out) for _, d_out in branches]
-    d_hd = reduce(np.add, (matmul(d_p, w.T) for (w, _), d_p in zip(branches, d_ps)))
-    return [matmul(cache["hd"].T, d_p) for d_p in d_ps], d_hd
+    d_ps = {name: spmm(adj, d_out) for name, d_out in branches.items()}
+    d_hd = reduce(np.add, (matmul(d_p, params[name].T) for name, d_p in d_ps.items()))
+    return {name: matmul(cache["hd"].T, d_p) for name, d_p in d_ps.items()}, d_hd
 
 
 def _hidden_backward(cache, d_hd) -> np.ndarray:
@@ -168,77 +165,66 @@ def _hidden_backward(cache, d_hd) -> np.ndarray:
     return matmul(cache["m1"].T, d_hd)
 
 
-def gcn_forward(params, adj, X, masks=None):
-    """Two-layer GCN logits; cache carries all backprop intermediates."""
-    cache = hidden_layer(params, adj, X, masks)
-    return output_layer(cache, params["w1"]), cache
+def forward(kind, params, adj, X, masks=None, eps=None, clamp=None):
+    """One forward pass of ``kind``: returns (outputs, cache).
 
-
-def gcn_backward(params, cache, d_logits) -> dict[str, np.ndarray]:
-    (d_w1,), d_hd = _output_backward(cache, [(params["w1"], d_logits)])
-    return {"w0": _hidden_backward(cache, d_hd), "w1": d_w1}
-
-
-def _head_decoder_backward(params, cache, d_logits, dZ_rec):
-    """Pull of the label head and the inner-product decoder on Z.
-
-    Returns (d_head, dZ): the head's gradient and the total latent
-    gradient, the head's pull plus ``dZ_rec``, the decoder's dL/dZ as
-    :func:`gemi.losses.recon_loss_and_grad` returns it.
-    """
-    d_head, dZ = _linear_backward(cache["Z"], params["head"], d_logits)
-    return d_head, dZ + dZ_rec
-
-
-def gae_forward(params, adj, X, masks=None):
-    cache = hidden_layer(params, adj, X, masks)
-    Z = cache["Z"] = output_layer(cache, params["w1"])
-    return {"Z": Z, "logits": matmul(Z, params["head"])}, cache
-
-
-def gae_backward(params, cache, d_logits, dZ_rec) -> dict[str, np.ndarray]:
-    """Combine supervised and reconstruction pull on the latent."""
-    d_head, dZ = _head_decoder_backward(params, cache, d_logits, dZ_rec)
-    (d_w1,), d_hd = _output_backward(cache, [(params["w1"], dZ)])
-    return {"w0": _hidden_backward(cache, d_hd), "w1": d_w1, "head": d_head}
-
-
-def vgae_encode(params, adj, X, clamp: float, masks=None):
-    """Shared-first-layer encoder: returns (mu, log_sigma, cache).
-
-    Each branch is its own output layer on the shared cache, so mu is
-    computed exactly as GAE computes Z from the same weights.  log_sigma
-    is clipped to [-clamp, clamp]; the cache keeps where it was not
-    (``inside``), which is where its gradient flows.
+    The outputs hold ``logits``; gae and vgae add the latent ``Z`` and
+    vgae its ``mu`` and ``log_sigma``.  vgae takes the reparameterization
+    noise ``eps`` (n x latent) and clips log_sigma to [-clamp, clamp];
+    the cache keeps where it was not (``inside``), which is where its
+    gradient flows.
     """
     cache = hidden_layer(params, adj, X, masks)
-    mu = output_layer(cache, params["w_mu"])
-    ls_pre = output_layer(cache, params["w_sigma"])
-    log_sigma = np.clip(ls_pre, -clamp, clamp)
-    cache.update(log_sigma=log_sigma, inside=np.abs(ls_pre) < clamp)
-    return mu, log_sigma, cache
+    if kind == "gcn":
+        return {"logits": output_layer(cache, params["w1"])}, cache
+    if kind == "gae":
+        out = {"Z": output_layer(cache, params["w1"])}
+    else:
+        mu = output_layer(cache, params["w_mu"])
+        ls_pre = output_layer(cache, params["w_sigma"])
+        log_sigma = np.clip(ls_pre, -clamp, clamp)
+        cache.update(eps=eps, log_sigma=log_sigma, inside=np.abs(ls_pre) < clamp)
+        out = {"mu": mu, "log_sigma": log_sigma, "Z": mu + np.exp(log_sigma) * eps}
+    cache["Z"] = out["Z"]
+    out["logits"] = matmul(out["Z"], params["head"])
+    return out, cache
 
 
-def vgae_forward(params, adj, X, eps, clamp: float, masks=None):
-    """Full VGAE pass with the reparameterization noise ``eps`` (n x d_z) given."""
-    mu, log_sigma, cache = vgae_encode(params, adj, X, clamp, masks)
-    Z = mu + np.exp(log_sigma) * eps
-    cache["eps"] = eps
-    cache["Z"] = Z
-    logits = matmul(Z, params["head"])
-    return {"mu": mu, "log_sigma": log_sigma, "Z": Z, "logits": logits}, cache
+def backward(kind, params, cache, d_logits, dZ_rec=None, d_mu_kl=None, d_ls_kl=None) -> dict[str, np.ndarray]:
+    """Gradients of one :func:`forward` pass, in ``params`` key order.
 
-
-def vgae_backward(params, cache, d_logits, dZ_rec, d_mu_kl, d_log_sigma_kl):
-    """Backward through head, decoder, reparameterization and encoder.
-
-    d_mu_kl / d_log_sigma_kl carry the (beta-scaled) KL gradients; eps
-    is the frozen constant of the pathwise estimator; the hard clamp
-    zeroes gradients where log_sigma saturated.
+    ``d_logits`` is the (weighted) supervised pull on the logits,
+    ``dZ_rec`` the decoder's dL/dZ as
+    :func:`gemi.losses.recon_loss_and_grad` returns it, and
+    ``d_mu_kl`` / ``d_ls_kl`` the (beta-scaled) KL gradients of vgae.
+    The key order matters: the global-norm clip sums the squared norms
+    in dict order.
     """
-    d_head, dZ = _head_decoder_backward(params, cache, d_logits, dZ_rec)
-    d_mu = dZ + d_mu_kl
-    d_ls = dZ * cache["eps"] * np.exp(cache["log_sigma"]) + d_log_sigma_kl
-    d_ls_pre = d_ls * cache["inside"]
-    (d_w_mu, d_w_sigma), d_hd = _output_backward(cache, [(params["w_mu"], d_mu), (params["w_sigma"], d_ls_pre)])
-    return {"w0": _hidden_backward(cache, d_hd), "w_mu": d_w_mu, "w_sigma": d_w_sigma, "head": d_head}
+    grads = {}
+    if kind == "gcn":
+        branches = {"w1": d_logits}
+    else:
+        grads["head"] = matmul(cache["Z"].T, d_logits)
+        dZ = matmul(d_logits, params["head"].T) + dZ_rec
+        if kind == "gae":
+            branches = {"w1": dZ}
+        else:
+            d_ls = dZ * cache["eps"] * np.exp(cache["log_sigma"]) + d_ls_kl
+            branches = {"w_mu": dZ + d_mu_kl, "w_sigma": d_ls * cache["inside"]}
+    d_outs, d_hd = _output_backward(params, cache, branches)
+    grads.update(d_outs, w0=_hidden_backward(cache, d_hd))
+    return {name: grads[name] for name in params}
+
+
+def represent(kind, params, adj, X):
+    """Clean (dropout-free) forward: each item's model representation.
+
+    gcn represents an item by its hidden state h = ReLU(A~ X W0), gae by
+    its latent Z and vgae by its mean mu.  ``adj`` may be the one-way
+    inductive operator: a clean forward only ever multiplies by it, never
+    by its transpose.
+    """
+    cache = hidden_layer(params, adj, X)
+    if kind == "gcn":
+        return cache["hd"]  # no mask on a clean pass, so hd is h
+    return output_layer(cache, params["w1" if kind == "gae" else "w_mu"])

@@ -138,20 +138,6 @@ def _build_base_graph(cfg: dict, X, Y, train_mask_local, rng: SeededRng) -> Item
     return g
 
 
-def _representation(kind, params, adj, X):
-    """Clean (dropout-free) forward: each item's model representation.
-
-    gcn represents an item by its hidden state h = ReLU(A~ X W0), gae by
-    its latent Z and vgae by its mean mu.  ``adj`` may be the one-way
-    inductive operator: a clean forward only ever multiplies by it, never
-    by its transpose.
-    """
-    cache = models.hidden_layer(params, adj, X)
-    if kind == "gcn":
-        return cache["hd"]  # no mask on a clean pass, so hd is h
-    return models.output_layer(cache, params["w1" if kind == "gae" else "w_mu"])
-
-
 def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta, clamp):
     """The training objective of one model kind and its analytic gradient.
 
@@ -162,7 +148,10 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
     reconstruction target (laid out from the clean normalized adjacency
     of the base graph), ``beta`` the KL weight and ``clamp`` the bound on
     VGAE's log sigma (``model.logsig_clamp``); gcn ignores the last
-    four, gae the last two.  This is the only place the loss terms are weighted:
+    four, gae the last two.  One :func:`gemi.models.forward` and one
+    :func:`gemi.models.backward` run every kind; the weighted loss
+    gradients are the upstream pulls the backward takes.  This is the
+    only place the loss terms are weighted:
 
     * gcn:  sup
     * gae:  rec + lambda_sup · sup
@@ -170,24 +159,19 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
 
     Returns (total, report of loss parts, grads per weight).
     """
-    if kind == "gcn":
-        logits, cache = models.gcn_forward(params, adj, X, masks)
-        sup, d_logits = supervised_loss_and_grad(loss_cfg, logits, Y, pos_w, mask)
-        return sup, {"sup": sup, "total": sup}, models.gcn_backward(params, cache, d_logits)
-    if kind == "gae":
-        out, cache = models.gae_forward(params, adj, X, masks)
-    else:
-        out, cache = models.vgae_forward(params, adj, X, eps, clamp, masks)
+    out, cache = models.forward(kind, params, adj, X, masks, eps, clamp)
     sup, d_sup = supervised_loss_and_grad(loss_cfg, out["logits"], Y, pos_w, mask)
+    if kind == "gcn":
+        return sup, {"sup": sup, "total": sup}, models.backward(kind, params, cache, d_sup)
     rec, dZ_rec = recon_loss_and_grad(out["Z"], recon)
     if kind == "gae":
         total = rec + loss_cfg.lambda_sup * sup
-        grads = models.gae_backward(params, cache, loss_cfg.lambda_sup * d_sup, dZ_rec)
+        grads = models.backward(kind, params, cache, loss_cfg.lambda_sup * d_sup, dZ_rec)
         return total, {"rec": rec, "sup": sup, "total": total}, grads
     kl, d_mu_kl, d_ls_kl = kl_and_grads(out["mu"], out["log_sigma"])
     total = rec + beta * kl + loss_cfg.lambda_ssl * sup
-    grads = models.vgae_backward(
-        params, cache, loss_cfg.lambda_ssl * d_sup, dZ_rec, beta * d_mu_kl, beta * d_ls_kl
+    grads = models.backward(
+        kind, params, cache, loss_cfg.lambda_ssl * d_sup, dZ_rec, beta * d_mu_kl, beta * d_ls_kl
     )
     return total, {"rec": rec, "kl": kl, "beta": beta, "sup": sup, "total": total}, grads
 
@@ -266,13 +250,14 @@ def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededR
         params, base_graph, adj, epoch_logs, dropped = _train_loop(
             cfg, X[:n_fit], labels[order[:n_fit]], np.ones(n_fit, dtype=bool), rng
         )
-        attach_k = min(cfg["graph"]["attach_k"] or cfg["graph"]["k"], n_fit)
+        # only the graph.k fallback is clamped: an epsilon graph does not bound it
+        attach_k = cfg["graph"]["attach_k"] or min(cfg["graph"]["k"], n_fit)
         # rebinding adj frees the clean operator once the attachment holds its copy
         adj = attach_test_items(adj, X[:n_fit], X[n_fit:], attach_k)
     else:
         order, X = None, features
         params, base_graph, adj, epoch_logs, dropped = _train_loop(cfg, X, labels, train_mask, rng)
-    reps = _representation(cfg["model"]["kind"], params, adj, X)
+    reps = models.represent(cfg["model"]["kind"], params, adj, X)
     if order is not None:  # scatter the local rows back to the global order
         local, reps = reps, np.zeros((features.shape[0], reps.shape[1]))
         reps[order] = local

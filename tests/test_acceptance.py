@@ -96,8 +96,8 @@ def test_02_loss_identities():
     X = SeededRng(9).normal(size=(10, 6))
     g = knn_graph_symmetric(X, 2)
     adj = AdjacencyPattern(g).operator()
-    out_v, _ = models.vgae_forward(vg, adj, X, np.zeros((10, 4)), clamp)
-    out_g, _ = models.gae_forward(ga, adj, X)
+    out_v, _ = models.forward("vgae", vg, adj, X, eps=np.zeros((10, 4)), clamp=clamp)
+    out_g, _ = models.forward("gae", ga, adj, X)
     assert np.array_equal(out_v["mu"], out_g["Z"])
     Y = (SeededRng(10).random((10, 3)) < 0.4).astype(np.int64)
     train = np.arange(10) < 7

@@ -200,6 +200,26 @@ class TestRun:
         assert err.startswith("error: graph.k:")
         assert f"{protocol} graph's node count, {n}" in err
 
+    def test_attach_k_above_train_count_exit_2_before_users(self, dataset, tmp_path, monkeypatch, capsys):
+        from gemi import cli
+
+        def no_users(*args, **kwargs):
+            raise AssertionError("users were built for an impossible attachment")
+
+        monkeypatch.setattr(cli, "_build_profiles", no_users)
+        n = int(dataset["table"].train_mask.sum())
+        cfg_path, _ = write_cfg(tmp_path, dataset, protocol="inductive", graph={"attach_k": n + 1})
+        assert main(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph.attach_k:")
+        assert f"training count, {n} train items" in err
+
+    def test_attach_k_at_train_count_runs(self, dataset, tmp_path):
+        # every training item is a neighbour: the largest attachment allowed
+        n = int(dataset["table"].train_mask.sum())
+        cfg_path, _ = write_cfg(tmp_path, dataset, protocol="inductive", graph={"attach_k": n})
+        assert main(["run", "--config", cfg_path]) == 0
+
     def test_seed_env_override(self, dataset, tmp_path, monkeypatch):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         monkeypatch.setenv("GEMI_SEED", "99")

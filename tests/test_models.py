@@ -6,19 +6,14 @@ from gemi.config import default_config
 from gemi.graph import AdjacencyPattern, knn_graph_symmetric
 from gemi.losses import ReconTargets, recon_loss_and_grad
 from gemi.models import (
+    backward,
     draw_feature_masks,
     dropout_mask,
     flatten_weights,
-    gae_backward,
-    gae_forward,
-    gcn_backward,
-    gcn_forward,
+    forward,
     glorot,
     init_params,
     set_weights_from_vector,
-    vgae_backward,
-    vgae_encode,
-    vgae_forward,
 )
 from gemi.numerics import SeededRng, spmm
 from model_oracle import dense_backward
@@ -102,33 +97,33 @@ class TestGcn:
     def test_matches_manual_two_layer(self, small, rng):
         X, adj = small
         p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
-        logits, cache = gcn_forward(p, adj, X)
+        out, cache = forward("gcn", p, adj, X)
         a = adj.toarray()
         h = np.maximum(a @ X @ p["w0"], 0.0)
-        np.testing.assert_allclose(logits, a @ h @ p["w1"], atol=1e-12)
+        np.testing.assert_allclose(out["logits"], a @ h @ p["w1"], atol=1e-12)
         np.testing.assert_allclose(cache["hd"], h, atol=1e-12)
 
     def test_eval_mode_deterministic(self, small, rng):
         X, adj = small
         p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
-        l1, _ = gcn_forward(p, adj, X)
-        l2, _ = gcn_forward(p, adj, X)
-        assert np.array_equal(l1, l2)
+        o1, _ = forward("gcn", p, adj, X)
+        o2, _ = forward("gcn", p, adj, X)
+        assert np.array_equal(o1["logits"], o2["logits"])
 
     def test_training_mode_uses_dropout(self, small, rng):
         X, adj = small
         p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
-        l1, _ = gcn_forward(p, adj, X, draw_feature_masks(rng.substream("a"), 10, 4, 6, 0.5))
-        l2, _ = gcn_forward(p, adj, X, draw_feature_masks(rng.substream("b"), 10, 4, 6, 0.5))
-        assert not np.array_equal(l1, l2)
+        o1, _ = forward("gcn", p, adj, X, draw_feature_masks(rng.substream("a"), 10, 4, 6, 0.5))
+        o2, _ = forward("gcn", p, adj, X, draw_feature_masks(rng.substream("b"), 10, 4, 6, 0.5))
+        assert not np.array_equal(o1["logits"], o2["logits"])
 
     def test_frozen_masks_reproduce(self, small, rng):
         X, adj = small
         p = init_params("gcn", d=4, hidden=6, latent=0, c=3, rng=rng)
         masks = draw_feature_masks(rng.substream("m"), 10, 4, 6, 0.5)
-        l1, _ = gcn_forward(p, adj, X, masks=masks)
-        l2, _ = gcn_forward(p, adj, X, masks=masks)
-        assert np.array_equal(l1, l2)
+        o1, _ = forward("gcn", p, adj, X, masks=masks)
+        o2, _ = forward("gcn", p, adj, X, masks=masks)
+        assert np.array_equal(o1["logits"], o2["logits"])
 
 
 def _decoder_matches_gram_oracle(Z, adj):
@@ -152,7 +147,7 @@ class TestGae:
     def test_forward_pieces_consistent(self, small, rng):
         X, adj = small
         p = init_params("gae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        out, cache = gae_forward(p, adj, X)
+        out, cache = forward("gae", p, adj, X)
         np.testing.assert_allclose(out["logits"], out["Z"] @ p["head"], atol=1e-12)
         assert set(out) == {"Z", "logits"}  # no n × n decoder output
         _decoder_matches_gram_oracle(out["Z"], adj)
@@ -161,7 +156,7 @@ class TestGae:
     def test_latent_dimension(self, small, rng):
         X, adj = small
         p = init_params("gae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        out, _ = gae_forward(p, adj, X)
+        out, _ = forward("gae", p, adj, X)
         assert out["Z"].shape == (10, 3)
 
 
@@ -169,39 +164,39 @@ class TestVgae:
     def test_encoder_shares_first_layer(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        mu, ls, cache = vgae_encode(p, adj, X, CLAMP)
+        out, _ = forward("vgae", p, adj, X, eps=np.zeros((10, 3)), clamp=CLAMP)
         a = adj.toarray()
         h = np.maximum(a @ X @ p["w0"], 0.0)
         m2 = a @ h
-        np.testing.assert_allclose(mu, m2 @ p["w_mu"], atol=1e-12)
-        np.testing.assert_allclose(ls, np.clip(m2 @ p["w_sigma"], -CLAMP, CLAMP), atol=1e-12)
+        np.testing.assert_allclose(out["mu"], m2 @ p["w_mu"], atol=1e-12)
+        np.testing.assert_allclose(out["log_sigma"], np.clip(m2 @ p["w_sigma"], -CLAMP, CLAMP), atol=1e-12)
 
     def test_log_sigma_clamped(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
         big = {**p, "w0": p["w0"] * 50.0, "w_sigma": p["w_sigma"] * 50.0}
-        _, ls, _ = vgae_encode(big, adj, X, CLAMP)
-        assert ls.max() <= CLAMP
-        assert ls.min() >= -CLAMP
+        out, _ = forward("vgae", big, adj, X, eps=np.zeros((10, 3)), clamp=CLAMP)
+        assert out["log_sigma"].max() <= CLAMP
+        assert out["log_sigma"].min() >= -CLAMP
 
     def test_zero_eps_collapses_to_mu(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        out, _ = vgae_forward(p, adj, X, np.zeros((10, 3)), CLAMP)
+        out, _ = forward("vgae", p, adj, X, eps=np.zeros((10, 3)), clamp=CLAMP)
         assert np.array_equal(out["Z"], out["mu"])
 
     def test_sample_is_mu_plus_sigma_eps(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
         eps = SeededRng(9).normal(size=(10, 3))
-        out, _ = vgae_forward(p, adj, X, eps, CLAMP)
+        out, _ = forward("vgae", p, adj, X, eps=eps, clamp=CLAMP)
         np.testing.assert_allclose(out["Z"], out["mu"] + np.exp(out["log_sigma"]) * eps, atol=1e-12)
 
     def test_sampling_varies_with_rng(self, small, rng):
         X, adj = small
         p = init_params("vgae", d=4, hidden=6, latent=3, c=3, rng=rng)
-        o1, _ = vgae_forward(p, adj, X, rng.substream("e1").normal(size=(10, 3)), CLAMP)
-        o2, _ = vgae_forward(p, adj, X, rng.substream("e2").normal(size=(10, 3)), CLAMP)
+        o1, _ = forward("vgae", p, adj, X, eps=rng.substream("e1").normal(size=(10, 3)), clamp=CLAMP)
+        o2, _ = forward("vgae", p, adj, X, eps=rng.substream("e2").normal(size=(10, 3)), clamp=CLAMP)
         assert np.array_equal(o1["mu"], o2["mu"])
         assert not np.array_equal(o1["Z"], o2["Z"])
 
@@ -211,7 +206,7 @@ def test_forward_spmm_consistency(small, rng):
     # here the model caches exactly what spmm returns
     X, adj = small
     p = init_params("gcn", d=4, hidden=5, latent=0, c=3, rng=rng)
-    logits, cache = gcn_forward(p, adj, X)
+    _, cache = forward("gcn", p, adj, X)
     np.testing.assert_allclose(cache["m1"], spmm(adj, X), atol=0)
 
 
@@ -241,14 +236,12 @@ def _order_case(kind, widths, dropout, seed=5):
 
 def _model_pass(kind, p, adj, X, masks, eps, up):
     """(outputs, grads, cache) of one forward and backward through gemi.models."""
+    out, cache = forward(kind, p, adj, X, masks, eps, CLAMP)
     if kind == "gcn":
-        logits, cache = gcn_forward(p, adj, X, masks)
-        return {"logits": logits}, gcn_backward(p, cache, up["d_logits"]), cache
+        return out, backward(kind, p, cache, up["d_logits"]), cache
     if kind == "gae":
-        out, cache = gae_forward(p, adj, X, masks)
-        return out, gae_backward(p, cache, up["d_logits"], up["dZ_rec"]), cache
-    out, cache = vgae_forward(p, adj, X, eps, CLAMP, masks)
-    grads = vgae_backward(p, cache, up["d_logits"], up["dZ_rec"], up["d_mu_kl"], up["d_ls_kl"])
+        return out, backward(kind, p, cache, up["d_logits"], up["dZ_rec"]), cache
+    grads = backward(kind, p, cache, up["d_logits"], up["dZ_rec"], up["d_mu_kl"], up["d_ls_kl"])
     return out, grads, cache
 
 
@@ -264,6 +257,8 @@ class TestSecondLayerOrder:
         for key in expect_out:
             np.testing.assert_allclose(out[key], expect_out[key], rtol=0, atol=1e-12, err_msg=key)
         assert set(grads) == set(expect_grads)
+        # the global-norm clip sums the squared norms in dict order
+        assert list(grads) == list(p)
         for key in expect_grads:
             np.testing.assert_allclose(grads[key], expect_grads[key], rtol=0, atol=1e-12, err_msg=key)
 
@@ -296,6 +291,6 @@ class TestSecondLayerOrder:
         ga = init_params("gae", 4, hidden, latent, 3, SeededRng(0))
         ga["w0"][...] = vg["w0"]
         ga["w1"][...] = vg["w_mu"]
-        out_v, _ = vgae_forward(vg, adj, X, np.zeros((12, latent)), CLAMP, masks)
-        out_g, _ = gae_forward(ga, adj, X, masks)
+        out_v, _ = forward("vgae", vg, adj, X, masks, np.zeros((12, latent)), CLAMP)
+        out_g, _ = forward("gae", ga, adj, X, masks)
         assert np.array_equal(out_v["mu"], out_g["Z"])

@@ -136,14 +136,15 @@ class TestTrainingLoop:
     def test_logsig_clamp_reaches_training(self, table, monkeypatch):
         # model.logsig_clamp bounds log sigma in every training forward
         seen = []
-        real = models.vgae_forward
+        real = models.forward
 
-        def spy(*args):
-            out, cache = real(*args)
-            seen.append(out["log_sigma"])
+        def spy(kind, *args):
+            out, cache = real(kind, *args)
+            if kind == "vgae":
+                seen.append(out["log_sigma"])
             return out, cache
 
-        monkeypatch.setattr(models, "vgae_forward", spy)
+        monkeypatch.setattr(models, "forward", spy)
         cfg = tiny_cfg("vgae", epochs=3, logsig_clamp=0.5)
         train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
         assert len(seen) == 3
@@ -159,7 +160,7 @@ class TestTrainingLoop:
     def test_gcn_representation_is_the_clean_hidden_layer(self, table):
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, tiny_cfg("gcn"), SeededRng(2))
         adj = coo_normalized_adjacency(m.base_graph)
-        _, cache = models.gcn_forward(m.params, adj, table.features)
+        _, cache = models.forward("gcn", m.params, adj, table.features)
         assert np.array_equal(m.representations, cache["hd"])
 
     @pytest.mark.parametrize("kind", ["gcn", "gae", "vgae"])
@@ -234,7 +235,7 @@ class TestTrainingLoop:
         # evaluation forward reuses its clean operator transductively and
         # runs on the attachment that extends it inductively
         built, clean, evaluated = [], [], []
-        real_init, real_loop, real_rep = graph.AdjacencyPattern.__init__, train._train_loop, train._representation
+        real_init, real_loop, real_rep = graph.AdjacencyPattern.__init__, train._train_loop, models.represent
 
         def counting_init(self, g):
             built.append(g)
@@ -251,7 +252,7 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(graph.AdjacencyPattern, "__init__", counting_init)
         monkeypatch.setattr(train, "_train_loop", spy_loop)
-        monkeypatch.setattr(train, "_representation", spy_rep)
+        monkeypatch.setattr(models, "represent", spy_rep)
         attached = spy_attachment(monkeypatch)
         cfg = tiny_cfg(kind, epochs=3, protocol=protocol)
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
