@@ -65,6 +65,10 @@ _AUGMENT_DEFAULTS = {
 
 def default_config(model_kind: str = "gcn") -> dict:
     """Fully materialized defaults for one model kind."""
+    from dataclasses import asdict
+
+    from .losses import LossConfig
+
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind: must be one of {MODEL_KINDS}, got {model_kind!r}")
     md = _MODEL_DEFAULTS[model_kind]
@@ -104,14 +108,7 @@ def default_config(model_kind: str = "gcn") -> dict:
             "logsig_clamp": 10.0,
             "kl_ramp_fraction": 0.5,
         },
-        "loss": {
-            "kind": "focal",
-            "alpha": 0.25,
-            "gamma": 2.0,
-            "lambda_sup": 0.60,
-            "lambda_ssl": 0.60,
-            "beta_max": 1.0,
-        },
+        "loss": asdict(LossConfig()),
         "users": {
             "source": "synthetic",
             "interactions": None,
@@ -141,7 +138,7 @@ def _merge(base: dict, override: dict, path: str) -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"{here}: unknown field")
-        if isinstance(base[key], dict) and key != "augment":
+        if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{here}: expected an object")
             out[key] = _merge(base[key], value, here)
@@ -223,7 +220,13 @@ def validate_config(cfg: dict) -> None:
         _check_int(ev[key], f"eval.{key}")
     _check(is_number(ev["tau"]) and 0.0 < ev["tau"] < 1.0, "eval.tau", "must be in (0, 1)")
     _check(ev["representation"] in REPRESENTATIONS, "eval.representation", f"must be one of {REPRESENTATIONS}")
+    _check(isinstance(cfg["output_dir"], str), "output_dir", "must be a string")
     d = cfg["dataset"]
+    for key in ("embeddings", "labels", "image", "text"):
+        _check(d[key] is None or isinstance(d[key], str), f"dataset.{key}", "must be a string or null")
+    for key in ("chunks", "experts"):
+        ok = isinstance(d[key], list) and all(isinstance(path, str) for path in d[key])
+        _check(ok, f"dataset.{key}", "must be a list of strings")
     _check(is_number(d["test_fraction"]) and 0.0 < d["test_fraction"] < 1.0, "dataset.test_fraction", "must be in (0, 1)")
 
 

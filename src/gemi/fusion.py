@@ -35,9 +35,13 @@ def _align(ref_ids, ids, matrix, role: str) -> np.ndarray:
     if tuple(ids) == tuple(ref_ids):
         return matrix
     index = {pid: i for i, pid in enumerate(ids)}
+    ref = set(ref_ids)
     missing = [pid for pid in ref_ids if pid not in index]
-    if missing or len(ids) != len(ref_ids):
-        raise IngestError(f"{role} table ids do not match the panel ids (first problem: {missing[:1]})")
+    extra = [pid for pid in ids if pid not in ref]
+    if missing or extra or len(ids) != len(ref_ids):
+        raise IngestError(
+            f"{role} table ids do not match the panel ids (first missing: {missing[:1]}, first extra: {extra[:1]})"
+        )
     return matrix[[index[pid] for pid in ref_ids]]
 
 

@@ -15,9 +15,9 @@ Forward formulas:
   Z = mu + exp(log_sigma) * eps and logits = Z head.
 
 Weights: a model is a plain dict from weight name to array, as
-:func:`init_params` draws it; Adam, clipping, the flat-vector helpers
-and the gradient check all work on that dict, and :func:`backward`
-returns its gradients under the same names, in the same order.
+:func:`init_params` draws it; Adam, clipping and the gradient check all
+walk that dict in its key order, and :func:`backward` returns its
+gradients under the same names, in the same order.
 
 Order: the second layer A~ H W_out forms H W_out first and propagates
 only that, forward and backward, so its spmm runs at the output width.
@@ -74,20 +74,6 @@ def init_params(kind: str, d: int, hidden: int, latent: int, c: int, rng: Seeded
     if kind not in shapes:
         raise ValueError(f"unknown model kind {kind!r}")
     return {name: glorot(rng, *shape) for name, shape in shapes[kind].items()}
-
-
-def flatten_weights(weights: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([weights[k].ravel() for k in sorted(weights)])
-
-
-def set_weights_from_vector(weights: dict[str, np.ndarray], vec: np.ndarray) -> None:
-    offset = 0
-    for k in sorted(weights):
-        size = weights[k].size
-        weights[k][...] = vec[offset : offset + size].reshape(weights[k].shape)
-        offset += size
-    if offset != vec.size:
-        raise ValueError("vector length does not match parameter count")
 
 
 def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray | None:

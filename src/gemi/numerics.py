@@ -88,17 +88,25 @@ def l2_normalize_rows(x, eps: float = EPS_NORM) -> np.ndarray:
     return x / (norms + eps)
 
 
-def finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function on a flat vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        fp = f(xp)
-        xm = x.copy()
-        xm[i] -= h
-        fm = f(xm)
+def finite_difference_gradient(f, x) -> np.ndarray:
+    """Central-difference gradient, shaped like ``x``, of the scalar ``f()``.
+
+    ``f`` takes no argument and reads the float64 array ``x``, which is
+    perturbed in place by ±1e-5 one entry at a time.  Each entry is put
+    back exactly before the next is touched, also when ``f`` raises; a
+    non-finite value raises :class:`FloatingPointError`.
+    """
+    h = 1e-5
+    grad = np.empty(x.shape)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        try:
+            x[i] = orig + h
+            fp = f()
+            x[i] = orig - h
+            fm = f()
+        finally:
+            x[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise FloatingPointError(f"non-finite value in finite difference at index {i}")
         grad[i] = (fp - fm) / (2.0 * h)

@@ -119,6 +119,14 @@ class TestRun:
         assert main(["run", "--config", cfg_path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    def test_non_string_dataset_path_exit_2(self, dataset, tmp_path, capsys):
+        # open(0) is stdin: unchecked, the run read its embeddings from there
+        cfg_path, cfg = write_cfg(tmp_path, dataset)
+        cfg["dataset"]["embeddings"] = 0
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.startswith("error: dataset.embeddings: ")
+
     @pytest.mark.parametrize(
         "field",
         [

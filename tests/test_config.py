@@ -113,6 +113,16 @@ class TestResolve:
             ({"model": {"logsig_clamp": -1}}, "model.logsig_clamp"),
             ({"graph": {"similarity_floor": "x"}}, "graph.similarity_floor"),
             ({"graph": {"augment_exempt_from_dropout": 3}}, "graph.augment_exempt_from_dropout"),
+            ({"dataset": {"embeddings": 0}}, "dataset.embeddings"),
+            ({"dataset": {"embeddings": ["emb.csv"]}}, "dataset.embeddings"),
+            ({"dataset": {"labels": 1.5}}, "dataset.labels"),
+            ({"dataset": {"image": True}}, "dataset.image"),
+            ({"dataset": {"text": {"path": "t.csv"}}}, "dataset.text"),
+            ({"dataset": {"chunks": "emb.csv"}}, "dataset.chunks"),
+            ({"dataset": {"chunks": ["a.csv", 0]}}, "dataset.chunks"),
+            ({"dataset": {"experts": None}}, "dataset.experts"),
+            ({"output_dir": 0}, "output_dir"),
+            ({"output_dir": None}, "output_dir"),
         ],
     )
     def test_unchecked_fields_rejected(self, raw, field):

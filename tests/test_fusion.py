@@ -137,9 +137,13 @@ class TestBuildPanelFeatures:
 
     def test_mean_mode_id_mismatch(self, tmp_path, rng):
         write_embeddings(tmp_path / "img.csv", ("a", "b"), rng.normal(size=(2, 3)))
-        write_embeddings(tmp_path / "txt.csv", ("a", "c"), rng.normal(size=(2, 3)))
-        with pytest.raises(ValueError, match="text table ids"):
-            features_for("mean", image=str(tmp_path / "img.csv"), text=str(tmp_path / "txt.csv"))
+        for text_ids, named in [
+            (("a", "c"), r"first missing: \['b'\], first extra: \['c'\]"),
+            (("a", "b", "c"), r"first missing: \[\], first extra: \['c'\]"),  # an extra id alone is named too
+        ]:
+            write_embeddings(tmp_path / "txt.csv", text_ids, rng.normal(size=(len(text_ids), 3)))
+            with pytest.raises(ValueError, match=rf"^text table ids do not match the panel ids \({named}\)$"):
+                features_for("mean", image=str(tmp_path / "img.csv"), text=str(tmp_path / "txt.csv"))
 
     def test_chunks_mode_averages_files(self, tmp_path, rng):
         ids = ("a", "b")

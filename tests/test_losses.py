@@ -107,10 +107,7 @@ class TestWeightedBce:
         for cfg in (WBCE, LossConfig(kind="bce")):
             g = grad(cfg, z, y, w, mask)
 
-            def f(v):
-                return loss(cfg, v.reshape(z.shape), y, w, mask)
-
-            fd = finite_difference_gradient(f, z.reshape(-1)).reshape(z.shape)
+            fd = finite_difference_gradient(lambda: loss(cfg, z, y, w, mask), z)
             np.testing.assert_allclose(g, fd, atol=1e-7)
 
     def test_grad_zero_outside_mask(self, rng):
@@ -149,10 +146,7 @@ class TestFocal:
         z, y, w, mask = _instance(rng, n=5, c=2)
         g = grad(focal(0.25, gamma), z, y, w, mask)
 
-        def f(v):
-            return loss(focal(0.25, gamma), v.reshape(z.shape), y, w, mask)
-
-        fd = finite_difference_gradient(f, z.reshape(-1)).reshape(z.shape)
+        fd = finite_difference_gradient(lambda: loss(focal(0.25, gamma), z, y, w, mask), z)
         np.testing.assert_allclose(g, fd, atol=1e-6)
 
     def test_saturated_prediction_no_nan(self):
@@ -188,9 +182,7 @@ class TestSupervisedDispatch:
         z, y, w, mask = _instance(rng)
         fc = focal(0.3, 1.5)
         g = grad(fc, z, y, w, mask)
-        fd = finite_difference_gradient(
-            lambda v: loss(fc, v.reshape(z.shape), y, w, mask), z.reshape(-1)
-        ).reshape(z.shape)
+        fd = finite_difference_gradient(lambda: loss(fc, z, y, w, mask), z)
         np.testing.assert_allclose(g, fd, atol=1e-6)
         assert not np.array_equal(g, grad(LossConfig(kind="focal"), z, y, w, mask))
 
@@ -257,10 +249,7 @@ class TestRecon:
         w = edge_pos_weight(t)
         grad = recon_loss_scores_grad(t, z, w)
 
-        def f(v):
-            return recon_loss_from_scores(t, v.reshape(z.shape), w)
-
-        fd = finite_difference_gradient(f, z.reshape(-1)).reshape(z.shape)
+        fd = finite_difference_gradient(lambda: recon_loss_from_scores(t, z, w), z)
         np.testing.assert_allclose(grad, fd, atol=1e-7)
 
 
@@ -379,10 +368,7 @@ class TestBlockedRecon:
         Z = rng.normal(size=(10, 3))
         _, dZ = recon_loss_and_grad(Z, pattern)
 
-        def f(v):
-            return recon_loss_and_grad(v.reshape(Z.shape), pattern)[0]
-
-        fd = finite_difference_gradient(f, Z.reshape(-1)).reshape(Z.shape)
+        fd = finite_difference_gradient(lambda: recon_loss_and_grad(Z, pattern)[0], Z)
         np.testing.assert_allclose(dZ, fd, atol=1e-8)
 
 
@@ -408,12 +394,8 @@ class TestKl:
         ls = rng.normal(size=(3, 2), scale=0.3)
         _, g_mu, g_ls = kl_and_grads(mu, ls)
 
-        fd_mu = finite_difference_gradient(
-            lambda v: kl_and_grads(v.reshape(mu.shape), ls)[0], mu.reshape(-1)
-        ).reshape(mu.shape)
-        fd_ls = finite_difference_gradient(
-            lambda v: kl_and_grads(mu, v.reshape(ls.shape))[0], ls.reshape(-1)
-        ).reshape(ls.shape)
+        fd_mu = finite_difference_gradient(lambda: kl_and_grads(mu, ls)[0], mu)
+        fd_ls = finite_difference_gradient(lambda: kl_and_grads(mu, ls)[0], ls)
         np.testing.assert_allclose(g_mu, fd_mu, atol=1e-7)
         np.testing.assert_allclose(g_ls, fd_ls, atol=1e-7)
 

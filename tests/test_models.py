@@ -9,11 +9,9 @@ from gemi.models import (
     backward,
     draw_feature_masks,
     dropout_mask,
-    flatten_weights,
     forward,
     glorot,
     init_params,
-    set_weights_from_vector,
 )
 from gemi.numerics import SeededRng, spmm
 from model_oracle import dense_backward
@@ -64,17 +62,6 @@ class TestInit:
         rng = SeededRng(11).substream("init")
         for name, w in p.items():
             assert np.array_equal(w, glorot(rng, *w.shape)), name
-
-    def test_flatten_round_trip(self, rng):
-        weights = init_params("gae", d=4, hidden=3, latent=2, c=3, rng=rng)
-        vec = flatten_weights(weights)
-        before = {k: v.copy() for k, v in weights.items()}
-        set_weights_from_vector(weights, vec * 2.0)
-        for k in weights:
-            np.testing.assert_allclose(weights[k], before[k] * 2.0)
-        set_weights_from_vector(weights, vec)
-        for k in weights:
-            np.testing.assert_allclose(weights[k], before[k])
 
 
 class TestDropout:

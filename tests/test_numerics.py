@@ -147,18 +147,15 @@ def test_rng_reproducible_property(seed, n):
 
 def test_finite_difference_gradient_quadratic():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
-
-    def f(x):
-        return 0.5 * float(x @ A @ x)
-
-    x0 = np.array([0.3, -1.2])
-    fd = finite_difference_gradient(f, x0)
+    x = np.array([0.3, -1.2])
+    x0 = x.copy()
+    fd = finite_difference_gradient(lambda: 0.5 * float(x @ A @ x), x)
     np.testing.assert_allclose(fd, A @ x0, atol=1e-7)
 
 
 def test_finite_difference_gradient_rejects_nonfinite():
-    def f(x):
-        return float("nan")
-
+    x = np.array([[0.3, -1.2], [2.5, 1e-7]])
+    x0 = x.copy()
     with pytest.raises(FloatingPointError):
-        finite_difference_gradient(f, np.zeros(2))
+        finite_difference_gradient(lambda: float("nan"), x)
+    assert np.array_equal(x.view(np.int64), x0.view(np.int64))  # every entry put back bit for bit
