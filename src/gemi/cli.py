@@ -111,9 +111,7 @@ def _build_profiles(cfg, panel_ids, labels, train_mask, rng: SeededRng, bootstra
 def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
     """Execute one resolved experiment and write its artifacts."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    recommend.write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
 
     ids, features = _load_features(cfg)
     labels, split = load_labels(_require_file(cfg["dataset"]["labels"], "dataset.labels"), ids)
@@ -154,24 +152,20 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
         seed=cfg["seed"],
     )
 
-    with open(os.path.join(out_dir, "train_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "kind": cfg["model"]["kind"],
-                "protocol": cfg["protocol"],
-                "seed": cfg["seed"],
-                "wall_time_s": trained.wall_time_s,
-                "epochs": trained.epochs,
-                "graph": {
-                    **graph_summary(trained.base_graph),
-                    "edges_dropped_per_epoch": trained.edges_dropped_per_epoch,
-                },
+    recommend.write_json(
+        os.path.join(out_dir, "train_report.json"),
+        {
+            "kind": cfg["model"]["kind"],
+            "protocol": cfg["protocol"],
+            "seed": cfg["seed"],
+            "wall_time_s": trained.wall_time_s,
+            "epochs": trained.epochs,
+            "graph": {
+                **graph_summary(trained.base_graph),
+                "edges_dropped_per_epoch": trained.edges_dropped_per_epoch,
             },
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
+        },
+    )
     recommend.write_metrics_json(os.path.join(out_dir, "metrics.json"), report)
     recommend.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), report)
     return report
@@ -191,10 +185,16 @@ def _env_seed(default: int) -> int:
     return seed
 
 
+def _out_dir(args, cfg) -> str:
+    if args.out == "":
+        raise ConfigError("--out: must be a nonempty path")
+    return cfg["output_dir"] if args.out is None else args.out
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg["seed"] = _env_seed(cfg["seed"])
-    out_dir = args.out or cfg["output_dir"]
+    out_dir = _out_dir(args, cfg)
     report = run_pipeline(cfg, out_dir)
     for i, name in enumerate(report.label_names):
         print(f"{report.model} {name}: {report.mean[i]:.4f} +/- {report.std[i]:.4f}")
@@ -230,7 +230,7 @@ def cmd_sweep(args) -> int:
     if not tokens:
         raise ConfigError("--values: at least one value required")
     values = [_parse_value(tok) for tok in tokens]
-    out_dir = args.out or cfg["output_dir"]
+    out_dir = _out_dir(args, cfg)
     jobs, owner = [], {}
     for token, value in zip(tokens, values):
         run_cfg = set_by_path(cfg, args.param, value)

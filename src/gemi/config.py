@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import json
 
-MODEL_KINDS = ("gcn", "gae", "vgae")
 PROTOCOLS = ("transductive", "inductive")
 FEATURE_MODES = ("precomputed", "mean", "chunks", "poe")
 GRAPH_KINDS = ("knn", "epsilon")
@@ -23,44 +22,46 @@ class ConfigError(ValueError):
     """Invalid configuration; message starts with the field path."""
 
 
-# per-kind hyperparameter defaults
-_MODEL_DEFAULTS = {
-    "gcn": {
-        "hidden": 128,
-        "latent": 64,
-        "dropout": 0.20,
-        "epochs": 450,
-        "lr": 3e-4,
-        "weight_decay": 2e-3,
-    },
-    "gae": {
-        "hidden": 128,
-        "latent": 64,
-        "dropout": 0.0,
-        "epochs": 400,
-        "lr": 2e-3,
-        "weight_decay": 2e-4,
-    },
-    "vgae": {
-        "hidden": 256,
-        "latent": 128,
-        "dropout": 0.0,
-        "epochs": 500,
-        "lr": 3e-3,
-        "weight_decay": 5e-4,
-    },
-}
-
-_GRAPH_K_DEFAULTS = {"gcn": 30, "gae": 30, "vgae": 25}
-
 # positives an augment entry keeps when it names no max_nodes
 AUGMENT_MAX_NODES = 2500
 
-_AUGMENT_DEFAULTS = {
-    "gcn": [{"label": "tree", "k": 25}],
-    "gae": [{"label": "animal", "k": 18}, {"label": "mythology", "k": 18}, {"label": "tree", "k": 35}],
-    "vgae": [{"label": "tree", "k": 25}],
+# what each model kind sets differently; default_config spreads it over the shared defaults
+_KIND_DEFAULTS = {
+    "gcn": {
+        "graph": {"k": 30, "augment": [{"label": "tree", "k": 25}]},
+        "model": {
+            "hidden": 128,
+            "latent": 64,
+            "dropout": 0.20,
+            "epochs": 450,
+            "lr": 3e-4,
+            "weight_decay": 2e-3,
+        },
+    },
+    "gae": {
+        "graph": {"k": 30, "augment": [{"label": "animal", "k": 18}, {"label": "mythology", "k": 18}, {"label": "tree", "k": 35}]},
+        "model": {
+            "hidden": 128,
+            "latent": 64,
+            "dropout": 0.0,
+            "epochs": 400,
+            "lr": 2e-3,
+            "weight_decay": 2e-4,
+        },
+    },
+    "vgae": {
+        "graph": {"k": 25, "augment": [{"label": "tree", "k": 25}]},
+        "model": {
+            "hidden": 256,
+            "latent": 128,
+            "dropout": 0.0,
+            "epochs": 500,
+            "lr": 3e-3,
+            "weight_decay": 5e-4,
+        },
+    },
 }
+MODEL_KINDS = tuple(_KIND_DEFAULTS)
 
 
 def default_config(model_kind: str = "gcn") -> dict:
@@ -71,7 +72,7 @@ def default_config(model_kind: str = "gcn") -> dict:
 
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind: must be one of {MODEL_KINDS}, got {model_kind!r}")
-    md = _MODEL_DEFAULTS[model_kind]
+    graph, model = _KIND_DEFAULTS[model_kind]["graph"], _KIND_DEFAULTS[model_kind]["model"]
     return {
         "seed": 0,
         "protocol": "transductive",
@@ -88,22 +89,17 @@ def default_config(model_kind: str = "gcn") -> dict:
         "features": {"mode": "precomputed"},
         "graph": {
             "kind": "knn",
-            "k": _GRAPH_K_DEFAULTS[model_kind],
+            "k": graph["k"],
             "epsilon": 0.5,
             "similarity_floor": 0.0,
             "edge_dropout": 0.10,
-            "augment": [dict(e, max_nodes=AUGMENT_MAX_NODES) for e in _AUGMENT_DEFAULTS[model_kind]],
+            "augment": [dict(e, max_nodes=AUGMENT_MAX_NODES) for e in graph["augment"]],
             "augment_exempt_from_dropout": False,
             "attach_k": None,
         },
         "model": {
             "kind": model_kind,
-            "hidden": md["hidden"],
-            "latent": md["latent"],
-            "dropout": md["dropout"],
-            "epochs": md["epochs"],
-            "lr": md["lr"],
-            "weight_decay": md["weight_decay"],
+            **model,
             "clip_norm": 2.0,
             "logsig_clamp": 10.0,
             "kl_ramp_fraction": 0.5,
@@ -188,7 +184,6 @@ def validate_config(cfg: dict) -> None:
     if g["attach_k"] is not None:
         _check_int(g["attach_k"], "graph.attach_k")
     m = cfg["model"]
-    _check(m["kind"] in MODEL_KINDS, "model.kind", f"must be one of {MODEL_KINDS}")
     for key in ("hidden", "latent", "epochs"):
         _check_int(m[key], f"model.{key}")
     _check(is_number(m["lr"]) and m["lr"] > 0, "model.lr", "must be positive")
@@ -220,7 +215,7 @@ def validate_config(cfg: dict) -> None:
         _check_int(ev[key], f"eval.{key}")
     _check(is_number(ev["tau"]) and 0.0 < ev["tau"] < 1.0, "eval.tau", "must be in (0, 1)")
     _check(ev["representation"] in REPRESENTATIONS, "eval.representation", f"must be one of {REPRESENTATIONS}")
-    _check(isinstance(cfg["output_dir"], str), "output_dir", "must be a string")
+    _check(isinstance(cfg["output_dir"], str) and cfg["output_dir"], "output_dir", "must be a nonempty string")
     d = cfg["dataset"]
     for key in ("embeddings", "labels", "image", "text"):
         _check(d[key] is None or isinstance(d[key], str), f"dataset.{key}", "must be a string or null")
@@ -234,9 +229,8 @@ def resolve_config(raw: dict) -> dict:
     """Merge a partial config over the defaults for its model kind."""
     if not isinstance(raw, dict):
         raise ConfigError(": config root must be a JSON object")
-    kind = raw.get("model", {}).get("kind", "gcn")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind: must be one of {MODEL_KINDS}, got {kind!r}")
+    model = raw.get("model")
+    kind = model.get("kind", "gcn") if isinstance(model, dict) else "gcn"  # else _merge names the section
     cfg = _merge(default_config(kind), raw, "")
     validate_config(cfg)
     for entry in cfg["graph"]["augment"]:

@@ -31,7 +31,9 @@ def product_of_experts(means, variances) -> tuple[np.ndarray, np.ndarray]:
     return weighted / precision, 1.0 / precision
 
 
-def _align(ref_ids, ids, matrix, role: str) -> np.ndarray:
+def _align(ref_ids, ids, matrix, role: str, width: int) -> np.ndarray:
+    if matrix.shape[1] != width:
+        raise IngestError(f"{role} table has {matrix.shape[1]} columns, the first table has {width}")
     if tuple(ids) == tuple(ref_ids):
         return matrix
     index = {pid: i for i, pid in enumerate(ids)}
@@ -47,22 +49,22 @@ def _align(ref_ids, ids, matrix, role: str) -> np.ndarray:
 
 def mean_fuse(image, text) -> tuple[tuple[str, ...], np.ndarray]:
     """Mean of the ℓ2-normalised image and text rows; tables are (ids, matrix)."""
-    ids, ximg = image
+    ids, ximg = image[0], as_matrix(image[1])
     tids, xtxt = text
-    xtxt = _align(ids, tids, as_matrix(xtxt), "text")
+    xtxt = _align(ids, tids, as_matrix(xtxt), "text", ximg.shape[1])
     return tuple(ids), 0.5 * (l2_normalize_rows(ximg) + l2_normalize_rows(xtxt))
 
 
 def chunk_fuse(tables) -> tuple[tuple[str, ...], np.ndarray]:
     """Arithmetic mean of chunk embedding tables, each (ids, matrix)."""
-    ids = tuple(tables[0][0])
-    aligned = [_align(ids, pids, as_matrix(px), f"chunk[{k}]") for k, (pids, px) in enumerate(tables)]
+    ids, width = tuple(tables[0][0]), as_matrix(tables[0][1]).shape[1]
+    aligned = [_align(ids, pids, as_matrix(px), f"chunk[{k}]", width) for k, (pids, px) in enumerate(tables)]
     return ids, np.stack(aligned).mean(axis=0)
 
 
 def poe_fuse(experts) -> tuple[tuple[str, ...], np.ndarray]:
     """Fused Product-of-Experts means of Gaussian posterior tables."""
-    ids = experts[0].ids
-    means = [_align(ids, e.ids, e.mean, "expert mean") for e in experts]
-    variances = [_align(ids, e.ids, e.var, "expert var") for e in experts]
+    ids, width = experts[0].ids, experts[0].mean.shape[1]
+    means = [_align(ids, e.ids, e.mean, "expert mean", width) for e in experts]
+    variances = [_align(ids, e.ids, e.var, "expert var", width) for e in experts]
     return ids, product_of_experts(means, variances)[0]

@@ -125,10 +125,14 @@ def evaluate(
     )
 
 
-def write_metrics_json(path, report: MetricsReport) -> None:
+def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_metrics_json(path, report: MetricsReport) -> None:
+    write_json(path, report.to_dict())
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:

@@ -203,9 +203,9 @@ def build_real_profiles(
     table: InteractionTable,
     Y,
     train_mask,
-    pseudo_count: float = 5.0,
-    gain: float = 5.0,
-    top_k: int = 5,
+    pseudo_count: float,
+    gain: float,
+    top_k: int,
 ) -> Users:
     """The full ratings pipeline producing continuous-preference profiles.
 
@@ -306,11 +306,10 @@ def bootstrap_augment(
     )
 
 
-def write_user_dataset(prefix: str, users: Users, panel_ids=None) -> tuple[str, str]:
+def write_user_dataset(prefix: str, users: Users, panel_ids) -> tuple[str, str]:
     """Serialize users as preferences CSV + interactions CSV.
 
-    ``panel_ids`` maps item indices back to panel id strings; without it
-    the raw indices are written.
+    ``panel_ids`` maps item indices back to panel id strings.
     """
     pref_path = f"{prefix}.preferences.csv"
     inter_path = f"{prefix}.interactions.csv"
@@ -321,7 +320,7 @@ def write_user_dataset(prefix: str, users: Users, panel_ids=None) -> tuple[str, 
             [uid, *map(repr, row)] for uid, row in zip(users.ids, users.preferences.tolist())
         )
     owners = np.asarray(users.ids, dtype=object)[np.repeat(np.arange(len(users)), np.diff(users.indptr))]
-    pids = users.items.tolist() if panel_ids is None else np.asarray(panel_ids, dtype=object)[users.items]
+    pids = np.asarray(panel_ids, dtype=object)[users.items]
     with open(inter_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", "panel_id", "rating"])

@@ -77,6 +77,14 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(target)]) == 0
         assert (target / "metrics.json").is_file()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "model.lr", "--values", "0.01"]])
+    def test_empty_out_flag_exit_2(self, dataset, tmp_path, capsys, command):
+        # an empty --out is an error, not a fall back to the config's output_dir
+        cfg_path, cfg = write_cfg(tmp_path, dataset)
+        assert main([command[0], "--config", cfg_path, *command[1:], "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out: must be a nonempty path\n"
+        assert not os.path.exists(cfg["output_dir"])
+
     def test_byte_identical_reruns(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         a, b = tmp_path / "a", tmp_path / "b"

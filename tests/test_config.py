@@ -38,6 +38,15 @@ class TestDefaults:
         assert cfg["graph"]["k"] == 25
         assert cfg["loss"]["beta_max"] == 1.0
 
+    def test_kinds_share_key_paths(self):
+        # a field only one kind sets would differ here
+        def paths(node, prefix=""):
+            if not isinstance(node, dict):
+                return {prefix}
+            return {p for key, value in node.items() for p in paths(value, f"{prefix}.{key}")}
+
+        assert paths(default_config("gae")) == paths(default_config("gcn")) == paths(default_config("vgae"))
+
     def test_gae_augment_entries(self):
         cfg = default_config("gae")
         labels = [e["label"] for e in cfg["graph"]["augment"]]
@@ -123,6 +132,8 @@ class TestResolve:
             ({"dataset": {"experts": None}}, "dataset.experts"),
             ({"output_dir": 0}, "output_dir"),
             ({"output_dir": None}, "output_dir"),
+            ({"output_dir": ""}, "output_dir"),
+            ({"model": ["gcn"]}, "model"),
         ],
     )
     def test_unchecked_fields_rejected(self, raw, field):

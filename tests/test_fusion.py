@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gemi.cli import _load_features
 from gemi.config import resolve_config
 from gemi.fusion import chunk_fuse, mean_fuse, product_of_experts
+from gemi.ingest import IngestError
 from gemi.numerics import SeededRng
 from datasets import write_embeddings, write_gaussians
 
@@ -144,6 +145,21 @@ class TestBuildPanelFeatures:
             write_embeddings(tmp_path / "txt.csv", text_ids, rng.normal(size=(len(text_ids), 3)))
             with pytest.raises(ValueError, match=rf"^text table ids do not match the panel ids \({named}\)$"):
                 features_for("mean", image=str(tmp_path / "img.csv"), text=str(tmp_path / "txt.csv"))
+
+    @pytest.mark.parametrize(
+        "mode, role", [("mean", "text"), ("chunks", r"chunk\[1\]"), ("poe", "expert mean")], ids=["mean", "chunks", "poe"]
+    )
+    def test_width_mismatch_names_the_table(self, tmp_path, rng, mode, role):
+        ids = ("a", "b")
+        paths = [str(tmp_path / f"t{k}.csv") for k in range(2)]
+        for path, width in zip(paths, (8, 6)):
+            if mode == "poe":
+                write_gaussians(path, ids, rng.normal(size=(2, width)), rng.normal(size=(2, width)))
+            else:
+                write_embeddings(path, ids, rng.normal(size=(2, width)))
+        dataset = {"mean": {"image": paths[0], "text": paths[1]}, "chunks": {"chunks": paths}, "poe": {"experts": paths}}
+        with pytest.raises(IngestError, match=rf"^{role} table has 6 columns, the first table has 8$"):
+            features_for(mode, **dataset[mode])
 
     def test_chunks_mode_averages_files(self, tmp_path, rng):
         ids = ("a", "b")

@@ -21,6 +21,9 @@ from gemi.users import (
 import users_oracle as oracle
 from users_oracle import empirical_label_frequency, make_users, rows_of
 
+# the users.pseudo_count, users.gain and users.top_k of the default config
+REAL = dict(pseudo_count=5.0, gain=5.0, top_k=5)
+
 
 def make_interactions(users, panels, ratings):
     users = np.asarray(users, dtype=np.int64)
@@ -207,20 +210,20 @@ class TestBuildRealProfiles:
         Y, train = self._setup()
         # panel 4 is a test panel: interactions on it must not leak in
         t = make_interactions([0, 0, 0], [0, 1, 4], [5.0, 1.0, 3.0])
-        profiles = build_real_profiles(t, Y, train)
+        profiles = build_real_profiles(t, Y, train, **REAL)
         assert 4 not in rows_of(profiles)[0]
 
     def test_user_with_only_test_interactions_skipped(self):
         Y, train = self._setup()
         t = make_interactions([0, 1], [0, 4], [5.0, 3.0])
-        profiles = build_real_profiles(t, Y, train)
+        profiles = build_real_profiles(t, Y, train, **REAL)
         assert profiles.ids == ("u0",)
 
     def test_all_test_interactions_raises(self):
         Y, train = self._setup()
         t = make_interactions([0], [4], [3.0])
         with pytest.raises(ValueError):
-            build_real_profiles(t, Y, train)
+            build_real_profiles(t, Y, train, **REAL)
 
     def test_prior_is_support_weighted(self):
         Y = np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0]])
@@ -229,7 +232,7 @@ class TestBuildRealProfiles:
         t = make_interactions(
             [0, 0, 0, 0, 1, 1], [0, 1, 2, 3, 0, 3], [5.0, 5.0, 4.0, 1.0, 3.0, 2.0]
         )
-        profiles = build_real_profiles(t, Y, train, pseudo_count=5.0)
+        profiles = build_real_profiles(t, Y, train, **REAL)
         # both users exist and have valid prefs; animal lift dominates u0
         assert profiles.preferences[0, 0] > 0.5
 
@@ -336,9 +339,9 @@ class TestAgainstOracle:
         table = make_interactions(
             table.users, np.where(only_test, 30 + table.panels % 10, table.panels), table.ratings
         )
-        got = build_real_profiles(table, Y, train)
+        got = build_real_profiles(table, Y, train, **REAL)
         assert "u3" not in got.ids and "u7" not in got.ids
-        assert_same_users(got, oracle.build_real_profiles(table, Y, train))
+        assert_same_users(got, oracle.build_real_profiles(table, Y, train, **REAL))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("p_replace", [0.0, 0.3, 1.0])
@@ -357,7 +360,7 @@ class TestAgainstOracle:
         rng = SeededRng(4)
         Y = (rng.random((120, 3)) < 0.4).astype(np.int64)
         train = rng.random(120) < 0.8
-        bases = build_real_profiles(shuffled_ratings(rng, 50, 120, 25), Y, train)
+        bases = build_real_profiles(shuffled_ratings(rng, 50, 120, 25), Y, train, **REAL)
         observed = np.flatnonzero(train)
         got = bootstrap_augment(bases, observed, 2000, 5, 0.3, 0.8, 1.2, 0.05, 0.05, SeededRng(4))
         expect = oracle.bootstrap_augment(bases, observed, 2000, 5, 0.3, 0.8, 1.2, 0.05, 0.05, SeededRng(4))

@@ -106,7 +106,7 @@ def top_k_one(panels, ratings, k) -> list[int]:
     return [int(p) for p in panels[order[:k]]]
 
 
-def build_real_profiles(table, Y, train_mask, pseudo_count=5.0, gain=5.0, top_k=5) -> Users:
+def build_real_profiles(table, Y, train_mask, pseudo_count, gain, top_k) -> Users:
     keep = np.asarray(train_mask, dtype=bool)[table.panels]
     table = InteractionTable(
         user_ids=table.user_ids,
