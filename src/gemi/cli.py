@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one config-driven experiment), ``sweep`` (one run
 per value of a scalar config field plus a combined CSV), ``users``
 (synthetic or real preference datasets), ``check`` (gradient and oracle
-self-verification).  GEMI_SEED overrides the seed of run, sweep and users.
+self-verification).  GEMI_SEED overrides the seed of run, users and
+every sweep but one over ``seed``.
 Exit codes: 0 success, 2 usage or config error, 1 runtime failure.
 """
 
@@ -22,6 +23,7 @@ from .config import (
     ConfigError,
     default_config,
     load_config,
+    read_config,
     resolve_config,
     set_by_path,
     validate_config,
@@ -224,8 +226,11 @@ def _parse_value(token: str):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
-    cfg = load_config(args.config)
-    cfg["seed"] = _env_seed(cfg["seed"])
+    if args.param == "output_dir":
+        raise ConfigError("--param: output_dir cannot be swept; each run writes under --out")
+    raw = read_config(args.config)
+    cfg = resolve_config(raw)
+    seed = _env_seed(cfg["seed"])
     tokens = [tok for tok in args.values.split(",") if tok != ""]
     if not tokens:
         raise ConfigError("--values: at least one value required")
@@ -233,9 +238,10 @@ def cmd_sweep(args) -> int:
     out_dir = _out_dir(args, cfg)
     jobs, owner = [], {}
     for token, value in zip(tokens, values):
-        run_cfg = set_by_path(cfg, args.param, value)
-        run_cfg["seed"] = _derived_seed(cfg["seed"], args.param, value)
-        run_cfg = resolve_config(run_cfg)  # re-validate the override
+        run_raw = set_by_path(raw, args.param, value)
+        if args.param != "seed":  # a swept seed is the run's seed
+            run_raw["seed"] = _derived_seed(seed, args.param, value)
+        run_cfg = resolve_config(run_raw)  # like `gemi run`: a swept kind brings its defaults
         safe = str(value).replace(os.sep, "_").replace(" ", "")
         subdir = os.path.join(out_dir, f"{args.param}={safe}")
         if subdir in owner:

@@ -238,28 +238,36 @@ def resolve_config(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path) -> dict:
+def read_config(path) -> dict:
+    """The raw JSON config at ``path``, before defaults are merged in."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return resolve_config(raw)
 
 
-def set_by_path(cfg: dict, dotted: str, value) -> dict:
-    """Return a copy of cfg with the scalar field at dotted path replaced."""
-    out = copy.deepcopy(cfg)
+def load_config(path) -> dict:
+    return resolve_config(read_config(path))
+
+
+def set_by_path(raw: dict, dotted: str, value) -> dict:
+    """Return a copy of a raw config with the scalar field at dotted path set.
+
+    The path is checked against the defaults, which have the same key
+    paths for every kind; sections missing from ``raw`` are created.
+    """
+    node = default_config()
     parts = dotted.split(".")
-    node = out
-    for key in parts[:-1]:
+    for key in parts:
         if not isinstance(node, dict) or key not in node:
             raise ConfigError(f"{dotted}: no such config field")
         node = node[key]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"{dotted}: no such config field")
-    if isinstance(node[leaf], (dict, list)):
+    if isinstance(node, (dict, list)):
         raise ConfigError(f"{dotted}: not a scalar field")
-    node[leaf] = value
+    out = copy.deepcopy(raw)
+    node = out
+    for key in parts[:-1]:
+        node = node.setdefault(key, {})
+    node[parts[-1]] = value
     return out

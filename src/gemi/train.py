@@ -11,13 +11,13 @@ training ends and are then attached by a one-way operator whose rows
 never read another test item, so one test item can never influence
 another's prediction.  Both protocols share one evaluation forward.
 
-State built once per run: the training loop lays out the base graph's
-adjacency pattern, its clean operator and, for gae/vgae, the
-reconstruction targets before the first epoch.  An epoch draws only its
-edge-dropout keep mask, selects its operator from the pattern and
-scores the targets.  The clean operator is the run's only normalized
-operator: the transductive evaluation forward reuses it, and the
-inductive one extends it by the attached test rows.
+State built once per run: :func:`train_model` builds the base graph, and
+the training loop lays out its adjacency pattern, clean operator and,
+for gae/vgae, reconstruction targets before the first epoch.  An epoch
+draws only its edge-dropout keep mask, selects its operator from the
+pattern and scores the targets.  The clean operator is the run's only
+normalized operator: the transductive evaluation forward reuses it, and
+the inductive one extends it by the attached test rows.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ class TrainedModel:
     wall_time_s: float
 
 
-def _build_base_graph(cfg: dict, X, Y, train_mask_local, rng: SeededRng) -> ItemGraph:
+def build_graph(cfg: dict, X, Y, train_mask_local, rng: SeededRng) -> ItemGraph:
+    """The run's base item graph over the rows of X, label-augmented from the train rows."""
     g_cfg = cfg["graph"]
     if g_cfg["kind"] == "knn":
         g = knn_graph_symmetric(X, g_cfg["k"], g_cfg["similarity_floor"])
@@ -176,11 +177,10 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
     return total, {"rec": rec, "kl": kl, "beta": beta, "sup": sup, "total": total}, grads
 
 
-def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
-    """Core optimization over a fixed node set.
+def _train_loop(cfg: dict, base_graph: ItemGraph, X, Y, train_mask_local, rng: SeededRng):
+    """Core optimization over the base graph's fixed node set.
 
-    Returns (params, base graph, its clean operator, epoch logs, mean
-    edges dropped per epoch).
+    Returns (params, its clean operator, epoch logs, mean edges dropped per epoch).
     """
     kind = cfg["model"]["kind"]
     m_cfg = cfg["model"]
@@ -188,7 +188,6 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
     n, d = X.shape
     c = Y.shape[1]
 
-    base_graph = _build_base_graph(cfg, X, Y, train_mask_local, rng)
     pos_w = positive_weights(Y[train_mask_local])
 
     params = models.init_params(kind, d, m_cfg["hidden"], m_cfg["latent"], c, rng.substream("init"))
@@ -225,7 +224,7 @@ def _train_loop(cfg: dict, X, Y, train_mask_local, rng: SeededRng):
                 raise FloatingPointError(f"epoch {epoch}: non-finite {part} ({value})")
         adam_step(adam, params, grads, m_cfg["lr"], m_cfg["weight_decay"])
         epoch_logs.append(report)
-    return params, base_graph, clean_adj, epoch_logs, dropped / m_cfg["epochs"]
+    return params, clean_adj, epoch_logs, dropped / m_cfg["epochs"]
 
 
 def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededRng) -> TrainedModel:
@@ -247,16 +246,16 @@ def train_model(features, labels, train_mask, test_mask, cfg: dict, rng: SeededR
         order = np.concatenate([np.flatnonzero(train_mask), np.flatnonzero(test_mask)])
         n_fit = int(train_mask.sum())
         X = features[order]
-        params, base_graph, adj, epoch_logs, dropped = _train_loop(
-            cfg, X[:n_fit], labels[order[:n_fit]], np.ones(n_fit, dtype=bool), rng
-        )
+        fit = (X[:n_fit], labels[order[:n_fit]], np.ones(n_fit, dtype=bool))
+    else:
+        order, X, fit = None, features, (features, labels, train_mask)
+    base_graph = build_graph(cfg, *fit, rng)
+    params, adj, epoch_logs, dropped = _train_loop(cfg, base_graph, *fit, rng)
+    if order is not None:  # inductive: attach the test rows to the trained graph
         # only the graph.k fallback is clamped: an epsilon graph does not bound it
         attach_k = cfg["graph"]["attach_k"] or min(cfg["graph"]["k"], n_fit)
         # rebinding adj frees the clean operator once the attachment holds its copy
         adj = attach_test_items(adj, X[:n_fit], X[n_fit:], attach_k)
-    else:
-        order, X = None, features
-        params, base_graph, adj, epoch_logs, dropped = _train_loop(cfg, X, labels, train_mask, rng)
     reps = models.represent(cfg["model"]["kind"], params, adj, X)
     if order is not None:  # scatter the local rows back to the global order
         local, reps = reps, np.zeros((features.shape[0], reps.shape[1]))

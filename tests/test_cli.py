@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gemi.cli import main
+from gemi.config import resolve_config
 from gemi.numerics import EPS_NORM
 from datasets import make_planted_panels, write_embeddings, write_gaussians, write_interactions, write_labels
 
@@ -94,9 +96,9 @@ class TestRun:
 
     def test_missing_dataset_exit_2(self, dataset, tmp_path, capsys):
         cfg_path, cfg = write_cfg(tmp_path, dataset)
-        raw = json.loads(open(cfg_path).read())
+        raw = json.loads(Path(cfg_path).read_text())
         raw["dataset"]["embeddings"] = str(tmp_path / "nope.csv")
-        open(cfg_path, "w").write(json.dumps(raw))
+        Path(cfg_path).write_text(json.dumps(raw))
         assert main(["run", "--config", cfg_path]) == 2
         assert "nope.csv" in capsys.readouterr().err
 
@@ -259,9 +261,9 @@ class TestRun:
     def test_resolved_config_written_first(self, dataset, tmp_path):
         # even a failing run leaves the resolved config for debugging
         cfg_path, cfg = write_cfg(tmp_path, dataset)
-        raw = json.loads(open(cfg_path).read())
+        raw = json.loads(Path(cfg_path).read_text())
         raw["dataset"]["labels"] = str(tmp_path / "gone.csv")
-        open(cfg_path, "w").write(json.dumps(raw))
+        Path(cfg_path).write_text(json.dumps(raw))
         out = tmp_path / "failed"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
         assert (out / "config.resolved.json").is_file()
@@ -382,6 +384,37 @@ class TestSweep:
                 seeds.add(json.loads((sub / "metrics.json").read_text())["seed"])
         assert len(seeds) == 2
 
+    def test_kind_sweep_resolves_each_kind(self, dataset, tmp_path):
+        # each run resolves like `gemi run`: the swept kind brings its own
+        # defaults for every field the raw config leaves unset
+        cfg_path, raw = write_cfg(tmp_path, dataset, model={"epochs": 2})
+        out = tmp_path / "kinds"
+        assert main(["sweep", "--config", cfg_path, "--param", "model.kind",
+                     "--values", "gae,vgae", "--out", str(out)]) == 0
+        for kind in ("gae", "vgae"):
+            resolved = json.loads((out / f"model.kind={kind}" / "config.resolved.json").read_text())
+            expected = resolve_config({**raw, "model": {**raw["model"], "kind": kind}})
+            del resolved["seed"], expected["seed"]
+            assert resolved == expected, kind
+
+    def test_swept_seed_is_the_run_seed(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setenv("GEMI_SEED", "99")  # no effect on a seed sweep
+        cfg_path, _ = write_cfg(tmp_path, dataset, model={"epochs": 2})
+        out = tmp_path / "seeds"
+        assert main(["sweep", "--config", cfg_path, "--param", "seed", "--values", "1,2", "--out", str(out)]) == 0
+        for seed in (1, 2):
+            for name in ("config.resolved.json", "metrics.json"):
+                assert json.loads((out / f"seed={seed}" / name).read_text())["seed"] == seed
+
+    def test_output_dir_param_exit_2(self, dataset, tmp_path, capsys, monkeypatch):
+        # every run writes under --out, so a swept output_dir would be recorded but unused
+        monkeypatch.chdir(tmp_path)
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        code = main(["sweep", "--config", cfg_path, "--param", "output_dir", "--values", "a,b", "--out", "s"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --param: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize(
         "param, values",
         [("model.lr", "0.5,0.50"), ("dataset.embeddings", "a/b,a_b")],
@@ -419,9 +452,9 @@ class TestUsers:
         code = main(["users", "synth", "--labels", dataset["labels"],
                      "--num", "6", "--k", "4", "--seed", "2", "--out", prefix])
         assert code == 0
-        prefs = open(prefix + ".preferences.csv").read().strip().split("\n")
+        prefs = Path(prefix + ".preferences.csv").read_text().strip().split("\n")
         assert len(prefs) == 7  # header + 6 users
-        inter = open(prefix + ".interactions.csv").read().strip().split("\n")
+        inter = Path(prefix + ".interactions.csv").read_text().strip().split("\n")
         assert len(inter) == 1 + 6 * 4
 
     def test_synth_deterministic(self, dataset, tmp_path):
@@ -429,8 +462,8 @@ class TestUsers:
         for prefix in (p1, p2):
             main(["users", "synth", "--labels", dataset["labels"],
                   "--num", "4", "--k", "3", "--seed", "8", "--out", prefix])
-        assert open(p1 + ".preferences.csv").read() == open(p2 + ".preferences.csv").read()
-        assert open(p1 + ".interactions.csv").read() == open(p2 + ".interactions.csv").read()
+        assert Path(p1 + ".preferences.csv").read_text() == Path(p2 + ".preferences.csv").read_text()
+        assert Path(p1 + ".interactions.csv").read_text() == Path(p2 + ".interactions.csv").read_text()
 
     def test_real_pipeline(self, dataset, tmp_path):
         table = dataset["table"]
@@ -445,7 +478,7 @@ class TestUsers:
         code = main(["users", "real", "--labels", dataset["labels"],
                      "--interactions", str(ratings), "--out", prefix])
         assert code == 0
-        prefs = open(prefix + ".preferences.csv").read().strip().split("\n")
+        prefs = Path(prefix + ".preferences.csv").read_text().strip().split("\n")
         assert len(prefs) == 4
 
     @pytest.mark.parametrize("seed", ["abc", "-5"])
@@ -496,6 +529,49 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --seeds: ")
         assert captured.out == ""  # no check ran, none reported as passed
+
+
+class TestBlasThreads:
+    # each child runs gcn and gae under both protocols with one BLAS thread
+    # count; the metrics must not depend on how BLAS splits its products
+    SCRIPT = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from gemi.cli import main\n"
+        "for cfg in sys.argv[2:]:\n"
+        "    if main(['run', '--config', cfg, '--out', str(Path(sys.argv[1], Path(cfg).stem))]):\n"
+        "        sys.exit(1)\n"
+    )
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores to run BLAS on two threads")
+    def test_thread_count_keeps_the_bytes(self, tmp_path, gemi_env):
+        # 300 items of width 16 at the default widths: the cosine blocks and
+        # the first layer's products are large enough for BLAS to split them
+        table = make_planted_panels(n=300, d=16, seed=3)
+        write_embeddings(tmp_path / "emb.csv", table.ids, table.features)
+        write_labels(tmp_path / "labels.csv", table)
+        configs = []
+        for i, (kind, protocol) in enumerate(
+            [("gcn", "transductive"), ("gae", "transductive"), ("gcn", "inductive"), ("gae", "inductive")]
+        ):
+            cfg = {
+                "protocol": protocol,
+                "dataset": {"embeddings": str(tmp_path / "emb.csv"), "labels": str(tmp_path / "labels.csv")},
+                "model": {"kind": kind, "epochs": 3},
+                "eval": {"num_users": 20},
+            }
+            configs.append(tmp_path / f"cfg{i}.json")
+            configs[-1].write_text(json.dumps(cfg))
+        for threads in ("1", "2"):
+            env = {**gemi_env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(tmp_path / f"threads{threads}"), *map(str, configs)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for i in range(len(configs)):
+            one, two = (tmp_path / f"threads{t}" / f"cfg{i}" / "metrics.json" for t in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), configs[i].read_text()
 
 
 class TestEntryPoint:

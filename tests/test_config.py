@@ -177,6 +177,13 @@ class TestHelpers:
         assert out["model"]["lr"] == 1e-2
         assert cfg["model"]["lr"] == 3e-4  # original untouched
 
+    def test_set_by_path_on_a_raw_config(self):
+        # a sweep sets its field on the raw config, creating missing sections
+        raw = {"model": {"epochs": 2}}
+        assert set_by_path(raw, "model.kind", "vgae") == {"model": {"epochs": 2, "kind": "vgae"}}
+        assert set_by_path(raw, "loss.gamma", 1.0) == {"model": {"epochs": 2}, "loss": {"gamma": 1.0}}
+        assert raw == {"model": {"epochs": 2}}  # original untouched
+
     def test_set_by_path_unknown(self):
         with pytest.raises(ConfigError):
             set_by_path(default_config("gcn"), "model.width", 4)

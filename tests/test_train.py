@@ -133,6 +133,33 @@ class TestTrainingLoop:
         m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
         assert len(built) == 1 and m.base_graph.n == 60
 
+    @pytest.mark.parametrize("protocol", ["transductive", "inductive"])
+    def test_one_graph_per_run_on_the_protocols_rows(self, table, protocol, monkeypatch):
+        # train_model builds the graph once, on the rows the loss sees,
+        # and hands that same object to the loop and to the trained model
+        built, looped = [], []
+        real_build, real_loop = train.build_graph, train._train_loop
+
+        def spy_build(cfg, X, Y, mask, rng):
+            built.append(((X, Y, mask), real_build(cfg, X, Y, mask, rng)))
+            return built[-1][1]
+
+        def spy_loop(cfg, base_graph, X, Y, mask, rng):
+            looped.append((base_graph, (X, Y, mask)))
+            return real_loop(cfg, base_graph, X, Y, mask, rng)
+
+        monkeypatch.setattr(train, "build_graph", spy_build)
+        monkeypatch.setattr(train, "_train_loop", spy_loop)
+        cfg = tiny_cfg("gcn", epochs=2, protocol=protocol)
+        m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
+        (((X, Y, mask), g),) = built
+        ((loop_graph, loop_rows),) = looped
+        assert loop_graph is g and m.base_graph is g
+        assert all(a is b for a, b in zip(loop_rows, (X, Y, mask)))
+        rows = table.train_mask if protocol == "inductive" else np.ones(60, dtype=bool)
+        assert np.array_equal(X, table.features[rows]) and np.array_equal(Y, table.labels[rows])
+        assert np.array_equal(mask, table.train_mask[rows]) and g.n == rows.sum()
+
     def test_logsig_clamp_reaches_training(self, table, monkeypatch):
         # model.logsig_clamp bounds log sigma in every training forward
         seen = []
@@ -243,7 +270,7 @@ class TestTrainingLoop:
 
         def spy_loop(*args):
             out = real_loop(*args)
-            clean.append(out[2])
+            clean.append(out[1])
             return out
 
         def spy_rep(kind, params, adj, X):

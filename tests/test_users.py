@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,7 +288,7 @@ class TestWriteUserDataset:
         loaded = load_interactions(inter_path, ("pa", "pb", "pc"))
         assert loaded.user_ids == ("u0",)
         assert loaded.panels.tolist() == [0, 2]
-        text = open(pref_path).read()
+        text = Path(pref_path).read_text()
         assert text.startswith("user_id,animal,mythology,tree")
         assert "u0,1.0,0.0,0.5" in text
 
