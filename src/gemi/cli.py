@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 
 import numpy as np
@@ -161,6 +162,8 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
             "protocol": cfg["protocol"],
             "seed": cfg["seed"],
             "wall_time_s": trained.wall_time_s,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "epochs": trained.epochs,
             "graph": {
                 **graph_summary(trained.base_graph),

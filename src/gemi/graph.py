@@ -14,7 +14,8 @@ Cosine ranking has one owner, :func:`top_k_cosine`, which the graph
 builders and evaluation's recommendations share.  It takes raw rows and
 never holds the full cosine matrix: it scores :data:`BLOCK_ROWS` query
 rows at a time, normalizing the reference rows once and each query
-block as it scores it, so the work space is O(BLOCK_ROWS · n) floats.
+block as it scores it.  A block's scores are dropped before the next
+block's matmul, so the work space is one block, BLOCK_ROWS · n floats.
 A per-row top-k keeps every entry above the row's k-th largest value,
 then the lowest column indices among the entries equal to it, which is
 the order (similarity descending, index ascending) cut after k;
@@ -156,7 +157,8 @@ def top_k_cosine(
     same rows) sets each row's own column to -inf.  Ties at the k-th
     value go to the lowest row indices of R (:func:`row_top_k`), which
     requires 1 <= k <= R's row count.  Returns (rows, cols) with exactly
-    k entries per row, row-major; memory is O(BLOCK_ROWS · R rows).
+    k entries per row, row-major; the work space is one block of
+    BLOCK_ROWS · R rows scores, dropped before the next is formed.
     """
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for start, sims in _similarity_blocks(Q, R):
@@ -168,6 +170,7 @@ def top_k_cosine(
         r, c = row_top_k(sims, k)
         rows.append(start + r)
         cols.append(c)
+        del sims  # else it lives on through the next block's matmul
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -212,8 +215,8 @@ def epsilon_graph(X, epsilon: float) -> ItemGraph:
     Negative similarities are suppressed to 0 first; an edge requires
     suppressed similarity ≥ ε and > 0, so ε = 0 keeps exactly the pairs
     with strictly positive similarity.  Similarities are scored in row
-    blocks (O(BLOCK_ROWS · n) work space); the edges themselves can
-    number O(n²) for a small ε.
+    blocks, one BLOCK_ROWS · n block alive at a time; the edges
+    themselves can number O(n²) for a small ε.
     """
     X = as_matrix(X)
     chunks = [np.empty((0, 2), dtype=np.int64)]
@@ -223,6 +226,7 @@ def epsilon_graph(X, epsilon: float) -> ItemGraph:
         keep = np.triu((sims >= epsilon) & (sims > 0.0), k=start + 1)
         r, c = np.nonzero(keep)
         chunks.append(np.column_stack([start + r, c]))
+        del sims, keep  # else they live on through the next block's matmul
     pairs = np.concatenate(chunks)
     return ItemGraph.from_pairs(
         X.shape[0], pairs, np.full(pairs.shape[0], "epsilon", dtype=object)

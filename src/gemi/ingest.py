@@ -12,14 +12,19 @@ File formats (all comma-separated, one header row):
   preferences in [0, 1], and ``<prefix>.interactions.csv`` with
   ``user_id,panel_id,rating``, one ``1.0`` row per (user, panel).
 
-Every file goes through one reader: blank lines are skipped, cells are
-stripped, the header is checked, each data line must have as many cells
-as the header, and a file without data lines is rejected.  Numeric
-cells must be finite floats.  Ids are unique within an embeddings,
-labels or gaussians file.  In an interactions file the last rating of a
-(user, panel) pair wins, and rows naming an unknown panel are dropped
-with a warning.  Failures raise :class:`IngestError` naming the file
-and, where there is one, the line.
+Every file goes through one reader, which hands its data lines out in
+blocks of at most :data:`INGEST_CELLS` cells: blank lines are skipped,
+cells are stripped, the header is checked, each data line must have as
+many cells as the header, and a file without data lines is rejected.
+Each loader converts a block to arrays before it reads the next, so
+the cell strings of one block, not of the file, are alive at once.
+Numeric cells must be finite floats.  Ids are nonempty and unique
+within an embeddings, labels or gaussians file.  In an interactions
+file the last rating of a (user, panel) pair wins, and rows naming an
+unknown panel are dropped with a warning.  Failures raise
+:class:`IngestError` naming the file and, where there is one, the file
+line (a quoted cell may span lines); a file that is not UTF-8 names its
+first undecodable line.
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ LABEL_NAMES = ("animal", "mythology", "tree")
 # loaded log-variances are exponentiated into this range
 VAR_MIN = 1e-10
 VAR_MAX = 1e10
+
+# Cells per ingest block.  A block's cells are str objects, about 4 MB at
+# this size; counting cells, not lines, keeps a block that small at
+# CLIP-size widths (768 columns) too.
+INGEST_CELLS = 1 << 16
 
 
 class IngestError(ValueError):
@@ -83,33 +93,72 @@ class InteractionTable:
     ratings: np.ndarray  # (m,) float64
 
 
-def _read_table(path, header_ok, expected: str) -> tuple[list[str], list[int], np.ndarray]:
-    """Read a CSV file as (header, data line numbers, cells).
+def _not_utf8(path) -> IngestError:
+    """The error for a file that does not decode as UTF-8.
+
+    The decoder's byte position counts within its buffer, not the file,
+    so the file is rescanned in binary for its first undecodable line.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return IngestError(f"{path}:{lineno}: not UTF-8 text")
+    return IngestError(f"{path}: not UTF-8 text")
+
+
+def _records(path):
+    """Yield (first file line, stripped cells) for each non-blank CSV record.
+
+    A quoted cell may span lines, so a record starts on the line after
+    the previous record's last line (``reader.line_num``).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            last = 0
+            for row in reader:
+                first, last = last + 1, reader.line_num
+                cells = [cell.strip() for cell in row]
+                if any(cells):
+                    yield first, cells
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _read_blocks(path, header_ok, expected: str):
+    """Yield a CSV file's data as (header, line numbers, cells) blocks.
 
     Blank lines are skipped and every cell is stripped.  The first line
     must satisfy ``header_ok`` (the error quotes ``expected``), every
     data line must have as many cells as the header, and at least one
     data line must exist.  ``cells`` is an object array with one row per
-    data line.
+    data line, at most ``INGEST_CELLS // len(header)`` rows (at least
+    one); a caller converts each block before it asks for the next, so
+    only one block of cell strings is alive at a time.
     """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [cell.strip() for cell in row]
-            if any(cells):
-                rows.append((lineno, cells))
-    if not rows:
+    records = _records(path)
+    first = next(records, None)
+    if first is None:
         raise IngestError(f"{path}: no rows")
-    header_line, header = rows[0]
+    header_line, header = first
     if not header_ok(header):
         raise IngestError(f"{path}:{header_line}: expected header {expected}")
-    body = rows[1:]
-    if not body:
-        raise IngestError(f"{path}: no rows")
-    for lineno, cells in body:
+    size = max(1, INGEST_CELLS // len(header))
+    lines, rows, yielded = [], [], False
+    for lineno, cells in records:
         if len(cells) != len(header):
             raise IngestError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-    return header, [lineno for lineno, _ in body], np.array([cells for _, cells in body], dtype=object)
+        lines.append(lineno)
+        rows.append(cells)
+        if len(rows) == size:
+            yield header, lines, np.array(rows, dtype=object)
+            lines, rows, yielded = [], [], True
+    if rows:
+        yield header, lines, np.array(rows, dtype=object)
+    elif not yielded:
+        raise IngestError(f"{path}: no rows")
 
 
 def _floats(cells: np.ndarray, path, lines) -> np.ndarray:
@@ -131,11 +180,13 @@ def _floats(cells: np.ndarray, path, lines) -> np.ndarray:
     raise AssertionError("unreachable: the block failed but no cell did")
 
 
-def _unique_ids(cells: np.ndarray, path, lines) -> tuple[str, ...]:
-    """The first column as ids; a repeated id names its line."""
-    ids = tuple(cells[:, 0].tolist())
-    seen: set[str] = set()
+def _unique_ids(cells: np.ndarray, path, lines, seen: set[str]) -> list[str]:
+    """A block's first column as ids; an empty id, or one already in
+    ``seen`` (the file's earlier ids), names its line."""
+    ids = cells[:, 0].tolist()
     for lineno, pid in zip(lines, ids):
+        if not pid:
+            raise IngestError(f"{path}:{lineno}: empty id")
         if pid in seen:
             raise IngestError(f"{path}:{lineno}: duplicate id {pid!r}")
         seen.add(pid)
@@ -144,8 +195,12 @@ def _unique_ids(cells: np.ndarray, path, lines) -> tuple[str, ...]:
 
 def load_embeddings(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Load an embeddings CSV; the dimension is inferred from the header."""
-    _, lines, cells = _read_table(path, lambda h: len(h) >= 2 and h[0] == "id", "id,f0,...")
-    return _unique_ids(cells, path, lines), _floats(cells[:, 1:], path, lines)
+    ids, values, seen = [], [], set()
+    for _, lines, cells in _read_blocks(path, lambda h: len(h) >= 2 and h[0] == "id", "id,f0,..."):
+        ids += _unique_ids(cells, path, lines, seen)
+        values.append(_floats(cells[:, 1:], path, lines))
+        del cells  # before the next block is read
+    return tuple(ids), np.concatenate(values)
 
 
 def load_labels(path, ids: tuple[str, ...] | None = None):
@@ -156,24 +211,28 @@ def load_labels(path, ids: tuple[str, ...] | None = None):
     file order is kept and (ids, labels, split) is returned.
     """
     expected = ["id", *LABEL_NAMES]
-    header, lines, cells = _read_table(
+    file_ids, labels, splits, seen = [], [], [], set()
+    for header, lines, cells in _read_blocks(
         path, lambda h: h in (expected, expected + ["split"]), f"{','.join(expected)}[,split]"
-    )
-    file_ids = _unique_ids(cells, path, lines)
-    label_cells = cells[:, 1 : 1 + len(LABEL_NAMES)]
-    bad = (label_cells != "0") & (label_cells != "1")
-    if bad.any():
-        r, j = np.argwhere(bad)[0]
-        raise IngestError(f"{path}:{lines[r]}: label cell must be 0 or 1, got {label_cells[r, j]!r}")
-    labels = (label_cells == "1").astype(np.int64)
-    split = cells[:, -1].copy() if len(header) > len(expected) else np.full(len(lines), "", dtype=object)
-    bad = (split != "train") & (split != "test") & (split != "")
-    if bad.any():
-        r = np.flatnonzero(bad)[0]
-        raise IngestError(f"{path}:{lines[r]}: split must be train, test or empty, got {split[r]!r}")
-    split[split == ""] = "unassigned"
+    ):
+        file_ids += _unique_ids(cells, path, lines, seen)
+        label_cells = cells[:, 1 : 1 + len(LABEL_NAMES)]
+        bad = (label_cells != "0") & (label_cells != "1")
+        if bad.any():
+            r, j = np.argwhere(bad)[0]
+            raise IngestError(f"{path}:{lines[r]}: label cell must be 0 or 1, got {label_cells[r, j]!r}")
+        labels.append((label_cells == "1").astype(np.int64))
+        split = cells[:, -1].copy() if len(header) > len(expected) else np.full(len(lines), "", dtype=object)
+        bad = (split != "train") & (split != "test") & (split != "")
+        if bad.any():
+            r = np.flatnonzero(bad)[0]
+            raise IngestError(f"{path}:{lines[r]}: split must be train, test or empty, got {split[r]!r}")
+        split[split == ""] = "unassigned"
+        splits.append(split)
+        del cells  # before the next block is read
+    labels, split = np.concatenate(labels), np.concatenate(splits)
     if ids is None:
-        return file_ids, labels, split
+        return tuple(file_ids), labels, split
     index = {pid: r for r, pid in enumerate(file_ids)}
     missing = [pid for pid in ids if pid not in index]
     if missing:
@@ -187,29 +246,33 @@ def load_labels(path, ids: tuple[str, ...] | None = None):
 
 def load_interactions(path, panel_ids) -> InteractionTable:
     """Load ratings against ``panel_ids``; duplicate (user, panel) pairs keep the last rating."""
-    _, lines, cells = _read_table(
-        path, lambda h: h == ["user_id", "panel_id", "rating"], "user_id,panel_id,rating"
-    )
-    ratings = _floats(cells[:, 2:], path, lines)[:, 0]
     index = {pid: i for i, pid in enumerate(panel_ids)}
-    panels = np.array([index.get(pid, -1) for pid in cells[:, 1].tolist()], dtype=np.int64)
-    known = panels >= 0
-    dropped = int(np.count_nonzero(~known))
+    user_idx: dict[str, int] = {}  # first-seen order
+    users, panels, ratings, dropped = [], [], [], 0
+    for _, lines, cells in _read_blocks(
+        path, lambda h: h == ["user_id", "panel_id", "rating"], "user_id,panel_id,rating"
+    ):
+        rating = _floats(cells[:, 2:], path, lines)[:, 0]
+        panel = np.array([index.get(pid, -1) for pid in cells[:, 1].tolist()], dtype=np.int64)
+        known = panel >= 0
+        dropped += int(np.count_nonzero(~known))
+        users.append(
+            np.array([user_idx.setdefault(uid, len(user_idx)) for uid in cells[known, 0].tolist()], dtype=np.int64)
+        )
+        panels.append(panel[known])
+        ratings.append(rating[known])
+        del cells  # before the next block is read
     if dropped:
         logger.warning("%s: dropped %d interactions referencing unknown panels", path, dropped)
-    user_idx: dict[str, int] = {}  # first-seen order
-    users = np.array(
-        [user_idx.setdefault(uid, len(user_idx)) for uid in cells[known, 0].tolist()], dtype=np.int64
-    )
     # the first occurrence of a key in the reversed rows is its last rating;
     # keys come out sorted, i.e. by user, then panel
     n = len(panel_ids)
-    keys, first = np.unique((users * n + panels[known])[::-1], return_index=True)
+    keys, first = np.unique((np.concatenate(users) * n + np.concatenate(panels))[::-1], return_index=True)
     return InteractionTable(
         user_ids=tuple(user_idx),
         users=keys // n,
         panels=keys % n,
-        ratings=ratings[known][::-1][first],
+        ratings=np.concatenate(ratings)[::-1][first],
     )
 
 
@@ -219,15 +282,20 @@ def _gaussian_header(d: int) -> list[str]:
 
 def load_gaussians(path) -> GaussianTable:
     """Load diagonal Gaussian posteriors; variances are exp(logvar) clamped."""
-    header, lines, cells = _read_table(
+    ids, blocks, seen = [], [], set()
+    for header, lines, cells in _read_blocks(
         path,
         lambda h: len(h) >= 3 and h == _gaussian_header((len(h) - 1) // 2),
         "id,mu_0,...,logvar_0,...",
-    )
+    ):
+        ids += _unique_ids(cells, path, lines, seen)
+        blocks.append(_floats(cells[:, 1:], path, lines))
+        del cells  # before the next block is read
     d = (len(header) - 1) // 2
-    ids = _unique_ids(cells, path, lines)
-    values = _floats(cells[:, 1:], path, lines)
-    return GaussianTable(ids=ids, mean=values[:, :d], var=np.clip(np.exp(values[:, d:]), VAR_MIN, VAR_MAX))
+    values = np.concatenate(blocks)
+    return GaussianTable(
+        ids=tuple(ids), mean=values[:, :d], var=np.clip(np.exp(values[:, d:]), VAR_MIN, VAR_MAX)
+    )
 
 
 def assign_split(table: PanelTable, test_fraction: float, rng: SeededRng) -> PanelTable:

@@ -170,8 +170,9 @@ def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
     symmetric, so dL/dZ = 2 G Z, and the block adds G_I,{start:} Z_{start:}
     to rows I and its mirror G_I,{stop:}^T Z_I to the rows after.  Time
     is still O(n² · latent), at 1.5 n² · latent multiply-adds instead of
-    2; the work space is the block's scores plus the two b × n buffers
-    that ``targets`` holds, never n × n.
+    2; the work space is one block's scores (each block's S is dropped
+    before the next block's matmul) plus the two b × n buffers that
+    ``targets`` holds, never n × n.
     """
     Z = as_matrix(Z)
     n = Z.shape[0]
@@ -211,6 +212,7 @@ def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
         s[flat] = pw * (s[flat] - 1.0)
         dZ[start:stop] += matmul(S, Z[start:])
         dZ[stop:] += matmul(S[:, b:].T, Z[start:stop])
+        del S, s  # else they live on through the next block's matmul
     dZ *= 2.0 / (n * n)
     return total / (n * n), dZ
 

@@ -94,6 +94,34 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(b)]) == 0
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
 
+    def test_train_report_records_peak_rss(self, dataset, tmp_path, monkeypatch):
+        import resource
+        from types import SimpleNamespace
+
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        real = resource.getrusage
+        reports, metrics = [], []
+        for scale in (1, 3):
+            # a different peak must not reach metrics.json
+            monkeypatch.setattr(
+                resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=scale * real(who).ru_maxrss)
+            )
+            out = tmp_path / f"x{scale}"
+            assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "train_report.json").read_text())["peak_rss_mb"])
+            metrics.append((out / "metrics.json").read_bytes())
+        assert isinstance(reports[0], float) and 0.0 < reports[0] < reports[1]
+        assert metrics[0] == metrics[1] and b"rss" not in metrics[0]
+
+    def test_not_utf8_input_exit_2(self, dataset, tmp_path, capsys):
+        emb = tmp_path / "emb.csv"
+        lines = Path(dataset["emb"]).read_bytes().split(b"\n")
+        lines[40] = b"p\xe9" + lines[40][lines[40].index(b","):]
+        emb.write_bytes(b"\n".join(lines))
+        cfg_path, _ = write_cfg(tmp_path, {**dataset, "emb": str(emb)})
+        assert main(["run", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == f"error: {emb}:41: not UTF-8 text\n"
+
     def test_missing_dataset_exit_2(self, dataset, tmp_path, capsys):
         cfg_path, cfg = write_cfg(tmp_path, dataset)
         raw = json.loads(Path(cfg_path).read_text())

@@ -541,6 +541,26 @@ def test_knn_build_memory_stays_below_one_dense_matrix():
     assert peak < 72e6 / 4
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda X: top_k_cosine(X, X, 5, floor=0.0, exclude_self=True), lambda X: epsilon_graph(X, 0.9)],
+    ids=["top_k_cosine", "epsilon_graph"],
+)
+def test_score_loops_hold_one_block(build):
+    # eight blocks of 256 x 2048 scores (4.2 MB each): a block is dropped
+    # before the next block's matmul, so the peak is one block plus its
+    # masks, not two blocks
+    X = SeededRng(5).normal(size=(2048, 8))
+    block = graph.BLOCK_ROWS * 2048 * 8
+    tracemalloc.start()
+    try:
+        build(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * block, peak / block
+
+
 def mixed_tie_block(rng, b, m):
     """Rows cycling through three kinds, so every row slice mixes them.
 

@@ -1,10 +1,12 @@
 import importlib.util
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gemi import ingest
 from gemi.ingest import (
     IngestError,
     PanelTable,
@@ -70,6 +72,36 @@ class TestEmbeddings:
         p = _write(tmp_path / "e.csv", "id,f0\na,1.0\nb,zzz\n")
         with pytest.raises(IngestError, match=":3:"):
             load_embeddings(p)
+
+    def test_error_line_counts_file_lines_not_records(self, tmp_path):
+        # the quoted id spans lines 2 and 3, so 'zzz' sits on file line 7
+        p = _write(tmp_path / "e.csv", 'id,f0\n"p00001\nx",1.0\nb,1.0\nc,1.0\nd,1.0\ne,zzz\n')
+        with pytest.raises(IngestError, match=r"e\.csv:7: non-numeric cell 'zzz'"):
+            load_embeddings(p)
+
+    def test_not_utf8_names_the_line(self, tmp_path):
+        # past the decoder's first buffer, so a byte offset would not be a line
+        lines = ["id,f0"] + [f"p{i:05d},{i}.5" for i in range(2000)]
+        lines[1500] = "p\xe9,1.0"
+        p = tmp_path / "e.csv"
+        p.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        with pytest.raises(IngestError, match=r"e\.csv:1501: not UTF-8 text"):
+            load_embeddings(p)
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_embeddings, "id,f0\na,1.0\n,2.0\n"),
+        (load_labels, "id,animal,mythology,tree\na,1,0,0\n,0,1,0\n"),
+        (load_gaussians, "id,mu_0,logvar_0\na,0.0,0.0\n,1.0,0.0\n"),
+    ],
+    ids=["embeddings", "labels", "gaussians"],
+)
+def test_empty_id_rejected(tmp_path, loader, text):
+    p = _write(tmp_path / "f.csv", text)
+    with pytest.raises(IngestError, match=r"f\.csv:3: empty id"):
+        loader(p)
 
 
 class TestLabels:
@@ -298,6 +330,120 @@ class TestAgainstOracle:
         assert table.user_ids == ("u2", "u,1", "u3")
         assert table.ratings.tolist() == [4.0, 3.0, 0.5, 10.0]  # u2 z: the last of 1.0, 3.0
         assert_tables_equal(load_gaussians(gauss), oracle.load_gaussians(gauss))
+
+
+def _panel_rows(i):
+    return f"x{i},{i}.5,-1.0"
+
+
+# (loader, header, good data line i, bad line i, the error's message)
+BLOCK_ERRORS = {
+    "non-numeric": (load_embeddings, "id,f0,f1", _panel_rows, lambda i: f"x{i},oops,1.0", "non-numeric cell 'oops'"),
+    "non-finite": (load_embeddings, "id,f0,f1", _panel_rows, lambda i: f"x{i},1.0,inf", "non-finite cell 'inf'"),
+    "ragged": (load_embeddings, "id,f0,f1", _panel_rows, lambda i: f"x{i},1.0", "expected 3 cells, got 2"),
+    "duplicate": (load_embeddings, "id,f0,f1", _panel_rows, lambda i: "x1,1.0,1.0", "duplicate id 'x1'"),
+    "bad-label": (
+        load_labels,
+        "id,animal,mythology,tree,split",
+        lambda i: f"x{i},1,0,1,train",
+        lambda i: f"x{i},1,2,1,train",
+        "label cell must be 0 or 1, got '2'",
+    ),
+    "bad-split": (
+        load_labels,
+        "id,animal,mythology,tree,split",
+        lambda i: f"x{i},1,0,1,",
+        lambda i: f"x{i},1,0,1,dev",
+        "split must be train, test or empty, got 'dev'",
+    ),
+    "rating": (
+        lambda p: load_interactions(p, PANEL_IDS),
+        "user_id,panel_id,rating",
+        lambda i: f"u{i},a,1.0",
+        lambda i: f"u{i},b,nan",
+        "non-finite cell 'nan'",
+    ),
+    "gaussian-duplicate": (
+        load_gaussians,
+        "id,mu_0,logvar_0",
+        lambda i: f"x{i},0.5,0.0",
+        lambda i: "x1,0.5,0.0",
+        "duplicate id 'x1'",
+    ),
+}
+
+
+class TestBlocks:
+    """With INGEST_CELLS small, every file spans several blocks and loads as in one."""
+
+    LINES = 3  # data lines per block
+
+    def _blocks_of(self, monkeypatch, header: str, lines: int = LINES):
+        monkeypatch.setattr(ingest, "INGEST_CELLS", lines * len(header.split(",")))
+
+    @pytest.mark.parametrize("cells", [1, 200])
+    def test_oracle_cases(self, tmp_path, caplog, monkeypatch, cells):
+        # 1: one line per block; 200: 3 embedding lines, 40 label lines
+        monkeypatch.setattr(ingest, "INGEST_CELLS", cells)
+        cases = TestAgainstOracle()
+        cases.test_edge_cases(tmp_path, caplog)
+        cases.test_benchmark_inputs(tmp_path, 1)
+
+    @pytest.mark.parametrize("index", [3, 5], ids=["first-of-block-2", "last-of-block-2"])
+    @pytest.mark.parametrize("case", sorted(BLOCK_ERRORS))
+    def test_error_keeps_message_and_line(self, tmp_path, monkeypatch, case, index):
+        loader, header, good, bad, message = BLOCK_ERRORS[case]
+        self._blocks_of(monkeypatch, header)
+        body = [bad(i) if i == index else good(i) for i in range(3 * self.LINES)]
+        p = _write(tmp_path / "f.csv", "\n".join([header, *body]) + "\n")
+        with pytest.raises(IngestError, match=rf"f\.csv:{index + 2}: {message}$"):
+            loader(p)
+
+    def test_blank_lines_on_a_block_boundary(self, tmp_path, monkeypatch):
+        self._blocks_of(monkeypatch, "id,f0,f1")
+        body = [_panel_rows(i) for i in range(7)]
+        text = "\n".join(["id,f0,f1", "", *body[:3], "", "  ", *body[3:6], "", *body[6:], ""]) + "\n"
+        p = _write(tmp_path / "e.csv", text)
+        ids, x = load_embeddings(p)
+        oids, ox = oracle.load_embeddings(p)
+        assert ids == oids and len(ids) == 7
+        assert np.array_equal(x, ox)
+        bad = _write(tmp_path / "bad.csv", text.replace(body[3], "x3,zzz,1.0"))
+        with pytest.raises(IngestError, match=r"bad\.csv:8: non-numeric cell 'zzz'"):
+            load_embeddings(bad)
+
+    def test_one_full_block_and_header_only(self, tmp_path, monkeypatch):
+        self._blocks_of(monkeypatch, "id,f0,f1")
+        p = _write(tmp_path / "e.csv", "\n".join(["id,f0,f1", *map(_panel_rows, range(self.LINES))]) + "\n")
+        ids, x = load_embeddings(p)
+        oids, ox = oracle.load_embeddings(p)
+        assert ids == oids and np.array_equal(x, ox) and x.shape == (self.LINES, 2)
+        with pytest.raises(IngestError, match="no rows"):
+            load_embeddings(_write(tmp_path / "h.csv", "id,f0,f1\n\n"))
+
+    def test_unknown_panels_warned_once_with_the_total(self, tmp_path, monkeypatch, caplog):
+        self._blocks_of(monkeypatch, "user_id,panel_id,rating", lines=1)
+        p = _write(tmp_path / "i.csv", "user_id,panel_id,rating\nu1,zz,1.0\nu1,a,2.0\nu2,yy,3.0\nu2,xx,4.0\n")
+        with caplog.at_level(logging.WARNING, logger="gemi.ingest"):
+            t = load_interactions(p, PANEL_IDS)
+        assert [r.getMessage() for r in caplog.records] == [f"{p}: dropped 3 interactions referencing unknown panels"]
+        assert_tables_equal(t, oracle.load_interactions(p, PANEL_IDS))
+
+    def test_peak_memory_is_one_block_not_the_file(self, tmp_path, monkeypatch):
+        # 4000 lines of 33 cells in blocks of 124 lines.  Read whole, this
+        # file peaked at 11.9 MB traced, 11.6 times the output
+        monkeypatch.setattr(ingest, "INGEST_CELLS", 4096)
+        p = tmp_path / "e.csv"
+        write_embeddings(p, [f"p{i:05d}" for i in range(4000)], np.random.default_rng(0).normal(size=(4000, 32)))
+        tracemalloc.start()
+        try:
+            _, x = load_embeddings(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the blocks' float arrays, their concatenation, and one block of
+        # cells at well under 256 bytes a cell
+        assert peak < 2 * x.nbytes + 256 * ingest.INGEST_CELLS, (peak, x.nbytes)
 
 
 class TestAssignSplit:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -370,6 +372,25 @@ class TestBlockedRecon:
 
         fd = finite_difference_gradient(lambda: recon_loss_and_grad(Z, pattern)[0], Z)
         np.testing.assert_allclose(dZ, fd, atol=1e-8)
+
+
+def test_recon_holds_one_score_block():
+    # eight blocks of up to 256 x 2048 scores (4.2 MB); after the first
+    # call allocates the two reused buffers, a call holds one block's
+    # scores at a time, not the previous block's too
+    rng = SeededRng(6)
+    g = graph.knn_graph_symmetric(rng.normal(size=(2048, 8)), 5)
+    targets = ReconTargets(AdjacencyPattern(g).operator())
+    Z = rng.normal(size=(2048, 4), scale=0.3)
+    recon_loss_and_grad(Z, targets)
+    block = graph.BLOCK_ROWS * 2048 * 8
+    tracemalloc.start()
+    try:
+        recon_loss_and_grad(Z, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * block, peak / block
 
 
 class TestKl:

@@ -109,9 +109,17 @@ def test_matmul_rejects_shape_mismatch(rng):
         matmul(rng.normal(size=(3, 4)), rng.normal(size=(5, 2)))
 
 
-def test_cli_import_leaves_scipy_unloaded(gemi_env):
-    # the CSR builders import scipy.sparse lazily so CLI startup stays cheap
-    code = "import sys, gemi.cli, gemi.graph, gemi.losses, gemi.models, gemi.recommend, gemi.train; print('scipy' in sys.modules)"
+def test_cli_import_leaves_scipy_unloaded(gemi_env, tmp_path):
+    # the CSR builders import scipy.sparse lazily so CLI startup stays cheap;
+    # the benchmark's setup_s probe times this import and load_config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"kind": "gae"}}')
+    code = (
+        "import sys, gemi.cli, gemi.graph, gemi.losses, gemi.models, gemi.recommend, gemi.train\n"
+        "from gemi.config import load_config\n"
+        f"load_config({str(cfg)!r})\n"
+        "print('scipy' in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=gemi_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
