@@ -2,7 +2,9 @@
 
 Graphs are undirected and self-loop-free; each undirected edge carries a
 provenance tag (``knn``, ``epsilon``, ``label-augment``) so augmentation
-edges stay distinguishable from the base similarity structure.
+edges stay distinguishable from the base similarity structure.  A tag is
+stored as its one-byte index into :data:`TAGS`, so an edge costs 17
+bytes: its (i, j) int64 pair and its tag code.
 Self-loops enter only through the operators.  The normalized operator
 has one builder, :class:`AdjacencyPattern`, which lays out the CSR
 entries of A + I once per graph; training builds one per run, selects
@@ -14,8 +16,11 @@ Cosine ranking has one owner, :func:`top_k_cosine`, which the graph
 builders and evaluation's recommendations share.  It takes raw rows and
 never holds the full cosine matrix: it scores :data:`BLOCK_ROWS` query
 rows at a time, normalizing the reference rows once and each query
-block as it scores it.  A block's scores are dropped before the next
-block's matmul, so the work space is one block, BLOCK_ROWS · n floats.
+block as it scores it.  The query rows may be any source that slices
+into raw row blocks, so a caller can form each block only when it is
+scored (evaluation's user rows).  A block's scores are dropped before
+the next block's matmul, so the work space is one block, BLOCK_ROWS · n
+floats.
 A per-row top-k keeps every entry above the row's k-th largest value,
 then the lowest column indices among the entries equal to it, which is
 the order (similarity descending, index ascending) cut after k;
@@ -28,7 +33,6 @@ columns.  Its work space beyond that mask is O(SELECT_ROWS · n).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,9 @@ BLOCK_ROWS = 256
 # all 256 rows of a block at once was 35% slower at 40 000 columns.
 SELECT_ROWS = 8
 
+# Edge provenance names; ItemGraph.tags holds each edge's index into this.
+TAGS = ("knn", "epsilon", "label-augment")
+
 
 @dataclass(frozen=True)
 class ItemGraph:
@@ -51,19 +58,22 @@ class ItemGraph:
 
     ``pairs`` holds one row (i, j) with i < j per undirected edge,
     sorted lexicographically and duplicate-free; ``tags`` aligns with
-    ``pairs``.
+    ``pairs`` and holds each edge's index into :data:`TAGS`.
     """
 
     n: int
     pairs: np.ndarray  # (m, 2) int64, i < j
-    tags: np.ndarray  # (m,) str
+    tags: np.ndarray  # (m,) uint8 index into TAGS
 
     @staticmethod
     def from_pairs(n: int, pairs, tags) -> "ItemGraph":
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        tags = np.asarray(tags, dtype=object).reshape(-1)
+        tags = np.asarray(tags).reshape(-1)
         if pairs.shape[0] != tags.shape[0]:
             raise ValueError("pairs and tags must align")
+        if tags.size and (tags.dtype.kind not in "iu" or tags.min() < 0 or tags.max() >= len(TAGS)):
+            raise ValueError(f"tags must be integer codes below {len(TAGS)} (indices into TAGS)")
+        tags = tags.astype(np.uint8)
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= n:
                 raise ValueError("edge endpoint out of range")
@@ -94,21 +104,24 @@ def graph_summary(g: ItemGraph) -> dict:
     deg = g.degrees()
     return {
         "n": g.n,
-        # a Counter, not np.unique's string sort: 7 against 16 ms at 106 119 edges
-        "edges": dict(Counter(g.tags.tolist())),
+        "edges": {
+            name: int(count) for name, count in zip(TAGS, np.bincount(g.tags, minlength=len(TAGS))) if count
+        },
         "degree": {"min": int(deg.min()), "median": float(np.median(deg)), "max": int(deg.max())},
         "isolated": int(np.count_nonzero(deg == 0)),
     }
 
 
-def _similarity_blocks(Q: np.ndarray, R: np.ndarray):
+def _similarity_blocks(Q, R: np.ndarray):
     """Yield (start, cosine similarities of Q[start:start + BLOCK_ROWS] with R's rows).
 
-    R is normalized once and each Q block as it is scored; rows normalize
+    Q is any row source with ``len`` and slicing to raw row blocks: an
+    array, or an object that forms each block when it is sliced.  R is
+    normalized once and each Q block as it is scored; rows normalize
     independently, so a block holds the bits of the fully normalized rows.
     """
     Rt = np.ascontiguousarray(l2_normalize_rows(R).T)
-    for start in range(0, Q.shape[0], BLOCK_ROWS):
+    for start in range(0, len(Q), BLOCK_ROWS):
         yield start, matmul(l2_normalize_rows(Q[start : start + BLOCK_ROWS]), Rt)
 
 
@@ -148,17 +161,20 @@ def row_top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def top_k_cosine(
-    Q: np.ndarray, R: np.ndarray, k: int, floor: float | None = None, exclude_self: bool = False
+    Q, R: np.ndarray, k: int, floor: float | None = None, exclude_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row of Q's k most cosine-similar rows of R, one row block at a time.
 
-    Q and R are raw rows; the scorer normalizes both.  Similarities are
-    clamped up to ``floor`` when given; ``exclude_self`` (Q and R the
-    same rows) sets each row's own column to -inf.  Ties at the k-th
-    value go to the lowest row indices of R (:func:`row_top_k`), which
-    requires 1 <= k <= R's row count.  Returns (rows, cols) with exactly
-    k entries per row, row-major; the work space is one block of
-    BLOCK_ROWS · R rows scores, dropped before the next is formed.
+    Q and R are raw rows; the scorer normalizes both.  Q may also be a
+    row source that forms each BLOCK_ROWS slice only when it is asked
+    for (see :func:`_similarity_blocks`), so its rows are never all
+    alive at once.  Similarities are clamped up to ``floor`` when
+    given; ``exclude_self`` (Q and R the same rows) sets each row's own
+    column to -inf.  Ties at the k-th value go to the lowest row indices
+    of R (:func:`row_top_k`), which requires 1 <= k <= R's row count.
+    Returns (rows, cols) with exactly k entries per row, row-major; the
+    work space is one block of BLOCK_ROWS · R rows scores, dropped
+    before the next is formed.
     """
     rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for start, sims in _similarity_blocks(Q, R):
@@ -206,7 +222,7 @@ def knn_graph_symmetric(X, k: int, similarity_floor: float = 0.0) -> ItemGraph:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
     src, dst = top_k_cosine(X, X, k, floor=similarity_floor, exclude_self=True)
     pairs = _pairs_from_keys(_unique_pair_keys(src, dst, n), n)
-    return ItemGraph.from_pairs(n, pairs, np.full(pairs.shape[0], "knn", dtype=object))
+    return ItemGraph.from_pairs(n, pairs, np.full(pairs.shape[0], TAGS.index("knn"), dtype=np.uint8))
 
 
 def epsilon_graph(X, epsilon: float) -> ItemGraph:
@@ -229,7 +245,7 @@ def epsilon_graph(X, epsilon: float) -> ItemGraph:
         del sims, keep  # else they live on through the next block's matmul
     pairs = np.concatenate(chunks)
     return ItemGraph.from_pairs(
-        X.shape[0], pairs, np.full(pairs.shape[0], "epsilon", dtype=object)
+        X.shape[0], pairs, np.full(pairs.shape[0], TAGS.index("epsilon"), dtype=np.uint8)
     )
 
 
@@ -269,7 +285,7 @@ def augment_label_edges(
     seen = existing[np.searchsorted(existing, new_keys)] == new_keys
     fresh = _pairs_from_keys(new_keys[~seen], g.n)
     pairs = np.concatenate([g.pairs, fresh])
-    tags = np.concatenate([g.tags, np.full(fresh.shape[0], "label-augment", dtype=object)])
+    tags = np.concatenate([g.tags, np.full(fresh.shape[0], TAGS.index("label-augment"), dtype=np.uint8)])
     return ItemGraph.from_pairs(g.n, pairs, tags)
 
 

@@ -17,7 +17,11 @@ blocks of at most :data:`INGEST_CELLS` cells: blank lines are skipped,
 cells are stripped, the header is checked, each data line must have as
 many cells as the header, and a file without data lines is rejected.
 Each loader converts a block to arrays before it reads the next, so
-the cell strings of one block, not of the file, are alive at once.
+the cell strings of one block, not of the file, are alive at once.  The
+embeddings and gaussians loaders copy each block's floats into one
+array allocated for the file's line count (one binary pass counts the
+line breaks), so they hold their output once plus one block, with no
+per-block arrays to concatenate.
 Numeric cells must be finite floats.  Ids are nonempty and unique
 within an embeddings, labels or gaussians file.  In an interactions
 file the last rating of a (user, panel) pair wins, and rows naming an
@@ -193,14 +197,44 @@ def _unique_ids(cells: np.ndarray, path, lines, seen: set[str]) -> list[str]:
     return ids
 
 
+def _line_bound(path) -> int:
+    """An upper bound on a file's data lines: its line breaks.
+
+    One binary pass counts the breaks the CSV reader splits on: ``\n``,
+    ``\r\n`` and a lone ``\r``.  A file has at most one line more than
+    breaks, and the header takes one of them.
+    """
+    bound, cr_end = 0, False
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            crlf = chunk.count(b"\r\n") + (cr_end and chunk.startswith(b"\n"))
+            bound += chunk.count(b"\n") + chunk.count(b"\r") - crlf
+            cr_end = chunk.endswith(b"\r")
+    return bound
+
+
+def _id_float_rows(path, header_ok, expected: str):
+    """(header, unique ids, finite float64 rows) of an id-keyed numeric file.
+
+    The floats of each block are copied into one array sized by
+    :func:`_line_bound` before the next block is read; the filled rows
+    are returned.
+    """
+    ids, seen, values, filled = [], set(), None, 0
+    for header, lines, cells in _read_blocks(path, header_ok, expected):
+        if values is None:
+            values = np.empty((_line_bound(path), len(header) - 1))
+        ids += _unique_ids(cells, path, lines, seen)
+        values[filled : filled + len(lines)] = _floats(cells[:, 1:], path, lines)
+        filled += len(lines)
+        del cells  # before the next block is read
+    return header, tuple(ids), values[:filled]
+
+
 def load_embeddings(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Load an embeddings CSV; the dimension is inferred from the header."""
-    ids, values, seen = [], [], set()
-    for _, lines, cells in _read_blocks(path, lambda h: len(h) >= 2 and h[0] == "id", "id,f0,..."):
-        ids += _unique_ids(cells, path, lines, seen)
-        values.append(_floats(cells[:, 1:], path, lines))
-        del cells  # before the next block is read
-    return tuple(ids), np.concatenate(values)
+    _, ids, values = _id_float_rows(path, lambda h: len(h) >= 2 and h[0] == "id", "id,f0,...")
+    return ids, values
 
 
 def load_labels(path, ids: tuple[str, ...] | None = None):
@@ -282,20 +316,13 @@ def _gaussian_header(d: int) -> list[str]:
 
 def load_gaussians(path) -> GaussianTable:
     """Load diagonal Gaussian posteriors; variances are exp(logvar) clamped."""
-    ids, blocks, seen = [], [], set()
-    for header, lines, cells in _read_blocks(
+    header, ids, values = _id_float_rows(
         path,
         lambda h: len(h) >= 3 and h == _gaussian_header((len(h) - 1) // 2),
         "id,mu_0,...,logvar_0,...",
-    ):
-        ids += _unique_ids(cells, path, lines, seen)
-        blocks.append(_floats(cells[:, 1:], path, lines))
-        del cells  # before the next block is read
-    d = (len(header) - 1) // 2
-    values = np.concatenate(blocks)
-    return GaussianTable(
-        ids=tuple(ids), mean=values[:, :d], var=np.clip(np.exp(values[:, d:]), VAR_MIN, VAR_MAX)
     )
+    d = (len(header) - 1) // 2
+    return GaussianTable(ids=ids, mean=values[:, :d], var=np.clip(np.exp(values[:, d:]), VAR_MIN, VAR_MAX))
 
 
 def assign_split(table: PanelTable, test_fraction: float, rng: SeededRng) -> PanelTable:

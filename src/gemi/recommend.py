@@ -11,8 +11,11 @@ exist.  Aggregation reports population (1/U) mean and std per label.
 :func:`numerics.spmm` of the user × item membership matrix with the
 representations, divided by the user's item count, and the candidates
 are ranked by :func:`graph.top_k_cosine`, the graph builders' scorer and
-tie rule (similarity descending, candidate position ascending).  Work
-space is the U × d user rows plus O(BLOCK_ROWS · candidates).
+tie rule (similarity descending, candidate position ascending).  The
+scorer asks for the user rows one BLOCK_ROWS block at a time, and each
+block is formed only then, from that block's membership rows, so work
+space is one block of user rows plus O(BLOCK_ROWS · candidates), not
+the U × d user rows.
 """
 
 from __future__ import annotations
@@ -78,6 +81,37 @@ def aggregate(per_user: np.ndarray, *, model: str, representation: str, k_rec: i
     )
 
 
+class _UserRows:
+    """The users' mean item rows as a row source for :func:`graph.top_k_cosine`.
+
+    Slicing ``[a:b]`` forms rows a..b-1 only then: the spmm of those
+    users' membership rows (``indptr`` slices of the profiles) with the
+    representations, divided by their item counts.  Each row sums its
+    items in profile order, so a slice holds the bits of the same rows
+    of one whole-population product.
+    """
+
+    def __init__(self, profiles: Users, reps: np.ndarray):
+        self.indptr, self.items, self.reps = profiles.indptr, profiles.items, reps
+        self.counts = np.diff(self.indptr)
+
+    def __len__(self) -> int:
+        return self.counts.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
+        from scipy.sparse import csr_array
+
+        a, b, _ = rows.indices(len(self))
+        lo, hi = self.indptr[a], self.indptr[b]
+        members = csr_array(
+            (np.ones(hi - lo), self.items[lo:hi], self.indptr[a : b + 1] - lo), shape=(b - a, self.reps.shape[0])
+        )
+        block = spmm(members, self.reps)
+        block /= self.counts[a:b, None]
+        return block
+
+
 def evaluate(
     reps,
     Y,
@@ -92,8 +126,9 @@ def evaluate(
     """Embed users, rank test items, count label hits.
 
     ``reps`` is aligned to the global panel order; candidates are the
-    test rows in ascending index order.  ``profiles`` is the population
-    as one :class:`users.Users` record.
+    test rows in ascending index order, normalized once.  ``profiles`` is
+    the population as one :class:`users.Users` record; its user rows are
+    formed one scorer block at a time (:class:`_UserRows`).
     """
     test_indices = np.flatnonzero(np.asarray(test_mask, dtype=bool))
     if test_indices.size == 0:
@@ -102,20 +137,13 @@ def evaluate(
         raise ValueError("evaluation requires at least one user profile")
     if k_rec < 1:
         raise ValueError("k_rec must be at least 1")
-    offsets, items = profiles.indptr, profiles.items
-    counts = np.diff(offsets)
+    counts = np.diff(profiles.indptr)
     if not counts.all():
         empty = profiles.ids[int(np.argmin(counts))]
         raise ValueError(f"profile {empty!r} has no interactions")
-    # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
-    from scipy.sparse import csr_array
-
     reps = as_matrix(reps)
-    members = csr_array((np.ones(items.size), items, offsets), shape=(len(profiles), reps.shape[0]))
-    users = spmm(members, reps)
-    users /= counts[:, None]
     k = min(k_rec, test_indices.size)
-    _, picks = graph.top_k_cosine(users, reps[test_indices], k)
+    _, picks = graph.top_k_cosine(_UserRows(profiles, reps), reps[test_indices], k)
     Y_test = np.asarray(Y)[test_indices] == 1
     hits = Y_test[picks.reshape(len(profiles), k)].sum(axis=1)
     prefers = profiles.preferences >= PREFERENCE_THRESHOLD

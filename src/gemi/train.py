@@ -30,6 +30,7 @@ import numpy as np
 from . import models
 from .config import default_config
 from .graph import (
+    TAGS,
     AdjacencyPattern,
     ItemGraph,
     attach_test_items,
@@ -203,7 +204,7 @@ def _train_loop(cfg: dict, base_graph: ItemGraph, X, Y, train_mask_local, rng: S
     # reconstruction targets
     recon = ReconTargets(clean_adj) if kind in ("gae", "vgae") else None
     ramp = max(1, int(round(m_cfg["kl_ramp_fraction"] * m_cfg["epochs"])))
-    exempt = base_graph.tags == "label-augment" if cfg["graph"]["augment_exempt_from_dropout"] else None
+    exempt = base_graph.tags == TAGS.index("label-augment") if cfg["graph"]["augment_exempt_from_dropout"] else None
 
     epoch_logs = []
     dropped = 0

@@ -11,6 +11,7 @@ extends.
 
 import numpy as np
 
+from gemi.graph import TAGS
 from gemi.numerics import EPS_NORM, l2_normalize_rows, matmul
 
 
@@ -56,7 +57,8 @@ def edge_set(g) -> set[tuple[int, int]]:
 
 
 def tagged_edges(g) -> dict[tuple[int, int], str]:
-    return {(int(i), int(j)): str(t) for (i, j), t in zip(g.pairs, g.tags)}
+    """The graph's edges mapped to their tag names (codes read through ``TAGS``)."""
+    return {(int(i), int(j)): TAGS[t] for (i, j), t in zip(g.pairs.tolist(), g.tags.tolist())}
 
 
 def ranked(sims_row, candidates, k) -> list[int]:

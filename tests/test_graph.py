@@ -1,4 +1,4 @@
-import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gemi import graph
 from gemi.graph import (
+    TAGS,
     AdjacencyPattern,
     ItemGraph,
     attach_test_items,
@@ -17,6 +18,7 @@ from gemi.graph import (
     top_k_cosine,
 )
 from gemi.numerics import SeededRng
+from conftest import traced_peak
 from graph_oracles import (
     attach_edges,
     brute_force_attach_edges,
@@ -32,33 +34,66 @@ from graph_oracles import (
     tagged_edges,
 )
 
+KNN, EPSILON, AUGMENT = (TAGS.index(name) for name in ("knn", "epsilon", "label-augment"))
+
 
 class TestItemGraph:
     def test_from_pairs_canonicalizes(self):
-        g = ItemGraph.from_pairs(4, [[2, 0], [1, 3]], ["a", "b"])
+        g = ItemGraph.from_pairs(4, [[2, 0], [1, 3]], [AUGMENT, KNN])
         assert g.pairs.tolist() == [[0, 2], [1, 3]]
-        assert list(g.tags) == ["a", "b"]
+        assert g.tags.tolist() == [AUGMENT, KNN]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            ItemGraph.from_pairs(3, [[1, 1]], ["a"])
+            ItemGraph.from_pairs(3, [[1, 1]], [KNN])
 
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError):
-            ItemGraph.from_pairs(3, [[0, 1], [1, 0]], ["a", "b"])
+            ItemGraph.from_pairs(3, [[0, 1], [1, 0]], [KNN, AUGMENT])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            ItemGraph.from_pairs(2, [[0, 2]], ["a"])
+            ItemGraph.from_pairs(2, [[0, 2]], [KNN])
 
     def test_degrees(self):
-        g = ItemGraph.from_pairs(4, [[0, 1], [0, 2], [0, 3]], ["a"] * 3)
+        g = ItemGraph.from_pairs(4, [[0, 1], [0, 2], [0, 3]], [KNN] * 3)
         assert g.degrees().tolist() == [3, 1, 1, 1]
+
+    def test_rejects_tags_that_are_not_codes(self):
+        with pytest.raises(ValueError, match="codes"):
+            ItemGraph.from_pairs(3, [[0, 1]], ["knn"])
+        with pytest.raises(ValueError, match="codes"):
+            ItemGraph.from_pairs(3, [[0, 1]], [len(TAGS)])
+        with pytest.raises(ValueError, match="codes"):
+            ItemGraph.from_pairs(3, [[0, 1]], [-1])
 
     def test_degrees_of_empty_graph(self):
         g = ItemGraph.from_pairs(3, [], [])
         assert g.degrees().tolist() == [0, 0, 0]
         assert g.degrees().dtype == np.int64
+
+
+def _tag_cases(rng):
+    """knn, epsilon, knn + label-augment and an empty epsilon graph."""
+    X = rng.normal(size=(30, 4))
+    Y = (rng.random((30, 3)) < 0.5).astype(np.int64)
+    knn = knn_graph_symmetric(X, 3)
+    augmented = augment_label_edges(knn, X, Y, 0, 4, 30, np.ones(30, dtype=bool), rng.substream("aug"))
+    return {"knn": knn, "epsilon": epsilon_graph(X, 0.3), "augmented": augmented, "empty": epsilon_graph(X, 1.5)}
+
+
+class TestTags:
+    def test_one_byte_per_edge(self, rng):
+        for name, g in _tag_cases(rng).items():
+            assert g.tags.dtype == np.uint8, name
+            assert g.tags.nbytes == g.m, name
+
+    def test_summary_counts_tag_names(self, rng):
+        cases = _tag_cases(rng)
+        assert cases["augmented"].m > cases["knn"].m and cases["epsilon"].m > 0 and cases["empty"].m == 0
+        for name, g in cases.items():
+            assert graph.graph_summary(g)["edges"] == Counter(tagged_edges(g).values()), name
+        assert graph.graph_summary(cases["empty"])["edges"] == {}
 
 
 class TestKnnGraph:
@@ -76,7 +111,7 @@ class TestKnnGraph:
 
     def test_all_edges_tagged_knn(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(10, 3)), 2)
-        assert set(g.tags) == {"knn"}
+        assert set(g.tags.tolist()) == {KNN}
 
     def test_tie_break_ascending_index(self):
         # three identical points: similarity ties everywhere; each picks
@@ -141,21 +176,21 @@ class TestAugmentLabelEdges:
         out = augment_label_edges(g, X, Y, 0, 3, 100, train, rng.substream("aug"))
         new = out.m - g.m
         assert new > 0
-        assert (out.tags == "label-augment").sum() == new
+        assert (out.tags == AUGMENT).sum() == new
 
     def test_only_training_positives_touched(self, rng):
         X, Y, g, train = self._setup(rng)
         out = augment_label_edges(g, X, Y, 1, 3, 100, train, rng.substream("aug"))
         pos = set(np.flatnonzero(train & (Y[:, 1] == 1)).tolist())
         for (i, j), tag in zip(out.pairs.tolist(), out.tags):
-            if tag == "label-augment":
+            if tag == AUGMENT:
                 assert i in pos and j in pos
 
     def test_existing_edges_keep_tags(self, rng):
         X, Y, g, train = self._setup(rng)
         out = augment_label_edges(g, X, Y, 0, 3, 100, train, rng.substream("aug"))
         assert edge_set(out) >= edge_set(g)
-        kept = {tuple(p) for p, t in zip(out.pairs.tolist(), out.tags) if t == "knn"}
+        kept = {tuple(p) for p, t in zip(out.pairs.tolist(), out.tags) if t == KNN}
         assert kept == edge_set(g)
 
     def test_fewer_than_two_positives_is_identity(self, rng):
@@ -169,7 +204,7 @@ class TestAugmentLabelEdges:
         X, Y, g, train = self._setup(rng, n=30)
         Y[:, 0] = 1
         out = augment_label_edges(g, X, Y, 0, 2, 6, train, rng.substream("aug"))
-        touched = {v for (i, j), t in zip(out.pairs.tolist(), out.tags) if t == "label-augment" for v in (i, j)}
+        touched = {v for (i, j), t in zip(out.pairs.tolist(), out.tags) if t == AUGMENT for v in (i, j)}
         assert len(touched) <= 6
 
     def test_deterministic(self, rng):
@@ -187,7 +222,7 @@ def kept_graph(g, keep) -> ItemGraph:
 
 def augment_exempt(g) -> np.ndarray:
     """The exempt mask training builds once per run: the label-augment edges."""
-    return np.isin(g.tags, ["label-augment"])
+    return np.isin(g.tags, [AUGMENT])
 
 
 class TestEdgeDropout:
@@ -205,29 +240,29 @@ class TestEdgeDropout:
     def test_exempt_tags_survive(self, rng):
         g = knn_graph_symmetric(rng.normal(size=(12, 3)), 2)
         tags = g.tags.copy()
-        tags[:3] = "label-augment"
+        tags[:3] = AUGMENT
         g = ItemGraph(n=g.n, pairs=g.pairs, tags=tags)
         out = kept_graph(g, edge_dropout(g, 1.0, rng.substream("d"), exempt=augment_exempt(g)))
         assert out.m == 3
-        assert set(out.tags) == {"label-augment"}
+        assert set(out.tags.tolist()) == {AUGMENT}
 
     def test_exemption_does_not_shift_other_draws(self, rng):
         # the same seed must keep/drop each non-exempt edge identically
         # whether or not some other edges are exempt
         g = knn_graph_symmetric(rng.normal(size=(15, 3)), 3)
         tags = g.tags.copy()
-        tags[:4] = "label-augment"
+        tags[:4] = AUGMENT
         g2 = ItemGraph(n=g.n, pairs=g.pairs, tags=tags)
         out_plain = kept_graph(g, edge_dropout(g, 0.5, SeededRng(12)))
         out_exempt = kept_graph(g2, edge_dropout(g2, 0.5, SeededRng(12), exempt=augment_exempt(g2)))
         plain_kept = edge_set(out_plain)
         for (i, j), tag in zip(g2.pairs.tolist(), g2.tags):
-            if tag != "label-augment":
+            if tag != AUGMENT:
                 assert ((i, j) in edge_set(out_exempt)) == ((i, j) in plain_kept)
 
     def test_expected_keep_rate(self):
         g = ItemGraph.from_pairs(
-            200, np.column_stack([np.arange(100), np.arange(100, 200)]), ["knn"] * 100
+            200, np.column_stack([np.arange(100), np.arange(100, 200)]), [KNN] * 100
         )
         kept = kept_graph(g, edge_dropout(g, 0.3, SeededRng(5))).m
         assert 55 <= kept <= 85  # ~Binomial(100, 0.7)
@@ -240,7 +275,7 @@ class TestNormalizeAdjacency:
         np.testing.assert_allclose(AdjacencyPattern(g).operator().toarray(), expect, atol=1e-14)
 
     def test_isolated_node_self_entry(self):
-        g = ItemGraph.from_pairs(3, [[0, 1]], ["knn"])
+        g = ItemGraph.from_pairs(3, [[0, 1]], [KNN])
         dense = AdjacencyPattern(g).operator().toarray()
         assert dense[2, 2] == 1.0
 
@@ -248,7 +283,7 @@ class TestNormalizeAdjacency:
         "pairs", [[[0, 1], [0, 3], [1, 3]], []], ids=["isolated-node", "no-edges"]
     )
     def test_canonical_csr(self, pairs):
-        g = ItemGraph.from_pairs(4, pairs, ["knn"] * len(pairs))
+        g = ItemGraph.from_pairs(4, pairs, [KNN] * len(pairs))
         adj = AdjacencyPattern(g).operator()
         assert adj.has_canonical_format
         assert adj.shape == (4, 4)
@@ -281,7 +316,7 @@ def _pattern_case(seed):
     keep[::5] = False
     keep[:, ::5] = False  # every fifth node is isolated
     pairs = np.argwhere(keep)
-    tags = np.where(rng.random(len(pairs)) < 0.3, "label-augment", "knn")
+    tags = np.where(rng.random(len(pairs)) < 0.3, AUGMENT, KNN)
     g = ItemGraph.from_pairs(n, pairs, tags)
     return g, augment_exempt(g) if seed % 2 else None
 
@@ -482,7 +517,7 @@ class TestRowBlocks:
         X = INPUTS[inputs](SeededRng(seed), n)
         g = epsilon_graph(X, eps)
         assert edge_set(g) == brute_force_epsilon_edges(X, eps)
-        assert set(g.tags) <= {"epsilon"}
+        assert set(g.tags.tolist()) <= {EPSILON}
 
     @pytest.mark.parametrize("inputs", sorted(INPUTS))
     @pytest.mark.parametrize("seed,n_train,n_test,k", [(0, 12, 9, 3), (1, 20, 15, 1), (2, 25, 8, 25), (3, 12, 0, 2)])
@@ -531,12 +566,7 @@ def test_knn_build_memory_stays_below_one_dense_matrix():
     # one 3000 x 3000 float64 cosine matrix is 72 MB; the row-blocked
     # build must peak far below it
     X = SeededRng(3).normal(size=(3000, 16))
-    tracemalloc.start()
-    try:
-        g = knn_graph_symmetric(X, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(knn_graph_symmetric, X, 10)
     assert g.degrees().min() >= 10
     assert peak < 72e6 / 4
 
@@ -552,12 +582,7 @@ def test_score_loops_hold_one_block(build):
     # masks, not two blocks
     X = SeededRng(5).normal(size=(2048, 8))
     block = graph.BLOCK_ROWS * 2048 * 8
-    tracemalloc.start()
-    try:
-        build(X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(build, X)
     assert peak < 1.6 * block, peak / block
 
 
@@ -603,12 +628,7 @@ def test_row_top_k_makes_no_block_sized_copy():
     # one 256 x 4000 float64 block is 8.2 MB; selecting on a tie-free
     # block must not copy it whole (a whole-block np.partition would)
     sims = SeededRng(4).random((256, 4000))
-    tracemalloc.start()
-    try:
-        rows, _ = graph.row_top_k(sims, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (rows, _), peak = traced_peak(graph.row_top_k, sims, 10)
     assert rows.size == 256 * 10
     assert peak < sims.nbytes / 2
 

@@ -1,12 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemi import graph, losses, models
-from gemi.graph import AdjacencyPattern, ItemGraph
+from gemi.graph import TAGS, AdjacencyPattern, ItemGraph
 from gemi.losses import (
     LossConfig,
     ReconTargets,
@@ -18,6 +16,7 @@ from gemi.losses import (
 )
 from gemi.numerics import SeededRng, finite_difference_gradient, matmul
 from gemi.train import objective_and_grads
+from conftest import traced_peak
 from recon_oracle import (
     dense_recon_loss_and_grad,
     edge_pos_weight,
@@ -268,7 +267,7 @@ def _recon_graph(case, n, rng):
             keep[::3] = False
             keep[:, ::3] = False
         pairs = np.argwhere(np.triu(keep, k=1))
-    return ItemGraph.from_pairs(n, pairs, ["knn"] * len(pairs))
+    return ItemGraph.from_pairs(n, pairs, [TAGS.index("knn")] * len(pairs))
 
 
 class TestBlockedRecon:
@@ -342,7 +341,7 @@ class TestBlockedRecon:
         assert loss == expect[0] and np.array_equal(dZ, expect[1])
 
     def test_rejects_z_of_another_node_count(self):
-        targets = ReconTargets(AdjacencyPattern(ItemGraph.from_pairs(4, [[0, 1]], ["knn"])).operator())
+        targets = ReconTargets(AdjacencyPattern(ItemGraph.from_pairs(4, [[0, 1]], [TAGS.index("knn")])).operator())
         with pytest.raises(ValueError, match="4 nodes"):
             recon_loss_and_grad(np.ones((5, 2)), targets)
 
@@ -384,12 +383,7 @@ def test_recon_holds_one_score_block():
     Z = rng.normal(size=(2048, 4), scale=0.3)
     recon_loss_and_grad(Z, targets)
     block = graph.BLOCK_ROWS * 2048 * 8
-    tracemalloc.start()
-    try:
-        recon_loss_and_grad(Z, targets)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(recon_loss_and_grad, Z, targets)
     assert peak < 1.25 * block, peak / block
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemi.graph import AdjacencyPattern, ItemGraph, knn_graph_symmetric
+from gemi.graph import TAGS, AdjacencyPattern, ItemGraph, knn_graph_symmetric
 from gemi.numerics import SeededRng, _tag_to_int, finite_difference_gradient, l2_normalize_rows, matmul, spmm
 from graph_oracles import dense_normalized_adjacency
 
@@ -48,7 +48,7 @@ class TestSparseAdjacency:
     def _square_graph():
         # a 4-clique (degree 3, so every entry among 0..3 is exactly 1/4) and node 4 isolated
         pairs = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
-        return ItemGraph.from_pairs(5, pairs, ["knn"] * 6)
+        return ItemGraph.from_pairs(5, pairs, [TAGS.index("knn")] * 6)
 
     def _square(self):
         return AdjacencyPattern(self._square_graph()).operator()

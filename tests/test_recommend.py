@@ -14,14 +14,16 @@ from gemi.recommend import (
     write_metrics_csv,
     write_metrics_json,
 )
+from conftest import traced_peak
 from users_oracle import make_users, rows_of
 
 
-def brute_force_evaluate(reps, Y, test_mask, profiles, k_rec):
-    """Independent reimplementation with explicit loops."""
+def brute_force_picks(reps, test_mask, profiles, k_rec) -> list[list[int]]:
+    """Each user's first k_rec test items (global indices) by cosine
+    descending, then candidate position ascending, with explicit loops."""
     test_indices = [i for i in range(len(test_mask)) if test_mask[i]]
-    per_user = np.zeros((len(profiles), Y.shape[1]))
-    for u, items in enumerate(rows_of(profiles)):
+    picks = []
+    for items in rows_of(profiles):
         emb = np.mean([reps[i] for i in items], axis=0)
         scored = []
         for pos, i in enumerate(test_indices):
@@ -31,7 +33,14 @@ def brute_force_evaluate(reps, Y, test_mask, profiles, k_rec):
             s = 0.0 if na < 1e-300 or nb < 1e-300 else float(emb @ v / ((na + 1e-12) * (nb + 1e-12)))
             scored.append((s, pos, i))
         scored.sort(key=lambda t: (-t[0], t[1]))
-        recs = [i for _, _, i in scored[:k_rec]]
+        picks.append([i for _, _, i in scored[:k_rec]])
+    return picks
+
+
+def brute_force_evaluate(reps, Y, test_mask, profiles, k_rec):
+    """Independent reimplementation with explicit loops."""
+    per_user = np.zeros((len(profiles), Y.shape[1]))
+    for u, recs in enumerate(brute_force_picks(reps, test_mask, profiles, k_rec)):
         for ell in range(Y.shape[1]):
             if profiles.preferences[u, ell] >= 0.5:
                 hits = sum(1 for i in recs if Y[i, ell] == 1)
@@ -223,7 +232,8 @@ class TestEvaluate:
         top_k_cosine = graph.top_k_cosine
 
         def spy(Q, R, k, **kwargs):
-            ranked.append(Q.copy())
+            # the user rows as the scorer reads them, one block at a time
+            ranked.append(np.vstack([Q[s : s + graph.BLOCK_ROWS] for s in range(0, len(Q), graph.BLOCK_ROWS)]))
             return top_k_cosine(Q, R, k, **kwargs)
 
         monkeypatch.setattr(graph, "top_k_cosine", spy)
@@ -235,13 +245,46 @@ class TestEvaluate:
         np.testing.assert_allclose(ranked[0], reduceat, rtol=0, atol=4 * np.finfo(np.float64).eps)
 
     def test_user_blocks_match_single_block(self, rng, monkeypatch):
-        # 40 users with 1..6 items each span 6 blocks of 7 and a short last one
+        # 40 users with 1..6 items each span 5 blocks of 7 and a short last one
         reps, Y, test_mask, profiles = self._setup(rng, users=40)
         whole = _evaluate(reps, Y, test_mask, profiles, 5)
+        picked = []
+        top_k_cosine = graph.top_k_cosine
+
+        def spy(Q, R, k, **kwargs):
+            picked.append(top_k_cosine(Q, R, k, **kwargs))
+            return picked[-1]
+
+        monkeypatch.setattr(graph, "top_k_cosine", spy)
         monkeypatch.setattr(graph, "BLOCK_ROWS", 7)
         blocked = _evaluate(reps, Y, test_mask, profiles, 5)
         assert np.array_equal(blocked, whole)
         assert np.array_equal(blocked, brute_force_evaluate(reps, Y, test_mask, profiles, 5))
+        ((rows, cols),) = picked
+        assert rows.tolist() == np.repeat(np.arange(40), 5).tolist()
+        got = np.flatnonzero(test_mask)[cols].reshape(40, 5).tolist()
+        expect = brute_force_picks(reps, test_mask, profiles, 5)
+        assert [sorted(row) for row in got] == [sorted(row) for row in expect]
+
+
+def test_user_rows_are_formed_one_block_at_a_time():
+    # 8 blocks of users at d = 64: the U x d user rows are 1 MiB, but
+    # evaluate forms and scores them one BLOCK_ROWS block at a time
+    import scipy.sparse  # noqa: F401  (before tracing: a first import allocates megabytes)
+
+    rng = SeededRng(3)
+    users, d, n_train, n_test, k_rec = 8 * graph.BLOCK_ROWS, 64, 40, 20, 2
+    reps = rng.normal(size=(n_train + n_test, d))
+    Y = (rng.random((n_train + n_test, 3)) < 0.4).astype(np.int64)
+    test_mask = np.arange(n_train + n_test) >= n_train
+    profiles = make_users(
+        [np.sort(rng.choice(n_train, size=3, replace=False)).tolist() for _ in range(users)], rng.random((users, 3))
+    )
+    report, peak = traced_peak(
+        evaluate, reps, Y, test_mask, profiles, k_rec, model="m", representation="model", seed=0
+    )
+    assert report.num_users == users
+    assert peak < users * d * 8 / 2, peak / (users * d * 8)
 
 
 class TestMetricsFiles:

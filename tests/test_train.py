@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from gemi import graph, models, train
 from gemi.config import default_config
-from gemi.graph import AdjacencyPattern, ItemGraph, knn_graph_symmetric
+from gemi.graph import TAGS, AdjacencyPattern, ItemGraph, knn_graph_symmetric
 from gemi.losses import LossConfig, ReconTargets, positive_weights
 from gemi.numerics import SeededRng
 from gemi.train import (
@@ -15,8 +13,14 @@ from gemi.train import (
     gradient_check,
     train_model,
 )
+from conftest import traced_peak
 from datasets import make_planted_panels
-from graph_oracles import coo_normalized_adjacency, dense_attachment_operator, dense_normalized_adjacency
+from graph_oracles import (
+    coo_normalized_adjacency,
+    dense_attachment_operator,
+    dense_normalized_adjacency,
+    tagged_edges,
+)
 from model_oracle import dense_forward
 from recon_oracle import edge_pos_weight
 
@@ -160,6 +164,26 @@ class TestTrainingLoop:
         assert np.array_equal(X, table.features[rows]) and np.array_equal(Y, table.labels[rows])
         assert np.array_equal(mask, table.train_mask[rows]) and g.n == rows.sum()
 
+    def test_exempt_mask_is_the_label_augment_edges(self, table, monkeypatch):
+        # the mask every epoch's edge dropout gets marks exactly the edges tagged label-augment
+        exempts = []
+        real = train.edge_dropout
+
+        def spy(g, p_e, rng, exempt=None):
+            exempts.append(exempt)
+            return real(g, p_e, rng, exempt)
+
+        monkeypatch.setattr(train, "edge_dropout", spy)
+        cfg = tiny_cfg("gcn", epochs=2)
+        cfg["graph"]["augment"] = [{"label": "animal", "k": 3, "max_nodes": 40}]
+        cfg["graph"]["augment_exempt_from_dropout"] = True
+        m = train_model(table.features, table.labels, table.train_mask, table.test_mask, cfg, SeededRng(1))
+        names = list(tagged_edges(m.base_graph).values())
+        assert "label-augment" in names and "knn" in names
+        assert len(exempts) == 2
+        for exempt in exempts:
+            assert exempt.tolist() == [name == "label-augment" for name in names]
+
     def test_logsig_clamp_reaches_training(self, table, monkeypatch):
         # model.logsig_clamp bounds log sigma in every training forward
         seen = []
@@ -210,7 +234,7 @@ class TestTrainingLoop:
 
     @pytest.mark.parametrize("pairs", [[[0, 2], [1, 2], [2, 4]], []], ids=["edges", "no-edges"])
     def test_recon_targets_are_adjacency_plus_identity(self, pairs, monkeypatch):
-        g = ItemGraph.from_pairs(5, pairs, ["knn"] * len(pairs))
+        g = ItemGraph.from_pairs(5, pairs, [TAGS.index("knn")] * len(pairs))
         pattern = AdjacencyPattern(g).operator()
         # the stored entries, read the way the blocked objective reads them
         targets = np.zeros((5, 5))
@@ -439,12 +463,7 @@ def test_objective_memory_stays_below_one_dense_matrix(kind):
     masks = models.draw_feature_masks(rng.substream("drop"), n, d, hidden, 0.2)
     eps = rng.substream("noise").normal(size=(n, latent))
     args = (kind, params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, eps, ReconTargets(adj), 0.5, 10.0)
-    tracemalloc.start()
-    try:
-        total, _, _ = train.objective_and_grads(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (total, _, _), peak = traced_peak(train.objective_and_grads, *args)
     assert np.isfinite(total)
     assert peak < n * n * 8
 
@@ -462,11 +481,6 @@ def test_gcn_objective_keeps_under_three_hidden_width_buffers(rate):
     params = models.init_params("gcn", d, hidden, 0, 3, rng.substream("init"))
     masks = models.draw_feature_masks(rng.substream("drop"), n, d, hidden, rate)
     args = ("gcn", params, adj, X, Y, mask, positive_weights(Y), LossConfig(), masks, None, None, 0.0, 10.0)
-    tracemalloc.start()
-    try:
-        total, _, _ = train.objective_and_grads(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (total, _, _), peak = traced_peak(train.objective_and_grads, *args)
     assert np.isfinite(total)
     assert peak < 3 * n * hidden * 8
