@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: ``run`` (one config-driven experiment), ``sweep`` (one run
-per value of a scalar config field plus a combined CSV), ``users``
-(synthetic or real preference datasets), ``check`` (gradient and oracle
-self-verification).  GEMI_SEED overrides the seed of run, users and
+per value of a scalar config field plus a combined CSV), ``users`` (the
+user population that a run config evaluates, written as a dataset),
+``check`` (gradient and oracle self-verification).  GEMI_SEED overrides the seed of run, users and
 every sweep but one over ``seed``.
 Exit codes: 0 success, 2 usage or config error, 1 runtime failure.
 """
@@ -20,15 +20,7 @@ import sys
 import numpy as np
 
 from . import fusion, recommend, users as users_mod
-from .config import (
-    ConfigError,
-    default_config,
-    load_config,
-    read_config,
-    resolve_config,
-    set_by_path,
-    validate_config,
-)
+from .config import ConfigError, load_config, read_config, resolve_config, set_by_path
 from .ingest import (
     IngestError,
     PanelTable,
@@ -73,11 +65,29 @@ def _load_features(cfg):
     return fusion.poe_fuse([load_gaussians(p) for p in _required_list(ds, "experts", mode)])
 
 
-def _build_profiles(cfg, panel_ids, labels, train_mask, rng: SeededRng, bootstrap_rng: SeededRng):
+def _load_table(cfg, rng: SeededRng) -> PanelTable:
+    """The configured panels with every split tag assigned and neither split empty.
+
+    Untagged panels get a stratified split from ``rng``'s ``split`` substream.
+    """
+    ids, features = _load_features(cfg)
+    labels, split = load_labels(_require_file(cfg["dataset"]["labels"], "dataset.labels"), ids)
+    table = PanelTable(ids=ids, features=features, labels=labels, split=split)
+    if (table.split == "unassigned").any():
+        table = assign_split(table, cfg["dataset"]["test_fraction"], rng.substream("split"))
+    for side, mask in (("train", table.train_mask), ("test", table.test_mask)):
+        if not mask.any():
+            raise IngestError(f"{cfg['dataset']['labels']}: the {side} split is empty")
+    return table
+
+
+def _build_profiles(cfg, panel_ids, labels, train_mask, rng: SeededRng):
     """The user population that ``cfg["users"]`` and ``cfg["eval"]`` describe.
 
-    Synthetic users draw from ``rng``; real users come from the ratings
-    file, and augmented users bootstrap them with draws from ``bootstrap_rng``.
+    Real users come from the ratings file.  Synthetic users sample the
+    training panels, and augmented users bootstrap the real ones, with
+    draws from ``rng``: the run's ``users`` substream, which ``gemi run``
+    and ``gemi users`` both pass, so both build the same population.
     """
     u_cfg = cfg["users"]
     ev = cfg["eval"]
@@ -107,7 +117,7 @@ def _build_profiles(cfg, panel_ids, labels, train_mask, rng: SeededRng, bootstra
         u_cfg["gain_high"],
         u_cfg["bias_sigma"],
         u_cfg["noise_sigma"],
-        bootstrap_rng,
+        rng,
     )
 
 
@@ -116,16 +126,8 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
     os.makedirs(out_dir, exist_ok=True)
     recommend.write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
 
-    ids, features = _load_features(cfg)
-    labels, split = load_labels(_require_file(cfg["dataset"]["labels"], "dataset.labels"), ids)
-    table = PanelTable(ids=ids, features=features, labels=labels, split=split)
-
     rng = SeededRng(cfg["seed"])
-    if (table.split == "unassigned").any():
-        table = assign_split(table, cfg["dataset"]["test_fraction"], rng.substream("split"))
-    for side, mask in (("train", table.train_mask), ("test", table.test_mask)):
-        if not mask.any():
-            raise IngestError(f"{cfg['dataset']['labels']}: the {side} split is empty")
+    table = _load_table(cfg, rng)
     inductive, k = cfg["protocol"] == "inductive", cfg["graph"]["k"]
     n = int(table.train_mask.sum()) if inductive else len(table.ids)
     if cfg["graph"]["kind"] == "knn" and k >= n:
@@ -136,8 +138,7 @@ def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
         raise ConfigError(f"graph.attach_k: {attach_k} must not exceed the training count, {n} train items")
 
     # users before training: a bad ratings file fails before any epoch runs
-    users_rng = rng.substream("users")
-    profiles = _build_profiles(cfg, table.ids, table.labels, table.train_mask, users_rng, users_rng)
+    profiles = _build_profiles(cfg, table.ids, table.labels, table.train_mask, rng.substream("users"))
     trained = train_model(
         table.features, table.labels, table.train_mask, table.test_mask, cfg, rng.substream("train")
     )
@@ -275,33 +276,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _train_mask(split) -> np.ndarray:
-    """Training panels of a labels file; all panels when none is tagged train."""
-    mask = split == "train"
-    return mask if mask.any() else split == "unassigned"
-
-
 def cmd_users(args) -> int:
-    rng = SeededRng(_env_seed(args.seed)).substream("users")
-    cfg = default_config()
-    if args.mode == "synth":
-        cfg["eval"].update(num_users=args.num, interactions_k=args.k, tau=args.tau)
-    else:
-        cfg["eval"]["interactions_k"] = args.k
-        cfg["users"].update(
-            source="augmented" if args.augment else "real",
-            interactions=args.interactions,
-            pseudo_count=args.pseudo_count,
-            gain=args.gain,
-            top_k=args.top_k,
-            p_replace=args.p_replace,
-        )
-        if args.augment:  # 0, the flag's default, keeps the config default
-            cfg["users"]["augment_target"] = args.augment
-    validate_config(cfg)  # the flags fill config fields: same checks as a run
-    ids, labels, split = load_labels(_require_file(args.labels, "--labels"))
-    profiles = _build_profiles(cfg, ids, labels, _train_mask(split), rng, rng.substream("bootstrap"))
-    pref_path, inter_path = users_mod.write_user_dataset(args.out, profiles, panel_ids=ids)
+    cfg = load_config(args.config)
+    cfg["seed"] = _env_seed(cfg["seed"])
+    prefix = _out_dir(args, cfg)
+    rng = SeededRng(cfg["seed"])
+    table = _load_table(cfg, rng)
+    profiles = _build_profiles(cfg, table.ids, table.labels, table.train_mask, rng.substream("users"))
+    pref_path, inter_path = users_mod.write_user_dataset(prefix, profiles, panel_ids=table.ids)
     print(f"wrote {len(profiles)} users to {pref_path} and {inter_path}")
     return 0
 
@@ -369,30 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    defaults = default_config()
-    u_def, ev_def = defaults["users"], defaults["eval"]
-    p_users = sub.add_parser("users", help="emit a user preference dataset")
-    users_sub = p_users.add_subparsers(dest="mode", required=True)
-    p_synth = users_sub.add_parser("synth", help="Monte-Carlo K-subset users")
-    p_synth.add_argument("--labels", required=True)
-    p_synth.add_argument("--num", type=int, default=ev_def["num_users"])
-    p_synth.add_argument("--k", type=int, default=ev_def["interactions_k"])
-    p_synth.add_argument("--tau", type=float, default=ev_def["tau"])
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", required=True, help="output path prefix")
-    p_synth.set_defaults(func=cmd_users)
-    p_real = users_sub.add_parser("real", help="preferences from a ratings file")
-    p_real.add_argument("--labels", required=True)
-    p_real.add_argument("--interactions", required=True)
-    p_real.add_argument("--pseudo-count", type=float, default=u_def["pseudo_count"])
-    p_real.add_argument("--gain", type=float, default=u_def["gain"])
-    p_real.add_argument("--top-k", type=int, default=u_def["top_k"])
-    p_real.add_argument("--k", type=int, default=ev_def["interactions_k"], help="interactions per augmented user")
-    p_real.add_argument("--p-replace", type=float, default=u_def["p_replace"])
-    p_real.add_argument("--augment", type=int, default=0, help="bootstrap to this many users")
-    p_real.add_argument("--seed", type=int, default=0)
-    p_real.add_argument("--out", required=True, help="output path prefix")
-    p_real.set_defaults(func=cmd_users)
+    p_users = sub.add_parser("users", help="write the user population a run config evaluates")
+    p_users.add_argument("--config", required=True)
+    p_users.add_argument("--out", required=True, help="output path prefix")
+    p_users.set_defaults(func=cmd_users)
 
     p_check = sub.add_parser("check", help="self-verification: gradients and oracles")
     p_check.add_argument("--seeds", type=int, default=3, help="seeds per gradient check")

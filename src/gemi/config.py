@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 PROTOCOLS = ("transductive", "inductive")
 FEATURE_MODES = ("precomputed", "mean", "chunks", "poe")
@@ -149,8 +150,10 @@ def _check(cond, path, message):
 
 
 def is_number(x) -> bool:
-    """A JSON number: int or float, but not bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int (never a bool) or a finite float: Python's json also reads NaN and ±Infinity."""
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
 
 
 def _check_int(value, path, minimum=1):
@@ -169,8 +172,8 @@ def validate_config(cfg: dict) -> None:
     g = cfg["graph"]
     _check(g["kind"] in GRAPH_KINDS, "graph.kind", f"must be one of {GRAPH_KINDS}")
     _check_int(g["k"], "graph.k")
-    _check(is_number(g["epsilon"]), "graph.epsilon", "must be a number")
-    _check(is_number(g["similarity_floor"]), "graph.similarity_floor", "must be a number")
+    _check(is_number(g["epsilon"]), "graph.epsilon", "must be a finite number")
+    _check(is_number(g["similarity_floor"]), "graph.similarity_floor", "must be a finite number")
     _check(is_number(g["edge_dropout"]) and 0.0 <= g["edge_dropout"] <= 1.0, "graph.edge_dropout", "must be in [0, 1]")
     _check(isinstance(g["augment"], list), "graph.augment", "must be a list")
     for i, entry in enumerate(g["augment"]):
@@ -206,7 +209,7 @@ def validate_config(cfg: dict) -> None:
     _check_int(u["top_k"], "users.top_k")
     _check(is_number(u["p_replace"]) and 0.0 <= u["p_replace"] <= 1.0, "users.p_replace", "must be in [0, 1]")
     for key in ("gain_low", "gain_high"):
-        _check(is_number(u[key]), f"users.{key}", "must be a number")
+        _check(is_number(u[key]), f"users.{key}", "must be a finite number")
     _check(u["gain_low"] <= u["gain_high"], "users.gain_low", "must not exceed users.gain_high")
     for key in ("bias_sigma", "noise_sigma"):
         _check(is_number(u[key]) and u[key] >= 0, f"users.{key}", "must be nonnegative")

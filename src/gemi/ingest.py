@@ -237,12 +237,11 @@ def load_embeddings(path) -> tuple[tuple[str, ...], np.ndarray]:
     return ids, values
 
 
-def load_labels(path, ids: tuple[str, ...] | None = None):
-    """Load labels (and optional split tags).
+def load_labels(path, ids: tuple[str, ...]):
+    """(labels, split) of the panels ``ids``, in that order.
 
-    With ``ids`` the rows are checked for a bijection with that id set
-    and returned aligned to its order as (labels, split).  Without it,
-    file order is kept and (ids, labels, split) is returned.
+    The file's ids must match ``ids`` one to one; split cells left empty
+    come back as ``"unassigned"``.
     """
     expected = ["id", *LABEL_NAMES]
     file_ids, labels, splits, seen = [], [], [], set()
@@ -265,8 +264,6 @@ def load_labels(path, ids: tuple[str, ...] | None = None):
         splits.append(split)
         del cells  # before the next block is read
     labels, split = np.concatenate(labels), np.concatenate(splits)
-    if ids is None:
-        return tuple(file_ids), labels, split
     index = {pid: r for r, pid in enumerate(file_ids)}
     missing = [pid for pid in ids if pid not in index]
     if missing:

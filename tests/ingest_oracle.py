@@ -39,20 +39,18 @@ def load_embeddings(path):
     return tuple(ids), data
 
 
-def load_labels(path, ids=None):
+def load_labels(path, ids):
     rows = _read_rows(path)
     has_split = rows[0][1][-1] == "split"
-    labels_by_id, split_by_id, file_order = {}, {}, []
+    labels_by_id, split_by_id = {}, {}
     for _, cells in rows[1:]:
         pid = cells[0]
         labels_by_id[pid] = np.array([int(c) for c in cells[1 : 1 + len(LABEL_NAMES)]], dtype=np.int64)
-        file_order.append(pid)
         if has_split:
             split_by_id[pid] = cells[-1] or "unassigned"
-    order = file_order if ids is None else list(ids)
-    labels = np.stack([labels_by_id[pid] for pid in order])
-    split = np.array([split_by_id.get(pid, "unassigned") for pid in order], dtype=object)
-    return (tuple(order), labels, split) if ids is None else (labels, split)
+    labels = np.stack([labels_by_id[pid] for pid in ids])
+    split = np.array([split_by_id.get(pid, "unassigned") for pid in ids], dtype=object)
+    return labels, split
 
 
 def load_interactions(path, panel_ids) -> InteractionTable:

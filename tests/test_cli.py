@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gemi.cli import main
+from gemi.cli import build_parser, main
 from gemi.config import resolve_config
 from gemi.numerics import EPS_NORM
 from datasets import make_planted_panels, write_embeddings, write_gaussians, write_interactions, write_labels
@@ -149,6 +150,22 @@ class TestRun:
             ("model.logsig_clamp", -1),
             ("graph.similarity_floor", "x"),
             ("graph.augment_exempt_from_dropout", 3),
+            # json writes these as the NaN and Infinity literals Python's json reads back
+            *[
+                (field, float(literal))
+                for field in (
+                    "graph.epsilon",
+                    "graph.similarity_floor",
+                    "loss.gamma",
+                    "loss.lambda_sup",
+                    "loss.lambda_ssl",
+                    "loss.beta_max",
+                    "users.gain_low",
+                    "model.lr",
+                    "eval.tau",
+                )
+                for literal in ("NaN", "Infinity", "-Infinity")
+            ],
         ],
     )
     def test_bad_value_exit_2(self, dataset, tmp_path, capsys, field, value):
@@ -468,78 +485,148 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: --jobs: ")
         assert not out.exists()  # rejected before any run
 
+    def test_non_finite_value_exit_2(self, dataset, tmp_path, capsys):
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", cfg_path, "--param", "graph.epsilon", "--values", "0.5,NaN", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: graph.epsilon: ")
+        assert not out.exists()  # no run started
+
     def test_unknown_param_exit_2(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         assert main(["sweep", "--config", cfg_path, "--param", "model.nope",
                      "--values", "1", "--out", str(tmp_path / "s")]) == 2
 
 
+def _ratings(tmp, table, raters=3, panels=8):
+    """A ratings file: ``raters`` users, each rating the first ``panels`` training panels."""
+    path = tmp / "ratings.csv"
+    train_ids = [table.ids[i] for i in np.flatnonzero(table.train_mask)[:panels]]
+    write_interactions(
+        path, [(f"user-{u}", pid, float(1 + (u + i) % 5)) for u in range(raters) for i, pid in enumerate(train_ids)]
+    )
+    return str(path)
+
+
+def _users(cfg_path, prefix):
+    return main(["users", "--config", cfg_path, "--out", str(prefix)])
+
+
+def _written(prefix):
+    return tuple(Path(f"{prefix}.{part}.csv").read_bytes() for part in ("preferences", "interactions"))
+
+
 class TestUsers:
     def test_synth_writes_dataset(self, dataset, tmp_path, capsys):
-        prefix = str(tmp_path / "synth")
-        code = main(["users", "synth", "--labels", dataset["labels"],
-                     "--num", "6", "--k", "4", "--seed", "2", "--out", prefix])
-        assert code == 0
-        prefs = Path(prefix + ".preferences.csv").read_text().strip().split("\n")
+        cfg_path, _ = write_cfg(tmp_path, dataset, seed=2, eval={"num_users": 6, "interactions_k": 4})
+        assert _users(cfg_path, tmp_path / "synth") == 0
+        prefs, inter = (part.decode().strip().split("\n") for part in _written(tmp_path / "synth"))
         assert len(prefs) == 7  # header + 6 users
-        inter = Path(prefix + ".interactions.csv").read_text().strip().split("\n")
         assert len(inter) == 1 + 6 * 4
+        assert "wrote 6 users" in capsys.readouterr().out
 
     def test_synth_deterministic(self, dataset, tmp_path):
-        p1, p2 = str(tmp_path / "s1"), str(tmp_path / "s2")
-        for prefix in (p1, p2):
-            main(["users", "synth", "--labels", dataset["labels"],
-                  "--num", "4", "--k", "3", "--seed", "8", "--out", prefix])
-        assert Path(p1 + ".preferences.csv").read_text() == Path(p2 + ".preferences.csv").read_text()
-        assert Path(p1 + ".interactions.csv").read_text() == Path(p2 + ".interactions.csv").read_text()
+        cfg_path, _ = write_cfg(tmp_path, dataset, seed=8, eval={"num_users": 4, "interactions_k": 3})
+        for prefix in ("s1", "s2"):
+            assert _users(cfg_path, tmp_path / prefix) == 0
+        assert _written(tmp_path / "s1") == _written(tmp_path / "s2")
 
     def test_real_pipeline(self, dataset, tmp_path):
-        table = dataset["table"]
-        train_ids = [table.ids[i] for i in np.flatnonzero(table.train_mask)[:8]]
-        ratings = tmp_path / "ratings.csv"
-        rows = []
-        for u in range(3):
-            for i, pid in enumerate(train_ids):
-                rows.append((f"user-{u}", pid, float(1 + (u + i) % 5)))
-        write_interactions(ratings, rows)
-        prefix = str(tmp_path / "real")
-        code = main(["users", "real", "--labels", dataset["labels"],
-                     "--interactions", str(ratings), "--out", prefix])
-        assert code == 0
-        prefs = Path(prefix + ".preferences.csv").read_text().strip().split("\n")
+        ratings = _ratings(tmp_path, dataset["table"])
+        cfg_path, _ = write_cfg(tmp_path, dataset, users={"source": "real", "interactions": ratings})
+        assert _users(cfg_path, tmp_path / "real") == 0
+        prefs = _written(tmp_path / "real")[0].decode().strip().split("\n")
         assert len(prefs) == 4
 
     @pytest.mark.parametrize("seed", ["abc", "-5"])
     def test_bad_seed_env_exit_2(self, dataset, tmp_path, monkeypatch, capsys, seed):
         monkeypatch.setenv("GEMI_SEED", seed)
-        code = main(["users", "synth", "--labels", dataset["labels"],
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        assert _users(cfg_path, tmp_path / "x") == 2
         assert "GEMI_SEED" in capsys.readouterr().err
 
-    def test_missing_labels_exit_2(self, tmp_path):
-        assert main(["users", "synth", "--labels", str(tmp_path / "no.csv"),
-                     "--out", str(tmp_path / "x")]) == 2
+    def test_missing_labels_exit_2(self, dataset, tmp_path):
+        cfg_path, _ = write_cfg(tmp_path, {**dataset, "labels": str(tmp_path / "no.csv")})
+        assert _users(cfg_path, tmp_path / "x") == 2
 
-    @pytest.mark.parametrize("flags,field", [
-        (["synth", "--num", "0"], "eval.num_users"),
-        (["synth", "--k", "0"], "eval.interactions_k"),
-        (["synth", "--tau", "1.5"], "eval.tau"),
-        (["real", "--top-k", "0"], "users.top_k"),
-        (["real", "--p-replace", "3", "--augment", "5"], "users.p_replace"),
-        (["real", "--augment", "-2"], "users.augment_target"),
-        (["real", "--gain", "0"], "users.gain"),
-        (["real", "--pseudo-count", "-1"], "users.pseudo_count"),
-    ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
-    def test_bad_flag_exit_2(self, dataset, tmp_path, capsys, flags, field):
+    def test_empty_out_exit_2(self, dataset, tmp_path, capsys):
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        assert _users(cfg_path, "") == 2
+        assert capsys.readouterr().err == "error: --out: must be a nonempty path\n"
+
+    def test_all_test_labels_exit_2(self, dataset, tmp_path, capsys):
+        # as `gemi run` fails on them, not on an empty sample
+        table = dataset["table"]
+        labels = tmp_path / "all_test.csv"
+        write_labels(labels, dataclasses.replace(table, split=np.full(len(table.ids), "test", dtype=object)))
+        cfg_path, _ = write_cfg(tmp_path, {**dataset, "labels": str(labels)})
+        assert _users(cfg_path, tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"error: {labels}: the train split is empty\n"
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("eval.num_users", 0),
+        ("eval.interactions_k", 0),
+        ("eval.tau", 1.5),
+        ("users.top_k", 0),
+        ("users.p_replace", 3),
+        ("users.augment_target", -2),
+        ("users.gain", 0),
+        ("users.pseudo_count", -1),
+    ])
+    def test_bad_field_exit_2(self, dataset, tmp_path, capsys, field, value):
         ratings = tmp_path / "ratings.csv"
         write_interactions(ratings, [("u", dataset["table"].ids[0], 1.0)])
-        extra = ["--interactions", str(ratings)] if flags[0] == "real" else []
+        group, key = field.split(".")
+        overrides = {"users": {"source": "augmented", "interactions": str(ratings)}, "eval": {}}
+        overrides[group][key] = value
+        cfg_path, _ = write_cfg(tmp_path, dataset, **overrides)
         prefix = tmp_path / "bad"
-        code = main(["users", *flags, "--labels", dataset["labels"], *extra, "--out", str(prefix)])
-        assert code == 2
+        assert _users(cfg_path, prefix) == 2
         assert field in capsys.readouterr().err
         assert not list(tmp_path.glob("bad*"))  # nothing written
+
+    @pytest.mark.parametrize("field, value", [
+        ("gain_low", 0.5),
+        ("gain_high", 1.5),
+        ("bias_sigma", 0.2),
+        ("noise_sigma", 0.2),
+    ])
+    def test_every_population_field_reaches_users(self, dataset, tmp_path, field, value):
+        ratings = _ratings(tmp_path, dataset["table"])
+        users = {"source": "augmented", "interactions": ratings, "augment_target": 30}
+        base, _ = write_cfg(tmp_path, dataset, users=users)
+        assert _users(base, tmp_path / "base") == 0
+        changed, _ = write_cfg(tmp_path, dataset, users={**users, field: value})
+        assert _users(changed, tmp_path / "changed") == 0
+        assert _written(tmp_path / "changed")[0] != _written(tmp_path / "base")[0]
+
+    @pytest.mark.parametrize("split_column", [True, False], ids=["split-tagged", "no-split-column"])
+    @pytest.mark.parametrize("source", ["synthetic", "real", "augmented"])
+    def test_one_population(self, dataset, tmp_path, monkeypatch, source, split_column):
+        # the users `gemi users --config C` writes are the users `gemi run --config C` evaluates
+        from gemi import recommend
+        from gemi.users import write_user_dataset
+
+        table = dataset["table"]
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, table, include_split=split_column)
+        users = {"source": source}
+        if source != "synthetic":
+            users.update(interactions=_ratings(tmp_path, table, raters=4, panels=12), augment_target=40)
+        cfg_path, _ = write_cfg(tmp_path, {**dataset, "labels": str(labels)}, seed=2, model={"epochs": 1}, users=users)
+        evaluated, evaluate = [], recommend.evaluate
+
+        def spy(reps, labels, test_mask, profiles, *args, **kwargs):
+            evaluated.append(profiles)
+            return evaluate(reps, labels, test_mask, profiles, *args, **kwargs)
+
+        monkeypatch.setattr(recommend, "evaluate", spy)
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+        assert _users(cfg_path, tmp_path / "users") == 0
+        write_user_dataset(str(tmp_path / "evaluated"), evaluated[0], panel_ids=table.ids)
+        assert _written(tmp_path / "users") == _written(tmp_path / "evaluated")
 
 
 class TestCheck:
@@ -600,6 +687,20 @@ class TestBlasThreads:
         for i in range(len(configs)):
             one, two = (tmp_path / f"threads{t}" / f"cfg{i}" / "metrics.json" for t in ("1", "2"))
             assert one.read_bytes() == two.read_bytes(), configs[i].read_text()
+
+
+def test_readme_command_lines_parse():
+    # every `gemi ...` line of the README's command block, optional parts included
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text(encoding="utf-8").splitlines() if line.startswith("gemi ")]
+    assert len(lines) >= 4
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 class TestEntryPoint:

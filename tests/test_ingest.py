@@ -93,7 +93,7 @@ class TestEmbeddings:
     "loader, text",
     [
         (load_embeddings, "id,f0\na,1.0\n,2.0\n"),
-        (load_labels, "id,animal,mythology,tree\na,1,0,0\n,0,1,0\n"),
+        (lambda p: load_labels(p, ("a", "")), "id,animal,mythology,tree\na,1,0,0\n,0,1,0\n"),
         (load_gaussians, "id,mu_0,logvar_0\na,0.0,0.0\n,1.0,0.0\n"),
     ],
     ids=["embeddings", "labels", "gaussians"],
@@ -114,13 +114,6 @@ class TestLabels:
         assert np.array_equal(labels, [[1, 0, 1], [0, 1, 0]])
         assert list(split) == ["train", "test"]
 
-    def test_standalone_keeps_file_order(self, tmp_path):
-        p = _write(tmp_path / "l.csv", "id,animal,mythology,tree\nb,0,1,0\na,1,0,1\n")
-        ids, labels, split = load_labels(p)
-        assert ids == ("b", "a")
-        assert np.array_equal(labels, [[0, 1, 0], [1, 0, 1]])
-        assert set(split) == {"unassigned"}
-
     def test_missing_id(self, tmp_path):
         p = _write(tmp_path / "l.csv", "id,animal,mythology,tree\na,1,0,0\n")
         with pytest.raises(IngestError, match="missing labels"):
@@ -134,16 +127,16 @@ class TestLabels:
     def test_bad_label_cell(self, tmp_path):
         p = _write(tmp_path / "l.csv", "id,animal,mythology,tree\na,2,0,0\n")
         with pytest.raises(IngestError, match="must be 0 or 1"):
-            load_labels(p)
+            load_labels(p, ("a",))
 
     def test_bad_split_tag(self, tmp_path):
         p = _write(tmp_path / "l.csv", "id,animal,mythology,tree,split\na,1,0,0,dev\n")
         with pytest.raises(IngestError, match="split must be"):
-            load_labels(p)
+            load_labels(p, ("a",))
 
     def test_empty_split_cell_is_unassigned(self, tmp_path):
         p = _write(tmp_path / "l.csv", "id,animal,mythology,tree,split\na,1,0,0,\n")
-        _, _, split = load_labels(p)
+        _, split = load_labels(p, ("a",))
         assert split[0] == "unassigned"
 
     def test_labels_round_trip(self, tmp_path, planted):
@@ -171,6 +164,7 @@ class TestPanelTable:
 
 
 PANEL_IDS = ("a", "b", "c")
+BLOCK_IDS = tuple(f"x{i}" for i in range(9))  # the panels of a three-block labels file
 
 
 class TestInteractions:
@@ -316,11 +310,6 @@ class TestAgainstOracle:
         oids, ox = oracle.load_embeddings(emb)
         assert ids == oids == ("x,1", "y", "z")
         assert np.array_equal(x, ox)
-        got = load_labels(lab)
-        expect = oracle.load_labels(lab)
-        assert got[0] == expect[0]
-        for a, b in zip(got[1:], expect[1:]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
         for a, b in zip(load_labels(lab, ids), oracle.load_labels(lab, ids)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         with caplog.at_level(logging.WARNING, logger="gemi.ingest"):
@@ -343,14 +332,14 @@ BLOCK_ERRORS = {
     "ragged": (load_embeddings, "id,f0,f1", _panel_rows, lambda i: f"x{i},1.0", "expected 3 cells, got 2"),
     "duplicate": (load_embeddings, "id,f0,f1", _panel_rows, lambda i: "x1,1.0,1.0", "duplicate id 'x1'"),
     "bad-label": (
-        load_labels,
+        lambda p: load_labels(p, BLOCK_IDS),
         "id,animal,mythology,tree,split",
         lambda i: f"x{i},1,0,1,train",
         lambda i: f"x{i},1,2,1,train",
         "label cell must be 0 or 1, got '2'",
     ),
     "bad-split": (
-        load_labels,
+        lambda p: load_labels(p, BLOCK_IDS),
         "id,animal,mythology,tree,split",
         lambda i: f"x{i},1,0,1,",
         lambda i: f"x{i},1,0,1,dev",
