@@ -4,7 +4,9 @@ Graphs are undirected and self-loop-free; each undirected edge carries a
 provenance tag (``knn``, ``epsilon``, ``label-augment``) so augmentation
 edges stay distinguishable from the base similarity structure.  A tag is
 stored as its one-byte index into :data:`TAGS`, so an edge costs 17
-bytes: its (i, j) int64 pair and its tag code.
+bytes: its (i, j) int64 pair and its tag code.  Every builder emits its
+edges as strictly increasing keys i·n + j (i < j), and the one
+constructor, :meth:`ItemGraph.from_keys`, checks that order, not sorts.
 Self-loops enter only through the operators.  The normalized operator
 has one builder, :class:`AdjacencyPattern`, which lays out the CSR
 entries of A + I once per graph; training builds one per run, selects
@@ -66,29 +68,29 @@ class ItemGraph:
     tags: np.ndarray  # (m,) uint8 index into TAGS
 
     @staticmethod
-    def from_pairs(n: int, pairs, tags) -> "ItemGraph":
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    def from_keys(n: int, keys, tags) -> "ItemGraph":
+        """The graph of the edges keyed i·n + j (i < j), keys strictly increasing.
+
+        Nothing is sorted: keys out of [0, n²), out of order, repeated or
+        with i >= j raise ValueError, as do tags that are not codes.
+        """
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
         tags = np.asarray(tags).reshape(-1)
-        if pairs.shape[0] != tags.shape[0]:
-            raise ValueError("pairs and tags must align")
+        if keys.shape != tags.shape:
+            raise ValueError("keys and tags must align")
         if tags.size and (tags.dtype.kind not in "iu" or tags.min() < 0 or tags.max() >= len(TAGS)):
             raise ValueError(f"tags must be integer codes below {len(TAGS)} (indices into TAGS)")
-        tags = tags.astype(np.uint8)
-        if pairs.size:
-            if pairs.min() < 0 or pairs.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if np.any(pairs[:, 0] == pairs[:, 1]):
-                raise ValueError("self-loops are not stored")
-            lo = pairs.min(axis=1)
-            hi = pairs.max(axis=1)
-            pairs = np.column_stack([lo, hi])
-            # lexicographic (lo, hi) order; n² fits in int64 for any n < 3·10⁹
-            order = np.argsort(lo * n + hi, kind="stable")
-            pairs, tags = pairs[order], tags[order]
-            dup = (np.diff(pairs[:, 0]) == 0) & (np.diff(pairs[:, 1]) == 0)
-            if np.any(dup):
-                raise ValueError("duplicate edges")
-        return ItemGraph(n=n, pairs=pairs, tags=tags)
+        pairs = np.empty((keys.size, 2), dtype=np.int64)
+        if keys.size:
+            # n² fits in int64 for any n < 3·10⁹
+            if keys[0] < 0 or keys[-1] >= n * n:
+                raise ValueError("edge key out of range [0, n²)")
+            if not np.all(keys[1:] > keys[:-1]):
+                raise ValueError("edge keys must be strictly increasing (sorted, no duplicate edges)")
+            np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+            if not np.all(pairs[:, 0] < pairs[:, 1]):
+                raise ValueError("an edge key i·n + j needs i < j (no self-loops, no flipped pairs)")
+        return ItemGraph(n=n, pairs=pairs, tags=tags.astype(np.uint8, copy=False))
 
     @property
     def m(self) -> int:
@@ -198,10 +200,6 @@ def _unique_pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def _pairs_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    return np.column_stack([keys // n, keys % n])
-
-
 def knn_graph_symmetric(X, k: int, similarity_floor: float = 0.0) -> ItemGraph:
     """Symmetric k-nearest-neighbor graph on cosine similarity.
 
@@ -221,8 +219,8 @@ def knn_graph_symmetric(X, k: int, similarity_floor: float = 0.0) -> ItemGraph:
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the node count {n}")
     src, dst = top_k_cosine(X, X, k, floor=similarity_floor, exclude_self=True)
-    pairs = _pairs_from_keys(_unique_pair_keys(src, dst, n), n)
-    return ItemGraph.from_pairs(n, pairs, np.full(pairs.shape[0], TAGS.index("knn"), dtype=np.uint8))
+    keys = _unique_pair_keys(src, dst, n)
+    return ItemGraph.from_keys(n, keys, np.full(keys.size, TAGS.index("knn"), dtype=np.uint8))
 
 
 def epsilon_graph(X, epsilon: float) -> ItemGraph:
@@ -235,18 +233,18 @@ def epsilon_graph(X, epsilon: float) -> ItemGraph:
     themselves can number O(n²) for a small ε.
     """
     X = as_matrix(X)
-    chunks = [np.empty((0, 2), dtype=np.int64)]
+    n = X.shape[0]
+    blocks = [np.empty(0, dtype=np.int64)]
     for start, sims in _similarity_blocks(X, X):
         np.maximum(sims, 0.0, out=sims)
-        # keep j > i only: block row r is global row start + r
+        # keep j > i only: block row r is global row start + r, so the flat
+        # index r·n + j of the block is the edge key minus start·n
         keep = np.triu((sims >= epsilon) & (sims > 0.0), k=start + 1)
-        r, c = np.nonzero(keep)
-        chunks.append(np.column_stack([start + r, c]))
+        blocks.append(start * n + np.flatnonzero(keep))
         del sims, keep  # else they live on through the next block's matmul
-    pairs = np.concatenate(chunks)
-    return ItemGraph.from_pairs(
-        X.shape[0], pairs, np.full(pairs.shape[0], TAGS.index("epsilon"), dtype=np.uint8)
-    )
+    keys = np.concatenate(blocks)
+    del blocks  # else the graph is built while the key blocks are still held
+    return ItemGraph.from_keys(n, keys, np.full(keys.size, TAGS.index("epsilon"), dtype=np.uint8))
 
 
 def augment_label_edges(
@@ -280,13 +278,13 @@ def augment_label_edges(
     Xp = as_matrix(X)[pos]
     src, dst = top_k_cosine(Xp, Xp, min(k_label, pos.size - 1), exclude_self=True)
     new_keys = _unique_pair_keys(pos[src], pos[dst], g.n)
-    # sentinel n² exceeds every pair key, so searchsorted stays in range
-    existing = np.append(np.sort(g.pairs[:, 0] * g.n + g.pairs[:, 1]), g.n * g.n)
-    seen = existing[np.searchsorted(existing, new_keys)] == new_keys
-    fresh = _pairs_from_keys(new_keys[~seen], g.n)
-    pairs = np.concatenate([g.pairs, fresh])
-    tags = np.concatenate([g.tags, np.full(fresh.shape[0], TAGS.index("label-augment"), dtype=np.uint8)])
-    return ItemGraph.from_pairs(g.n, pairs, tags)
+    # g's keys are sorted already; merge the fresh keys in at their places
+    keys = g.pairs[:, 0] * g.n + g.pairs[:, 1]
+    at = np.searchsorted(keys, new_keys)
+    fresh = np.searchsorted(keys, new_keys, side="right") == at
+    keys = np.insert(keys, at[fresh], new_keys[fresh])
+    tags = np.insert(g.tags, at[fresh], TAGS.index("label-augment"))
+    return ItemGraph.from_keys(g.n, keys, tags)
 
 
 def edge_dropout(g: ItemGraph, p_e: float, rng: SeededRng, exempt=None) -> np.ndarray:

@@ -11,8 +11,31 @@ extends.
 
 import numpy as np
 
-from gemi.graph import TAGS
+from gemi.graph import TAGS, ItemGraph
 from gemi.numerics import EPS_NORM, l2_normalize_rows, matmul
+
+
+def graph_from_pairs(n, pairs, tags) -> ItemGraph:
+    """The graph of (i, j) pairs in any order and orientation, tags following their pairs.
+
+    Each pair becomes (min, max) and the edges are sorted by key
+    min·n + max; a self-loop or an edge given twice raises ValueError.
+    Ends in :meth:`ItemGraph.from_keys`, which checks the tags.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    tags = np.asarray(tags).reshape(-1)
+    if pairs.shape[0] != tags.shape[0]:
+        raise ValueError("pairs and tags must align")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        raise ValueError("self-loops are not stored")
+    keys = pairs.min(axis=1) * n + pairs.max(axis=1)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if np.any(np.diff(keys) == 0):
+        raise ValueError("duplicate edges")
+    return ItemGraph.from_keys(n, keys, tags[order])
 
 
 def cosine_similarity_matrix(x, eps: float = EPS_NORM) -> np.ndarray:

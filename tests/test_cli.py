@@ -635,8 +635,6 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
-        assert "PASS  spmm within 1e-12 of the dense product" in out
-        assert "PASS  spmm bit-identical across two calls" in out
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seeds_below_one_exit_2(self, capsys, seeds):

@@ -29,6 +29,7 @@ from graph_oracles import (
     dense_attachment_operator,
     dense_normalized_adjacency,
     edge_set,
+    graph_from_pairs,
     ranked,
     sorted_row_top_k,
     tagged_edges,
@@ -39,36 +40,69 @@ KNN, EPSILON, AUGMENT = (TAGS.index(name) for name in ("knn", "epsilon", "label-
 
 class TestItemGraph:
     def test_from_pairs_canonicalizes(self):
-        g = ItemGraph.from_pairs(4, [[2, 0], [1, 3]], [AUGMENT, KNN])
+        # the test oracle, not gemi: any order and orientation in, from_keys' order out
+        g = graph_from_pairs(4, [[2, 0], [1, 3]], [AUGMENT, KNN])
         assert g.pairs.tolist() == [[0, 2], [1, 3]]
         assert g.tags.tolist() == [AUGMENT, KNN]
+        with pytest.raises(ValueError, match="self-loop"):
+            graph_from_pairs(3, [[1, 1]], [KNN])
+        with pytest.raises(ValueError, match="duplicate"):
+            graph_from_pairs(3, [[0, 1], [1, 0]], [KNN, AUGMENT])
 
+    def test_from_keys_forms_pairs(self):
+        g = ItemGraph.from_keys(4, [0 * 4 + 2, 1 * 4 + 3, 2 * 4 + 3], [AUGMENT, KNN, EPSILON])
+        assert g.pairs.tolist() == [[0, 2], [1, 3], [2, 3]]
+        assert g.pairs.dtype == np.int64 and g.pairs.flags.c_contiguous
+        assert g.tags.tolist() == [AUGMENT, KNN, EPSILON] and g.tags.dtype == np.uint8
+
+    # n = 3 below: key i·3 + j, so 1 is (0, 1), 4 is (1, 1) and 3 is (1, 0)
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            ItemGraph.from_pairs(3, [[1, 1]], [KNN])
+        for keys in ([0], [1, 4], [2, 8]):
+            with pytest.raises(ValueError, match="i < j"):
+                ItemGraph.from_keys(3, keys, [KNN] * len(keys))
+
+    def test_rejects_flipped_pair(self):
+        for keys in ([3], [1, 3], [2, 5, 7]):
+            with pytest.raises(ValueError, match="i < j"):
+                ItemGraph.from_keys(3, keys, [KNN] * len(keys))
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError):
-            ItemGraph.from_pairs(3, [[0, 1], [1, 0]], [KNN, AUGMENT])
+        for keys in ([1, 1], [1, 2, 2, 5]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ItemGraph.from_keys(3, keys, [KNN] * len(keys))
+
+    def test_rejects_unsorted(self):
+        # the middle key is out of range too: order is checked over every key
+        for keys in ([2, 1], [1, 5, 2], [1, 10, 2]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ItemGraph.from_keys(3, keys, [KNN] * len(keys))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ItemGraph.from_pairs(2, [[0, 2]], [KNN])
+        for keys in ([-1], [-3, 1], [9], [1, 10]):
+            with pytest.raises(ValueError, match="out of range"):
+                ItemGraph.from_keys(3, keys, [KNN] * len(keys))
+
+    def test_rejects_misaligned_tags(self):
+        with pytest.raises(ValueError, match="align"):
+            ItemGraph.from_keys(3, [1, 2], [KNN])
+        with pytest.raises(ValueError, match="align"):
+            ItemGraph.from_keys(3, [], [KNN])
 
     def test_degrees(self):
-        g = ItemGraph.from_pairs(4, [[0, 1], [0, 2], [0, 3]], [KNN] * 3)
+        g = ItemGraph.from_keys(4, [1, 2, 3], [KNN] * 3)
         assert g.degrees().tolist() == [3, 1, 1, 1]
 
     def test_rejects_tags_that_are_not_codes(self):
         with pytest.raises(ValueError, match="codes"):
-            ItemGraph.from_pairs(3, [[0, 1]], ["knn"])
+            ItemGraph.from_keys(3, [1], ["knn"])
         with pytest.raises(ValueError, match="codes"):
-            ItemGraph.from_pairs(3, [[0, 1]], [len(TAGS)])
+            ItemGraph.from_keys(3, [1], [len(TAGS)])
         with pytest.raises(ValueError, match="codes"):
-            ItemGraph.from_pairs(3, [[0, 1]], [-1])
+            ItemGraph.from_keys(3, [1], [-1])
 
     def test_degrees_of_empty_graph(self):
-        g = ItemGraph.from_pairs(3, [], [])
+        g = ItemGraph.from_keys(3, [], np.empty(0, dtype=np.uint8))
+        assert g.m == 0 and g.pairs.shape == (0, 2) and g.pairs.dtype == np.int64
         assert g.degrees().tolist() == [0, 0, 0]
         assert g.degrees().dtype == np.int64
 
@@ -261,7 +295,7 @@ class TestEdgeDropout:
                 assert ((i, j) in edge_set(out_exempt)) == ((i, j) in plain_kept)
 
     def test_expected_keep_rate(self):
-        g = ItemGraph.from_pairs(
+        g = graph_from_pairs(
             200, np.column_stack([np.arange(100), np.arange(100, 200)]), [KNN] * 100
         )
         kept = kept_graph(g, edge_dropout(g, 0.3, SeededRng(5))).m
@@ -275,7 +309,7 @@ class TestNormalizeAdjacency:
         np.testing.assert_allclose(AdjacencyPattern(g).operator().toarray(), expect, atol=1e-14)
 
     def test_isolated_node_self_entry(self):
-        g = ItemGraph.from_pairs(3, [[0, 1]], [KNN])
+        g = graph_from_pairs(3, [[0, 1]], [KNN])
         dense = AdjacencyPattern(g).operator().toarray()
         assert dense[2, 2] == 1.0
 
@@ -283,7 +317,7 @@ class TestNormalizeAdjacency:
         "pairs", [[[0, 1], [0, 3], [1, 3]], []], ids=["isolated-node", "no-edges"]
     )
     def test_canonical_csr(self, pairs):
-        g = ItemGraph.from_pairs(4, pairs, [KNN] * len(pairs))
+        g = graph_from_pairs(4, pairs, [KNN] * len(pairs))
         adj = AdjacencyPattern(g).operator()
         assert adj.has_canonical_format
         assert adj.shape == (4, 4)
@@ -317,7 +351,7 @@ def _pattern_case(seed):
     keep[:, ::5] = False  # every fifth node is isolated
     pairs = np.argwhere(keep)
     tags = np.where(rng.random(len(pairs)) < 0.3, AUGMENT, KNN)
-    g = ItemGraph.from_pairs(n, pairs, tags)
+    g = graph_from_pairs(n, pairs, tags)
     return g, augment_exempt(g) if seed % 2 else None
 
 
@@ -344,7 +378,7 @@ class TestAdjacencyPattern:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_no_edges(self, n):
-        g = ItemGraph.from_pairs(n, [], [])
+        g = graph_from_pairs(n, [], [])
         pattern = AdjacencyPattern(g)
         for p_e in (0.0, 1.0):
             keep = edge_dropout(g, p_e, SeededRng(n))
@@ -650,6 +684,79 @@ def test_knn_brute_force_property(seed, n, k, block_rows):
         g = knn_graph_symmetric(X, k)
     assert edge_set(g) == brute_force_knn_edges(X, k)
     assert g.degrees().min() >= k
+
+
+def shuffled_oracle_graph(rng, n, tagged) -> ItemGraph:
+    """:func:`graph_from_pairs` over ``{(i, j): tag name}``, handed over in a
+    random order with random pairs flipped to (j, i)."""
+    edges = list(tagged.items())
+    order = rng.permutation(len(edges))
+    flip = rng.random(len(edges)) < 0.5
+    pairs = [edges[e][0][::-1] if f else edges[e][0] for e, f in zip(order.tolist(), flip.tolist())]
+    return graph_from_pairs(n, pairs, [TAGS.index(edges[e][1]) for e in order.tolist()])
+
+
+def assert_same_graph(got, expect):
+    assert got.n == expect.n
+    assert got.pairs.dtype == expect.pairs.dtype == np.int64 and got.pairs.flags.c_contiguous
+    assert got.tags.dtype == expect.tags.dtype == np.uint8
+    assert np.array_equal(got.pairs, expect.pairs)
+    assert np.array_equal(got.tags, expect.tags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=3, max_value=30),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([0.0, 0.2, 0.5]),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(sorted(INPUTS)),
+)
+def test_builders_agree_with_the_oracle_canonicalizer(seed, n, k, eps, block_rows, inputs):
+    # every builder hands its edges to from_keys in its own order; that
+    # order must be the one the sorting oracle gives the same edge set,
+    # with ε graphs spanning several row blocks
+    rng = SeededRng(seed)
+    X = INPUTS[inputs](rng, n)
+    Y = (rng.random((n, 3)) < 0.6).astype(np.int64)
+    train = rng.random(n) < 0.8
+    k = min(k, n - 1)
+    k_label = int(rng.integers(1, n))
+    pos = np.flatnonzero(train & (Y[:, 0] == 1))
+    fresh = {}
+    if pos.size >= 2:
+        local = brute_force_knn_edges(X[pos], min(k_label, pos.size - 1), floor=-np.inf)
+        fresh = {tuple(sorted((int(pos[a]), int(pos[b])))): "label-augment" for a, b in local}
+    expect_bases = {
+        "knn": {e: "knn" for e in brute_force_knn_edges(X, k)},
+        "epsilon": {e: "epsilon" for e in brute_force_epsilon_edges(X, eps)},
+        "empty": {},
+        "complete": {(i, j): "knn" for i in range(n) for j in range(i + 1, n)},
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "BLOCK_ROWS", block_rows)
+        bases = {
+            "knn": knn_graph_symmetric(X, k),
+            "epsilon": epsilon_graph(X, eps),
+            "empty": epsilon_graph(X, 1.5),
+            "complete": knn_graph_symmetric(X, n - 1),  # already holds every candidate edge
+        }
+        for name, base in bases.items():
+            assert_same_graph(base, shuffled_oracle_graph(rng, n, expect_bases[name]))
+            out = augment_label_edges(base, X, Y, 0, k_label, n, train, rng.substream("aug"))
+            expect = {**fresh, **expect_bases[name]}  # existing edges keep their tags
+            assert_same_graph(out, shuffled_oracle_graph(rng, n, expect))
+
+
+def test_epsilon_build_cost_per_edge():
+    # ε = 0 keeps about half of all pairs: 561 581 edges at n = 1500.  The
+    # stored graph is 17 B per edge; the build may add its keys (8 B) and
+    # the score block, but no re-sort of what it already emits in order
+    X = SeededRng(5).normal(size=(1500, 8))
+    g, peak = traced_peak(epsilon_graph, X, 0.0)
+    assert g.m == 561_581
+    assert peak / g.m < 40, peak / g.m
 
 
 def test_cosine_similarity_matches_manual(rng):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemi import graph, losses, models
-from gemi.graph import TAGS, AdjacencyPattern, ItemGraph
+from gemi.graph import TAGS, AdjacencyPattern
 from gemi.losses import (
     LossConfig,
     ReconTargets,
@@ -17,6 +17,7 @@ from gemi.losses import (
 from gemi.numerics import SeededRng, finite_difference_gradient, matmul
 from gemi.train import objective_and_grads
 from conftest import traced_peak
+from graph_oracles import graph_from_pairs
 from recon_oracle import (
     dense_recon_loss_and_grad,
     edge_pos_weight,
@@ -267,7 +268,7 @@ def _recon_graph(case, n, rng):
             keep[::3] = False
             keep[:, ::3] = False
         pairs = np.argwhere(np.triu(keep, k=1))
-    return ItemGraph.from_pairs(n, pairs, [TAGS.index("knn")] * len(pairs))
+    return graph_from_pairs(n, pairs, [TAGS.index("knn")] * len(pairs))
 
 
 class TestBlockedRecon:
@@ -341,14 +342,14 @@ class TestBlockedRecon:
         assert loss == expect[0] and np.array_equal(dZ, expect[1])
 
     def test_rejects_z_of_another_node_count(self):
-        targets = ReconTargets(AdjacencyPattern(ItemGraph.from_pairs(4, [[0, 1]], [TAGS.index("knn")])).operator())
+        targets = ReconTargets(AdjacencyPattern(graph_from_pairs(4, [[0, 1]], [TAGS.index("knn")])).operator())
         with pytest.raises(ValueError, match="4 nodes"):
             recon_loss_and_grad(np.ones((5, 2)), targets)
 
     def test_saturated_scores_finite(self):
         # Z Z^T = [[800, -800], [-800, 800]] exactly: every sign agrees
         # with the A + I target, as in the oracle's saturated case
-        pattern = ReconTargets(AdjacencyPattern(ItemGraph.from_pairs(2, [], [])).operator())
+        pattern = ReconTargets(AdjacencyPattern(graph_from_pairs(2, [], [])).operator())
         Z = np.array([[20.0, 20.0], [-20.0, -20.0]])
         loss, dZ = recon_loss_and_grad(Z, pattern)
         assert loss == 0.0

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemi.graph import TAGS, AdjacencyPattern, ItemGraph, knn_graph_symmetric
+from gemi.graph import TAGS, AdjacencyPattern, knn_graph_symmetric
 from gemi.numerics import SeededRng, _tag_to_int, finite_difference_gradient, l2_normalize_rows, matmul, spmm
-from graph_oracles import dense_normalized_adjacency
+from graph_oracles import dense_normalized_adjacency, graph_from_pairs
 
 
 class TestSeededRng:
@@ -48,7 +48,7 @@ class TestSparseAdjacency:
     def _square_graph():
         # a 4-clique (degree 3, so every entry among 0..3 is exactly 1/4) and node 4 isolated
         pairs = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
-        return ItemGraph.from_pairs(5, pairs, [TAGS.index("knn")] * 6)
+        return graph_from_pairs(5, pairs, [TAGS.index("knn")] * 6)
 
     def _square(self):
         return AdjacencyPattern(self._square_graph()).operator()
@@ -74,7 +74,7 @@ class TestSparseAdjacency:
             g = self._square_graph()
             x = np.arange(20, dtype=np.float64).reshape(5, 4)
         elif case == "no-edges":
-            g = ItemGraph.from_pairs(7, [], [])
+            g = graph_from_pairs(7, [], [])
             x = SeededRng(3).normal(size=(7, 4))
         else:
             rng = SeededRng(int(case[-1]))

@@ -3,7 +3,7 @@ import pytest
 
 from gemi import graph, models, train
 from gemi.config import default_config
-from gemi.graph import TAGS, AdjacencyPattern, ItemGraph, knn_graph_symmetric
+from gemi.graph import TAGS, AdjacencyPattern, knn_graph_symmetric
 from gemi.losses import LossConfig, ReconTargets, positive_weights
 from gemi.numerics import SeededRng
 from gemi.train import (
@@ -19,6 +19,7 @@ from graph_oracles import (
     coo_normalized_adjacency,
     dense_attachment_operator,
     dense_normalized_adjacency,
+    graph_from_pairs,
     tagged_edges,
 )
 from model_oracle import dense_forward
@@ -234,7 +235,7 @@ class TestTrainingLoop:
 
     @pytest.mark.parametrize("pairs", [[[0, 2], [1, 2], [2, 4]], []], ids=["edges", "no-edges"])
     def test_recon_targets_are_adjacency_plus_identity(self, pairs, monkeypatch):
-        g = ItemGraph.from_pairs(5, pairs, [TAGS.index("knn")] * len(pairs))
+        g = graph_from_pairs(5, pairs, [TAGS.index("knn")] * len(pairs))
         pattern = AdjacencyPattern(g).operator()
         # the stored entries, read the way the blocked objective reads them
         targets = np.zeros((5, 5))
