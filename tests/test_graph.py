@@ -72,7 +72,7 @@ class TestItemGraph:
                 ItemGraph.from_keys(3, keys, [KNN] * len(keys))
 
     def test_rejects_unsorted(self):
-        # the middle key is out of range too: order is checked over every key
+        # in [1, 10, 2] the middle key is out of range too: order is checked over every key
         for keys in ([2, 1], [1, 5, 2], [1, 10, 2]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 ItemGraph.from_keys(3, keys, [KNN] * len(keys))
