@@ -95,7 +95,10 @@ def _build_profiles(cfg, panel_ids, labels, train_mask, rng: SeededRng):
         return users_mod.sample_synthetic_users(
             np.flatnonzero(train_mask), labels, ev["num_users"], ev["interactions_k"], ev["tau"], rng
         )
-    inter = load_interactions(_require_file(u_cfg["interactions"], "users.interactions"), panel_ids)
+    path = _require_file(u_cfg["interactions"], "users.interactions")
+    inter = load_interactions(path, panel_ids)
+    if not train_mask[inter.panels].any():
+        raise IngestError(f"{path}: no interactions on training panels")
     profiles = users_mod.build_real_profiles(
         inter,
         labels,

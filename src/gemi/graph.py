@@ -16,13 +16,10 @@ operator of :func:`attach_test_items` extends that clean operator.
 
 Cosine ranking has one owner, :func:`top_k_cosine`, which the graph
 builders and evaluation's recommendations share.  It takes raw rows and
-never holds the full cosine matrix: it scores :data:`BLOCK_ROWS` query
-rows at a time, normalizing the reference rows once and each query
-block as it scores it.  The query rows may be any source that slices
-into raw row blocks, so a caller can form each block only when it is
-scored (evaluation's user rows).  A block's scores are dropped before
-the next block's matmul, so the work space is one block, BLOCK_ROWS · n
-floats.
+never holds the full cosine matrix: it scores one
+:func:`gemi.numerics.block_map` block of BLOCK_ROWS query rows at a
+time, normalizing the reference rows once and each query block as it
+scores it, so the work space is one block, BLOCK_ROWS · n floats.
 A per-row top-k keeps every entry above the row's k-th largest value,
 then the lowest column indices among the entries equal to it, which is
 the order (similarity descending, index ascending) cut after k;
@@ -39,11 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, as_matrix, l2_normalize_rows, matmul
-
-# Similarity rows scored at once.  At n = 50 000 one block is ~100 MB of
-# float64 per work array; at the benchmark's n it is a few MB.
-BLOCK_ROWS = 256
+from .numerics import SeededRng, as_matrix, block_map, l2_normalize_rows, matmul
 
 # Rows that row_top_k partitions at once.  Its time was flat from 8 to 32
 # rows at 1 200 to 40 000 columns (2 vCPU, one BLAS thread); partitioning
@@ -114,17 +107,14 @@ def graph_summary(g: ItemGraph) -> dict:
     }
 
 
-def _similarity_blocks(Q, R: np.ndarray):
-    """Yield (start, cosine similarities of Q[start:start + BLOCK_ROWS] with R's rows).
+def _cosine_scorer(Q, R: np.ndarray):
+    """score(start, stop): the cosine similarities of Q[start:stop] with R's rows.
 
-    Q is any row source with ``len`` and slicing to raw row blocks: an
-    array, or an object that forms each block when it is sliced.  R is
-    normalized once and each Q block as it is scored; rows normalize
+    R is normalized once and each Q block as it is scored; rows normalize
     independently, so a block holds the bits of the fully normalized rows.
     """
     Rt = np.ascontiguousarray(l2_normalize_rows(R).T)
-    for start in range(0, len(Q), BLOCK_ROWS):
-        yield start, matmul(l2_normalize_rows(Q[start : start + BLOCK_ROWS]), Rt)
+    return lambda start, stop: matmul(l2_normalize_rows(Q[start:stop]), Rt)
 
 
 def row_top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,28 +157,27 @@ def top_k_cosine(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row of Q's k most cosine-similar rows of R, one row block at a time.
 
-    Q and R are raw rows; the scorer normalizes both.  Q may also be a
-    row source that forms each BLOCK_ROWS slice only when it is asked
-    for (see :func:`_similarity_blocks`), so its rows are never all
-    alive at once.  Similarities are clamped up to ``floor`` when
-    given; ``exclude_self`` (Q and R the same rows) sets each row's own
-    column to -inf.  Ties at the k-th value go to the lowest row indices
-    of R (:func:`row_top_k`), which requires 1 <= k <= R's row count.
-    Returns (rows, cols) with exactly k entries per row, row-major; the
-    work space is one block of BLOCK_ROWS · R rows scores, dropped
-    before the next is formed.
+    Q and R are raw row arrays; the scorer normalizes both.
+    Similarities are clamped up to ``floor`` when given; ``exclude_self``
+    (Q and R the same rows) sets each row's own column to -inf.  Ties at
+    the k-th value go to the lowest row indices of R (:func:`row_top_k`),
+    which requires 1 <= k <= R's row count.  Returns (rows, cols) with
+    exactly k entries per row, row-major; the work space is one
+    :func:`gemi.numerics.block_map` block of BLOCK_ROWS · R rows scores.
     """
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for start, sims in _similarity_blocks(Q, R):
-        b = sims.shape[0]
+    score = _cosine_scorer(Q, R)
+
+    def select(start, stop):
+        sims = score(start, stop)
         if floor is not None:
             np.maximum(sims, floor, out=sims)
         if exclude_self:
-            sims[np.arange(b), start + np.arange(b)] = -np.inf
+            sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         r, c = row_top_k(sims, k)
-        rows.append(start + r)
-        cols.append(c)
-        del sims  # else it lives on through the next block's matmul
+        return start + r, c
+
+    empty = np.empty(0, dtype=np.int64)
+    rows, cols = zip((empty, empty), *block_map(select, len(Q)))
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -234,16 +223,17 @@ def epsilon_graph(X, epsilon: float) -> ItemGraph:
     """
     X = as_matrix(X)
     n = X.shape[0]
-    blocks = [np.empty(0, dtype=np.int64)]
-    for start, sims in _similarity_blocks(X, X):
-        np.maximum(sims, 0.0, out=sims)
+    score = _cosine_scorer(X, X)
+
+    def threshold(start, stop):
+        sims = score(start, stop)
+        np.maximum(sims, 0.0, out=sims)  # in place: a copy would hold two blocks
         # keep j > i only: block row r is global row start + r, so the flat
         # index r·n + j of the block is the edge key minus start·n
         keep = np.triu((sims >= epsilon) & (sims > 0.0), k=start + 1)
-        blocks.append(start * n + np.flatnonzero(keep))
-        del sims, keep  # else they live on through the next block's matmul
-    keys = np.concatenate(blocks)
-    del blocks  # else the graph is built while the key blocks are still held
+        return start * n + np.flatnonzero(keep)
+
+    keys = np.concatenate([np.empty(0, dtype=np.int64), *block_map(threshold, n)])
     return ItemGraph.from_keys(n, keys, np.full(keys.size, TAGS.index("epsilon"), dtype=np.uint8))
 
 

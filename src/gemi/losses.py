@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph
+from . import numerics
 from .config import is_number
-from .numerics import as_matrix, matmul
+from .numerics import as_matrix, block_map, matmul
 
 POS_WEIGHT_MIN = 1e-3
 POS_WEIGHT_MAX = 1e3
@@ -127,12 +127,12 @@ class ReconTargets:
     ``pattern`` is a csr_array whose stored entries are exactly A + I
     (the clean normalized adjacency has that pattern); its values are
     unused.  Built once per run, it holds ``n``, ``pw`` = #zeros/#ones of
-    the targets (from the counts), the :data:`graph.BLOCK_ROWS` in effect
-    when it was built, each block's target-1 entries at columns >= start
-    as flat indices r·(n - start) + c into the contiguous block, and the
-    two b × n work buffers that the first call allocates and every call
-    reuses.  The buffers are overwritten on each call and carry nothing
-    between calls.
+    the targets (from the counts), the :data:`numerics.BLOCK_ROWS` in
+    effect when it was built (each loss block's rows), each block's
+    target-1 entries at columns >= start as flat indices r·(n - start) + c
+    into the contiguous block, and the two b × n work buffers that the
+    first call allocates and every call reuses.  The buffers are
+    overwritten on each call and carry nothing between calls.
     """
 
     def __init__(self, pattern):
@@ -140,14 +140,15 @@ class ReconTargets:
         indptr, indices = pattern.indptr, pattern.indices
         self.n = n
         self.pw = (n * n - pattern.nnz) / pattern.nnz
-        self.block_rows = graph.BLOCK_ROWS
-        self.flat = []
-        for start in range(0, n, self.block_rows):
-            stop = min(start + self.block_rows, n)
+        self.block_rows = numerics.BLOCK_ROWS
+
+        def upper_targets(start, stop):
             r = np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))
             c = indices[indptr[start] : indptr[stop]] - start
             upper = c >= 0
-            self.flat.append(r[upper] * (n - start) + c[upper])
+            return r[upper] * (n - start) + c[upper]
+
+        self.flat = block_map(upper_targets, n, self.block_rows)
         # allocated by the first call, not here: allocated before the first
         # forward, they raised gae-transductive's peak RSS by about 0.9 MB
         # (heap layout, 5 seeds)
@@ -170,9 +171,8 @@ def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
     symmetric, so dL/dZ = 2 G Z, and the block adds G_I,{start:} Z_{start:}
     to rows I and its mirror G_I,{stop:}^T Z_I to the rows after.  Time
     is still O(n² · latent), at 1.5 n² · latent multiply-adds instead of
-    2; the work space is one block's scores (each block's S is dropped
-    before the next block's matmul) plus the two b × n buffers that
-    ``targets`` holds, never n × n.
+    2; the work space is one :func:`gemi.numerics.block_map` block's
+    scores plus the two b × n buffers that ``targets`` holds, never n × n.
     """
     Z = as_matrix(Z)
     n = Z.shape[0]
@@ -182,10 +182,10 @@ def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
     if targets.buffers is None:
         size = min(targets.block_rows, n) * n
         targets.buffers = np.empty(size), np.empty(size)
-    total = 0.0
     dZ = np.zeros_like(Z)
-    for start, flat in zip(range(0, n, targets.block_rows), targets.flat):
-        stop = min(start + targets.block_rows, n)
+
+    def block_loss(start, stop):
+        flat = targets.flat[start // targets.block_rows]
         b, m = stop - start, n - start
         S = matmul(Z[start:stop], Z[start:].T)
         s = S.reshape(-1)  # matmul's fresh output is C-contiguous: a view
@@ -200,7 +200,7 @@ def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
         work += s
         work[flat] = on_targets
         work = work.reshape(b, m)
-        total += float(work[:, :b].sum()) + 2.0 * float(work[:, b:].sum())
+        loss = float(work[:, :b].sum()) + 2.0 * float(work[:, b:].sum())
         # score gradient: sigma(s) = exp(min(s, 0)) / (1 + exp(-|s|)) off
         # the targets, pw·(sigma(s) - 1) on them.  The numerator is 1
         # where max(s, 0) > 0 and exp(-|s|) elsewhere, so it is
@@ -212,7 +212,11 @@ def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
         s[flat] = pw * (s[flat] - 1.0)
         dZ[start:stop] += matmul(S, Z[start:])
         dZ[stop:] += matmul(S[:, b:].T, Z[start:stop])
-        del S, s  # else they live on through the next block's matmul
+        return loss
+
+    total = 0.0
+    for loss in block_map(block_loss, n, targets.block_rows):
+        total += loss  # in block order; sum() would compensate on Python >= 3.12
     dZ *= 2.0 / (n * n)
     return total / (n * n), dZ
 

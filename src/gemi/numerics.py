@@ -15,6 +15,9 @@ Conventions used throughout the package:
   rows; evaluation sums users' items with a U × n membership matrix.
   scipy is imported only inside the functions that build one, so
   importing gemi does not load it.
+* Row-blocked work runs through :func:`block_map`, :data:`BLOCK_ROWS`
+  rows at a time: no n × n array exists, and a block's work space dies
+  with its block function, so one block is alive at a time.
 * All randomness flows through :class:`SeededRng`, a numpy
   ``Generator``, so draws are its ``Generator`` methods; independent
   concerns draw from named substreams so adding a consumer never shifts
@@ -28,6 +31,10 @@ import hashlib
 import numpy as np
 
 EPS_NORM = 1e-12
+
+# Rows per block of every row-blocked loop.  At n = 50 000 one block is
+# ~100 MB of float64 per work array; at the benchmark's n it is a few MB.
+BLOCK_ROWS = 256
 
 
 def _tag_to_int(tag: str) -> int:
@@ -86,6 +93,17 @@ def l2_normalize_rows(x, eps: float = EPS_NORM) -> np.ndarray:
     x = as_matrix(x)
     norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
     return x / (norms + eps)
+
+
+def block_map(fn, n: int, rows: int | None = None) -> list:
+    """[fn(start, stop) for each block [start, stop) of range(n)], in block order.
+
+    A block is :data:`BLOCK_ROWS` rows (``rows`` when given), the last
+    one shorter.  What ``fn`` allocates and does not return dies when it
+    returns, so one block's work space is alive at a time.
+    """
+    rows = BLOCK_ROWS if rows is None else rows
+    return [fn(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def finite_difference_gradient(f, x) -> np.ndarray:

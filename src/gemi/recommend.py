@@ -7,15 +7,15 @@ the user prefers ℓ (continuous preferences threshold at 0.5) and the
 item carries ℓ; Precision@K divides by K_rec even when fewer candidates
 exist.  Aggregation reports population (1/U) mean and std per label.
 
-:func:`evaluate` is one array program: a user's row is one
-:func:`numerics.spmm` of the user × item membership matrix with the
-representations, divided by the user's item count, and the candidates
+:func:`evaluate` is one array program over
+:func:`gemi.numerics.block_map` blocks of users: a block's user rows are
+one :func:`numerics.spmm` of its membership rows with the
+representations, divided by each user's item count, and the candidates
 are ranked by :func:`graph.top_k_cosine`, the graph builders' scorer and
-tie rule (similarity descending, candidate position ascending).  The
-scorer asks for the user rows one BLOCK_ROWS block at a time, and each
-block is formed only then, from that block's membership rows, so work
-space is one block of user rows plus O(BLOCK_ROWS · candidates), not
-the U × d user rows.
+tie rule (similarity descending, candidate position ascending).  A
+block's user rows die with its block function, so the work space is one
+block of :data:`gemi.numerics.BLOCK_ROWS` user rows plus
+O(BLOCK_ROWS · candidates), not the U × d user rows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import graph
 from .ingest import LABEL_NAMES
-from .numerics import as_matrix, spmm
+from .numerics import as_matrix, block_map, spmm
 from .users import Users
 
 PREFERENCE_THRESHOLD = 0.5
@@ -81,37 +81,6 @@ def aggregate(per_user: np.ndarray, *, model: str, representation: str, k_rec: i
     )
 
 
-class _UserRows:
-    """The users' mean item rows as a row source for :func:`graph.top_k_cosine`.
-
-    Slicing ``[a:b]`` forms rows a..b-1 only then: the spmm of those
-    users' membership rows (``indptr`` slices of the profiles) with the
-    representations, divided by their item counts.  Each row sums its
-    items in profile order, so a slice holds the bits of the same rows
-    of one whole-population product.
-    """
-
-    def __init__(self, profiles: Users, reps: np.ndarray):
-        self.indptr, self.items, self.reps = profiles.indptr, profiles.items, reps
-        self.counts = np.diff(self.indptr)
-
-    def __len__(self) -> int:
-        return self.counts.size
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
-        from scipy.sparse import csr_array
-
-        a, b, _ = rows.indices(len(self))
-        lo, hi = self.indptr[a], self.indptr[b]
-        members = csr_array(
-            (np.ones(hi - lo), self.items[lo:hi], self.indptr[a : b + 1] - lo), shape=(b - a, self.reps.shape[0])
-        )
-        block = spmm(members, self.reps)
-        block /= self.counts[a:b, None]
-        return block
-
-
 def evaluate(
     reps,
     Y,
@@ -126,9 +95,9 @@ def evaluate(
     """Embed users, rank test items, count label hits.
 
     ``reps`` is aligned to the global panel order; candidates are the
-    test rows in ascending index order, normalized once.  ``profiles`` is
-    the population as one :class:`users.Users` record; its user rows are
-    formed one scorer block at a time (:class:`_UserRows`).
+    test rows in ascending index order.  ``profiles`` is the population
+    as one :class:`users.Users` record; a user's row sums its items in
+    profile order, so each block's rows equal a whole-population product's.
     """
     test_indices = np.flatnonzero(np.asarray(test_mask, dtype=bool))
     if test_indices.size == 0:
@@ -142,8 +111,23 @@ def evaluate(
         empty = profiles.ids[int(np.argmin(counts))]
         raise ValueError(f"profile {empty!r} has no interactions")
     reps = as_matrix(reps)
+    candidates = reps[test_indices]
     k = min(k_rec, test_indices.size)
-    _, picks = graph.top_k_cosine(_UserRows(profiles, reps), reps[test_indices], k)
+    indptr, items = profiles.indptr, profiles.items
+
+    def pick(start, stop):
+        # imported here, not at module top: scipy.sparse adds ~0.2 s to CLI startup
+        from scipy.sparse import csr_array
+
+        lo, hi = indptr[start], indptr[stop]
+        members = csr_array(
+            (np.ones(hi - lo), items[lo:hi], indptr[start : stop + 1] - lo), shape=(stop - start, reps.shape[0])
+        )
+        users = spmm(members, reps)
+        users /= counts[start:stop, None]
+        return graph.top_k_cosine(users, candidates, k)[1]
+
+    picks = np.concatenate(block_map(pick, len(profiles)))
     Y_test = np.asarray(Y)[test_indices] == 1
     hits = Y_test[picks.reshape(len(profiles), k)].sum(axis=1)
     prefers = profiles.preferences >= PREFERENCE_THRESHOLD

@@ -327,7 +327,7 @@ def gradient_check(
     X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w = _check_instance(kind, loss_kind, seed, hidden, latent)
     beta = 0.7  # a nonzero KL weight, so the KL gradient is checked too
     # no edge dropout here, so adj's pattern is the A + I target; built
-    # here, so a patched graph.BLOCK_ROWS reaches the check
+    # here, so a patched numerics.BLOCK_ROWS reaches the check
     recon = ReconTargets(adj) if kind in ("gae", "vgae") else None
     clamp = default_config("vgae")["model"]["logsig_clamp"]
     args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta, clamp)

@@ -565,6 +565,18 @@ class TestUsers:
         assert capsys.readouterr().err == f"error: {labels}: the train split is empty\n"
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("command", ["run", "users"])
+    @pytest.mark.parametrize("panel", ["unknown", "test"])
+    def test_no_training_ratings_exit_2(self, dataset, tmp_path, capsys, command, panel):
+        # the file's only row names no training panel: an input-file error naming the file
+        table = dataset["table"]
+        pid = "no-such-panel" if panel == "unknown" else table.ids[int(np.flatnonzero(table.test_mask)[0])]
+        ratings = tmp_path / "ratings.csv"
+        write_interactions(ratings, [("u1", pid, 3.0)])
+        cfg_path, _ = write_cfg(tmp_path, dataset, users={"source": "real", "interactions": str(ratings)})
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {ratings}: no interactions on training panels\n"
+
     @pytest.mark.parametrize("field, value", [
         ("eval.num_users", 0),
         ("eval.interactions_k", 0),

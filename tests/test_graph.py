@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemi import graph
+from gemi import graph, numerics
 from gemi.graph import (
     TAGS,
     AdjacencyPattern,
@@ -484,7 +484,7 @@ def tie_heavy_features(rng, n, d):
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Seven rows per block: n = 10..40 spans 2..6 blocks and a short last one."""
-    monkeypatch.setattr(graph, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(numerics, "BLOCK_ROWS", 7)
 
 
 INPUTS = {
@@ -615,7 +615,7 @@ def test_score_loops_hold_one_block(build):
     # before the next block's matmul, so the peak is one block plus its
     # masks, not two blocks
     X = SeededRng(5).normal(size=(2048, 8))
-    block = graph.BLOCK_ROWS * 2048 * 8
+    block = numerics.BLOCK_ROWS * 2048 * 8
     _, peak = traced_peak(build, X)
     assert peak < 1.6 * block, peak / block
 
@@ -680,7 +680,7 @@ def test_knn_brute_force_property(seed, n, k, block_rows):
     rng = SeededRng(seed)
     X = rng.normal(size=(n, 4))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "BLOCK_ROWS", block_rows)
+        mp.setattr(numerics, "BLOCK_ROWS", block_rows)
         g = knn_graph_symmetric(X, k)
     assert edge_set(g) == brute_force_knn_edges(X, k)
     assert g.degrees().min() >= k
@@ -735,7 +735,7 @@ def test_builders_agree_with_the_oracle_canonicalizer(seed, n, k, eps, block_row
         "complete": {(i, j): "knn" for i in range(n) for j in range(i + 1, n)},
     }
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "BLOCK_ROWS", block_rows)
+        mp.setattr(numerics, "BLOCK_ROWS", block_rows)
         bases = {
             "knn": knn_graph_symmetric(X, k),
             "epsilon": epsilon_graph(X, eps),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemi import graph, losses, models
+from gemi import graph, losses, models, numerics
 from gemi.graph import TAGS, AdjacencyPattern
 from gemi.losses import (
     LossConfig,
@@ -280,7 +280,7 @@ class TestBlockedRecon:
 
     @pytest.fixture(autouse=True)
     def _small_blocks(self, monkeypatch):
-        monkeypatch.setattr(graph, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7)
 
     @pytest.mark.parametrize("case", ["random", "no-edges", "complete", "isolated"])
     @pytest.mark.parametrize("n", [10, 14, 23, 40])
@@ -292,7 +292,7 @@ class TestBlockedRecon:
         # one-row blocks score every pair off the diagonal block; 2n rows
         # make one block that scores all of them in its diagonal block
         for rows in (7, 1, 2 * n):
-            monkeypatch.setattr(graph, "BLOCK_ROWS", rows)
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", rows)
             loss, dZ = recon_loss_and_grad(Z, ReconTargets(AdjacencyPattern(g).operator()))
             np.testing.assert_allclose(loss, expect_loss, rtol=1e-12, atol=0)
             np.testing.assert_allclose(dZ, expect_dZ, rtol=0, atol=1e-12 * np.abs(expect_dZ).max())
@@ -336,7 +336,7 @@ class TestBlockedRecon:
         Z = rng.normal(size=(20, 3))
         targets = ReconTargets(pattern)
         expect = recon_loss_and_grad(Z, targets)
-        monkeypatch.setattr(graph, "BLOCK_ROWS", 3)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 3)
         loss, dZ = recon_loss_and_grad(Z, targets)
         assert targets.block_rows == 7 and len(targets.flat) == 3
         assert loss == expect[0] and np.array_equal(dZ, expect[1])
@@ -383,7 +383,7 @@ def test_recon_holds_one_score_block():
     targets = ReconTargets(AdjacencyPattern(g).operator())
     Z = rng.normal(size=(2048, 4), scale=0.3)
     recon_loss_and_grad(Z, targets)
-    block = graph.BLOCK_ROWS * 2048 * 8
+    block = numerics.BLOCK_ROWS * 2048 * 8
     _, peak = traced_peak(recon_loss_and_grad, Z, targets)
     assert peak < 1.25 * block, peak / block
 

@@ -1,13 +1,25 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gemi import numerics
 from gemi.graph import TAGS, AdjacencyPattern, knn_graph_symmetric
-from gemi.numerics import SeededRng, _tag_to_int, finite_difference_gradient, l2_normalize_rows, matmul, spmm
+from gemi.numerics import (
+    SeededRng,
+    _tag_to_int,
+    block_map,
+    finite_difference_gradient,
+    l2_normalize_rows,
+    matmul,
+    spmm,
+)
+from conftest import traced_peak
 from graph_oracles import dense_normalized_adjacency, graph_from_pairs
 
 
@@ -131,6 +143,58 @@ def test_cli_import_leaves_process_pool_unloaded(gemi_env):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=gemi_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestBlockMap:
+    @pytest.mark.parametrize(
+        "n, bounds",
+        [
+            (0, []),
+            (3, [(0, 3)]),
+            (8, [(0, 4), (4, 8)]),
+            (10, [(0, 4), (4, 8), (8, 10)]),
+        ],
+        ids=["empty", "under-one-block", "whole-blocks", "short-last-block"],
+    )
+    def test_blocks_in_order(self, monkeypatch, n, bounds):
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 4)
+        assert block_map(lambda start, stop: (start, stop), n) == bounds
+
+    def test_explicit_rows(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 4)
+        assert block_map(lambda start, stop: (start, stop), 7, 3) == [(0, 3), (3, 6), (6, 7)]
+
+    def test_holds_one_block(self):
+        # eight calls that each allocate one 256 x 2048 float64 block
+        # (4.2 MB): each block dies when its call returns
+        block = 256 * 2048 * 8
+
+        def work(start, stop):
+            scratch = np.ones((stop - start, 2048))
+            return float(scratch[-1, -1])
+
+        sums, peak = traced_peak(block_map, work, 8 * 256, 256)
+        assert sums == [1.0] * 8
+        assert peak < 1.5 * block, peak / block
+
+
+def test_only_numerics_reads_block_rows():
+    # every row-blocked loop goes through numerics.block_map; the one read
+    # elsewhere is ReconTargets freezing the block size its layout was
+    # built with, so a later change of BLOCK_ROWS cannot misalign it
+    package = Path(numerics.__file__).parent
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Name) and node.id == "BLOCK_ROWS"
+                or isinstance(node, ast.Attribute) and node.attr == "BLOCK_ROWS"
+                or isinstance(node, ast.alias) and "BLOCK_ROWS" in (node.name, node.asname)
+            ):
+                reads.append((path.name, ast.unparse(node)))
+    assert reads == [("losses.py", "numerics.BLOCK_ROWS")]
 
 
 def test_l2_normalize_rows_unit_norm(rng):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gemi import graph
+from gemi import graph, numerics
 from gemi.graph import row_top_k
 from gemi.numerics import SeededRng
 from gemi.recommend import (
@@ -232,15 +232,15 @@ class TestEvaluate:
         top_k_cosine = graph.top_k_cosine
 
         def spy(Q, R, k, **kwargs):
-            # the user rows as the scorer reads them, one block at a time
-            ranked.append(np.vstack([Q[s : s + graph.BLOCK_ROWS] for s in range(0, len(Q), graph.BLOCK_ROWS)]))
+            # one block's user rows as the scorer reads them
+            ranked.append(Q)
             return top_k_cosine(Q, R, k, **kwargs)
 
         monkeypatch.setattr(graph, "top_k_cosine", spy)
         _evaluate(reps, Y, test_mask, profiles, 5)
         in_order = np.array([functools.reduce(np.add, reps[list(items)]) / len(items) for items in rows_of(profiles)])
         reduceat = np.array([np.add.reduceat(reps[list(items)], [0], axis=0)[0] / len(items) for items in rows_of(profiles)])
-        assert len(ranked) == 1
+        assert len(ranked) == 1  # 40 users: one block
         assert np.array_equal(ranked[0], in_order)
         np.testing.assert_allclose(ranked[0], reduceat, rtol=0, atol=4 * np.finfo(np.float64).eps)
 
@@ -256,12 +256,15 @@ class TestEvaluate:
             return picked[-1]
 
         monkeypatch.setattr(graph, "top_k_cosine", spy)
-        monkeypatch.setattr(graph, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 7)
         blocked = _evaluate(reps, Y, test_mask, profiles, 5)
         assert np.array_equal(blocked, whole)
         assert np.array_equal(blocked, brute_force_evaluate(reps, Y, test_mask, profiles, 5))
-        ((rows, cols),) = picked
-        assert rows.tolist() == np.repeat(np.arange(40), 5).tolist()
+        # one scorer call per user block, each ranking its own rows
+        assert [rows.tolist() for rows, _ in picked] == [
+            np.repeat(np.arange(min(7, 40 - start)), 5).tolist() for start in range(0, 40, 7)
+        ]
+        cols = np.concatenate([cols for _, cols in picked])
         got = np.flatnonzero(test_mask)[cols].reshape(40, 5).tolist()
         expect = brute_force_picks(reps, test_mask, profiles, 5)
         assert [sorted(row) for row in got] == [sorted(row) for row in expect]
@@ -273,7 +276,7 @@ def test_user_rows_are_formed_one_block_at_a_time():
     import scipy.sparse  # noqa: F401  (before tracing: a first import allocates megabytes)
 
     rng = SeededRng(3)
-    users, d, n_train, n_test, k_rec = 8 * graph.BLOCK_ROWS, 64, 40, 20, 2
+    users, d, n_train, n_test, k_rec = 8 * numerics.BLOCK_ROWS, 64, 40, 20, 2
     reps = rng.normal(size=(n_train + n_test, d))
     Y = (rng.random((n_train + n_test, 3)) < 0.4).astype(np.int64)
     test_mask = np.arange(n_train + n_test) >= n_train

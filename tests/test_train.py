@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gemi import graph, models, train
+from gemi import graph, models, numerics, train
 from gemi.config import default_config
 from gemi.graph import TAGS, AdjacencyPattern, knn_graph_symmetric
 from gemi.losses import LossConfig, ReconTargets, positive_weights
@@ -245,7 +245,7 @@ class TestTrainingLoop:
         assert np.array_equal(targets, expect)
         # the laid-out targets: each block's flat indices cover the upper
         # triangle of A + I from the block's first row on
-        monkeypatch.setattr(graph, "BLOCK_ROWS", 2)
+        monkeypatch.setattr(numerics, "BLOCK_ROWS", 2)
         laid_out = ReconTargets(pattern)
         upper = np.zeros((5, 5))
         for start, flat in zip(range(0, 5, 2), laid_out.flat):
@@ -413,7 +413,7 @@ class TestGradientCheck:
         # 1-row blocks leave every pair off the diagonal block, so only
         # the transposed product carries the lower triangle
         for rows in (4, 1):
-            monkeypatch.setattr(graph, "BLOCK_ROWS", rows)
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", rows)
             res = gradient_check(kind, "focal", seed=0)
             assert res.passed, f"{rows}-row blocks: max rel err {res.max_rel_err:.2e}"
 
