@@ -125,8 +125,7 @@ def _build_profiles(cfg, panel_ids, labels, train_mask, rng: SeededRng):
 
 
 def run_pipeline(cfg: dict, out_dir: str) -> recommend.MetricsReport:
-    """Execute one resolved experiment and write its artifacts."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute one resolved experiment and write its artifacts into the existing ``out_dir``."""
     recommend.write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
 
     rng = SeededRng(cfg["seed"])
@@ -200,10 +199,20 @@ def _out_dir(args, cfg) -> str:
     return cfg["output_dir"] if args.out is None else args.out
 
 
+def _make_out_dir(args, path: str) -> None:
+    """Make the output directory before any input is read; if it cannot be, exit 2 naming its field."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        field = "output_dir" if args.out is None else "--out"
+        raise ConfigError(f"{field}: cannot make the output directory {path!r}: {exc.strerror}") from None
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg["seed"] = _env_seed(cfg["seed"])
     out_dir = _out_dir(args, cfg)
+    _make_out_dir(args, out_dir)
     report = run_pipeline(cfg, out_dir)
     for i, name in enumerate(report.label_names):
         print(f"{report.model} {name}: {report.mean[i]:.4f} +/- {report.std[i]:.4f}")
@@ -255,7 +264,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--values: {owner[subdir]!r} and {token!r} would both write {subdir}")
         owner[subdir] = token
         jobs.append((run_cfg, subdir))
-    os.makedirs(out_dir, exist_ok=True)
+    for _, subdir in jobs:  # each run's directory, and out_dir with it
+        _make_out_dir(args, subdir)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so a plain run never imports it
 
@@ -283,6 +293,7 @@ def cmd_users(args) -> int:
     cfg = load_config(args.config)
     cfg["seed"] = _env_seed(cfg["seed"])
     prefix = _out_dir(args, cfg)
+    _make_out_dir(args, os.path.dirname(prefix) or os.curdir)
     rng = SeededRng(cfg["seed"])
     table = _load_table(cfg, rng)
     profiles = _build_profiles(cfg, table.ids, table.labels, table.train_mask, rng.substream("users"))

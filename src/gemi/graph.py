@@ -3,10 +3,10 @@
 Graphs are undirected and self-loop-free; each undirected edge carries a
 provenance tag (``knn``, ``epsilon``, ``label-augment``) so augmentation
 edges stay distinguishable from the base similarity structure.  A tag is
-stored as its one-byte index into :data:`TAGS`, so an edge costs 17
-bytes: its (i, j) int64 pair and its tag code.  Every builder emits its
-edges as strictly increasing keys i·n + j (i < j), and the one
-constructor, :meth:`ItemGraph.from_keys`, checks that order, not sorts.
+stored as its one-byte index into :data:`TAGS`.  Every builder emits
+its edges as strictly increasing keys i·n + j (i < j); the one
+constructor, :meth:`ItemGraph.from_keys`, checks that order, not sorts,
+and keeps the keys, so an edge costs 9 bytes: its int64 key and its tag.
 Self-loops enter only through the operators.  The normalized operator
 has one builder, :class:`AdjacencyPattern`, which lays out the CSR
 entries of A + I once per graph; training builds one per run, selects
@@ -51,13 +51,13 @@ TAGS = ("knn", "epsilon", "label-augment")
 class ItemGraph:
     """Undirected graph over item nodes with per-edge provenance tags.
 
-    ``pairs`` holds one row (i, j) with i < j per undirected edge,
-    sorted lexicographically and duplicate-free; ``tags`` aligns with
-    ``pairs`` and holds each edge's index into :data:`TAGS`.
+    ``keys`` holds one key i·n + j with i < j per undirected edge,
+    strictly increasing; ``tags`` aligns with ``keys`` and holds each
+    edge's index into :data:`TAGS`.  :attr:`pairs` forms the (i, j) rows.
     """
 
     n: int
-    pairs: np.ndarray  # (m, 2) int64, i < j
+    keys: np.ndarray  # (m,) int64 i·n + j, i < j, strictly increasing
     tags: np.ndarray  # (m,) uint8 index into TAGS
 
     @staticmethod
@@ -73,21 +73,23 @@ class ItemGraph:
             raise ValueError("keys and tags must align")
         if tags.size and (tags.dtype.kind not in "iu" or tags.min() < 0 or tags.max() >= len(TAGS)):
             raise ValueError(f"tags must be integer codes below {len(TAGS)} (indices into TAGS)")
-        pairs = np.empty((keys.size, 2), dtype=np.int64)
         if keys.size:
             # n² fits in int64 for any n < 3·10⁹
             if keys[0] < 0 or keys[-1] >= n * n:
                 raise ValueError("edge key out of range [0, n²)")
             if not np.all(keys[1:] > keys[:-1]):
                 raise ValueError("edge keys must be strictly increasing (sorted, no duplicate edges)")
-            np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
-            if not np.all(pairs[:, 0] < pairs[:, 1]):
+            if not np.all(np.less(*np.divmod(keys, n))):  # i < j, by a transient quotient and remainder
                 raise ValueError("an edge key i·n + j needs i < j (no self-loops, no flipped pairs)")
-        return ItemGraph(n=n, pairs=pairs, tags=tags.astype(np.uint8, copy=False))
+        return ItemGraph(n=n, keys=keys, tags=tags.astype(np.uint8, copy=False))
+
+    @property
+    def pairs(self) -> np.ndarray:  # (m, 2) int64 rows (i, j), formed on each read
+        return np.column_stack(np.divmod(self.keys, self.n))
 
     @property
     def m(self) -> int:
-        return int(self.pairs.shape[0])
+        return int(self.keys.size)
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.pairs.ravel(), minlength=self.n)
@@ -269,20 +271,19 @@ def augment_label_edges(
     src, dst = top_k_cosine(Xp, Xp, min(k_label, pos.size - 1), exclude_self=True)
     new_keys = _unique_pair_keys(pos[src], pos[dst], g.n)
     # g's keys are sorted already; merge the fresh keys in at their places
-    keys = g.pairs[:, 0] * g.n + g.pairs[:, 1]
-    at = np.searchsorted(keys, new_keys)
-    fresh = np.searchsorted(keys, new_keys, side="right") == at
-    keys = np.insert(keys, at[fresh], new_keys[fresh])
+    at = np.searchsorted(g.keys, new_keys)
+    fresh = np.searchsorted(g.keys, new_keys, side="right") == at
+    keys = np.insert(g.keys, at[fresh], new_keys[fresh])
     tags = np.insert(g.tags, at[fresh], TAGS.index("label-augment"))
     return ItemGraph.from_keys(g.n, keys, tags)
 
 
 def edge_dropout(g: ItemGraph, p_e: float, rng: SeededRng, exempt=None) -> np.ndarray:
-    """The keep mask over ``g.pairs``: each edge dropped with probability p_e.
+    """The keep mask over g's edges: each edge dropped with probability p_e.
 
     One draw per undirected edge, so both directions share it and the
     kept graph stays symmetric for every seed.  ``exempt`` is a bool mask
-    over ``g.pairs`` (built once per run, e.g. from the tags) of edges
+    over g's edges (built once per run, e.g. from the tags) of edges
     always kept; their draws are still consumed, so toggling the
     exemption never shifts the stream seen by other edges.
     """
@@ -297,8 +298,9 @@ def edge_dropout(g: ItemGraph, p_e: float, rng: SeededRng, exempt=None) -> np.nd
 class AdjacencyPattern:
     """The entries of A + I in canonical CSR order, built once per graph.
 
-    Entries are sorted by row, then column; each carries the id of its
-    undirected edge (its row in ``g.pairs``), and the diagonal the id
+    Entries are sorted by their keys row·n + col: the graph's keys, their
+    mirrors j·n + i and the diagonal's r·(n + 1).  Each carries the id of
+    its undirected edge (its index in ``g.keys``), the diagonal the id
     ``m``.  :meth:`operator` then normalizes any edge subset by selecting
     entries and recomputing their weights, with no COO build or index
     sort, so training builds this once per run and each epoch's
@@ -309,17 +311,14 @@ class AdjacencyPattern:
 
     def __init__(self, g: ItemGraph):
         n, m = g.n, g.m
-        i, j = g.pairs[:, 0], g.pairs[:, 1]
-        nodes = np.arange(n, dtype=np.int64)
-        rows = np.concatenate([i, j, nodes])
-        cols = np.concatenate([j, i, nodes])
-        order = np.argsort(rows * n + cols)  # keys are distinct: canonical order
         index = np.int32 if 2 * m + n <= np.iinfo(np.int32).max else np.int64
         self.n = n
-        self.cols = cols[order].astype(index)
+        keys = np.concatenate([g.keys, g.keys % n * n + g.keys // n, np.arange(n, dtype=np.int64) * (n + 1)])
+        order = np.argsort(keys)  # keys are distinct: canonical order
+        keys = keys[order]
+        self.cols = (keys % n).astype(index)
         self.edge = np.concatenate([np.arange(m), np.arange(m), np.full(n, m)])[order].astype(index)
-        self.indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(g.degrees() + 1, out=self.indptr[1:])
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(index)  # row r: keys in [r·n, (r + 1)·n)
         self.diag = np.flatnonzero(self.edge == m).astype(index)  # one per row, in row order
 
     def operator(self, keep=None):

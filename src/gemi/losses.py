@@ -4,7 +4,7 @@ Each loss term is one function that returns its value and its gradient
 together: :func:`supervised_loss_and_grad` (wbce, bce or focal on the
 label logits), :func:`recon_loss_and_grad` (the A + I reconstruction,
 scored in row blocks, each pair of the symmetric Z Zᵀ once, against
-:class:`ReconTargets` laid out once per run) and
+:class:`ReconTargets`, which each block reads from the rows of A + I) and
 :func:`kl_and_grads` (the VGAE KL term).  None of them knows the
 joint-objective weights; ``train.objective_and_grads`` alone weights
 the terms, values and gradients alike.
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .config import is_number
 from .numerics import as_matrix, block_map, matmul
 
@@ -122,37 +121,24 @@ def supervised_loss_and_grad(cfg: LossConfig, logits, Y, pos_weights, mask) -> t
 
 
 class ReconTargets:
-    """The A + I reconstruction targets laid out once for :func:`recon_loss_and_grad`.
+    """The A + I reconstruction targets of :func:`recon_loss_and_grad`.
 
     ``pattern`` is a csr_array whose stored entries are exactly A + I
     (the clean normalized adjacency has that pattern); its values are
-    unused.  Built once per run, it holds ``n``, ``pw`` = #zeros/#ones of
-    the targets (from the counts), the :data:`numerics.BLOCK_ROWS` in
-    effect when it was built (each loss block's rows), each block's
-    target-1 entries at columns >= start as flat indices r·(n - start) + c
-    into the contiguous block, and the two b × n work buffers that the
-    first call allocates and every call reuses.  The buffers are
-    overwritten on each call and carry nothing between calls.
+    unused.  It holds ``n``, ``pw`` = #zeros/#ones of the targets (from
+    the counts), the pattern's own ``indptr`` and ``indices`` (no copy,
+    no block layout) and the two work buffers that every call reuses and
+    overwrites, carrying nothing between calls.
     """
 
     def __init__(self, pattern):
         n = pattern.shape[0]
-        indptr, indices = pattern.indptr, pattern.indices
         self.n = n
         self.pw = (n * n - pattern.nnz) / pattern.nnz
-        self.block_rows = numerics.BLOCK_ROWS
-
-        def upper_targets(start, stop):
-            r = np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))
-            c = indices[indptr[start] : indptr[stop]] - start
-            upper = c >= 0
-            return r[upper] * (n - start) + c[upper]
-
-        self.flat = block_map(upper_targets, n, self.block_rows)
-        # allocated by the first call, not here: allocated before the first
-        # forward, they raised gae-transductive's peak RSS by about 0.9 MB
-        # (heap layout, 5 seeds)
-        self.buffers = None
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        # none until the first call: buffers made here, even empty ones, raised
+        # the peak RSS of gae- and gcn-transductive by about 0.9 MB (heap layout)
+        self.buffers = ()
 
 
 def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
@@ -162,31 +148,33 @@ def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
     the target is 1 and softplus(s) where it is 0, with s = z_i·z_j and
     pw = #zeros/#ones; evaluated from the logits, it stays finite when
     sigma saturates.  Z Z^T and the targets are symmetric, so each pair
-    is scored once: the block I = [start, stop) of ``targets.block_rows``
-    rows forms S = Z_I Z_{start:}^T, the pairs it has not met in an
-    earlier block.  Its first b columns (both ends in I) count once,
-    every later column twice, for the mirror entry never formed.  The
-    target-1 entries are fixed up in place by the block's flat indices
-    in ``targets`` (:class:`ReconTargets`).  The score gradient G is
-    symmetric, so dL/dZ = 2 G Z, and the block adds G_I,{start:} Z_{start:}
-    to rows I and its mirror G_I,{stop:}^T Z_I to the rows after.  Time
-    is still O(n² · latent), at 1.5 n² · latent multiply-adds instead of
-    2; the work space is one :func:`gemi.numerics.block_map` block's
-    scores plus the two b × n buffers that ``targets`` holds, never n × n.
+    is scored once: the :func:`gemi.numerics.block_map` block
+    I = [start, stop) forms S = Z_I Z_{start:}^T, the pairs it has not
+    met in an earlier block.  Its first b columns (both ends in I) count
+    once, every later column twice, for the mirror entry never formed.
+    The target-1 entries are fixed up in place by flat indices that the
+    block derives from its rows of ``targets``, in O(their entries).  The
+    score gradient G is symmetric, so dL/dZ = 2 G Z, and the block adds
+    G_I,{start:} Z_{start:} to rows I and its mirror G_I,{stop:}^T Z_I to
+    the rows after.  Time is still O(n² · latent), at 1.5 n² · latent
+    multiply-adds instead of 2; the work space is one block's scores plus
+    the two buffers that ``targets`` holds, sized by the first (largest)
+    block, never n × n.
     """
     Z = as_matrix(Z)
     n = Z.shape[0]
     if n != targets.n:
         raise ValueError(f"Z has {n} rows but the targets cover {targets.n} nodes")
-    pw = targets.pw
-    if targets.buffers is None:
-        size = min(targets.block_rows, n) * n
-        targets.buffers = np.empty(size), np.empty(size)
+    pw, indptr = targets.pw, targets.indptr
     dZ = np.zeros_like(Z)
 
     def block_loss(start, stop):
-        flat = targets.flat[start // targets.block_rows]
         b, m = stop - start, n - start
+        # the target-1 entries at columns c >= start, as flat indices r·m + c - start
+        cols = targets.indices[indptr[start] : indptr[stop]]
+        flat = (np.repeat(np.arange(b) * m - start, np.diff(indptr[start : stop + 1])) + cols)[cols >= start]
+        if not targets.buffers or targets.buffers[0].size < b * m:
+            targets.buffers = np.empty(b * m), np.empty(b * m)
         S = matmul(Z[start:stop], Z[start:].T)
         s = S.reshape(-1)  # matmul's fresh output is C-contiguous: a view
         e, work = (buf[: b * m] for buf in targets.buffers)
@@ -215,7 +203,7 @@ def recon_loss_and_grad(Z, targets: ReconTargets) -> tuple[float, np.ndarray]:
         return loss
 
     total = 0.0
-    for loss in block_map(block_loss, n, targets.block_rows):
+    for loss in block_map(block_loss, n):
         total += loss  # in block order; sum() would compensate on Python >= 3.12
     dZ *= 2.0 / (n * n)
     return total / (n * n), dZ

@@ -12,12 +12,12 @@ never read another test item, so one test item can never influence
 another's prediction.  Both protocols share one evaluation forward.
 
 State built once per run: :func:`train_model` builds the base graph, and
-the training loop lays out its adjacency pattern, clean operator and,
-for gae/vgae, reconstruction targets before the first epoch.  An epoch
-draws only its edge-dropout keep mask, selects its operator from the
-pattern and scores the targets.  The clean operator is the run's only
-normalized operator: the transductive evaluation forward reuses it, and
-the inductive one extends it by the attached test rows.
+the training loop lays out its adjacency pattern, clean operator and
+the reconstruction targets that read it before the first epoch.  An
+epoch draws only its edge-dropout keep mask, selects its operator from
+the pattern and, for gae/vgae, scores the targets.  The clean operator
+is the run's only normalized operator: the transductive evaluation
+forward reuses it, and the inductive one extends it by the test rows.
 """
 
 from __future__ import annotations
@@ -147,13 +147,14 @@ def objective_and_grads(kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, e
     with frozen inputs, so the check verifies the code that trains.
     ``masks`` are the feature-dropout masks, ``eps`` the VGAE noise,
     ``recon`` the :class:`~gemi.losses.ReconTargets` of the A + I
-    reconstruction target (laid out from the clean normalized adjacency
-    of the base graph), ``beta`` the KL weight and ``clamp`` the bound on
+    reconstruction target (read from the clean normalized adjacency of
+    the base graph), ``beta`` the KL weight and ``clamp`` the bound on
     VGAE's log sigma (``model.logsig_clamp``); gcn ignores the last
     four, gae the last two.  One :func:`gemi.models.forward` and one
     :func:`gemi.models.backward` run every kind; the weighted loss
     gradients are the upstream pulls the backward takes.  This is the
-    only place the loss terms are weighted:
+    only place that decides which kinds reconstruct and that weights
+    the loss terms:
 
     * gcn:  sup
     * gae:  rec + lambda_sup · sup
@@ -202,7 +203,7 @@ def _train_loop(cfg: dict, base_graph: ItemGraph, X, Y, train_mask_local, rng: S
     clean_adj = pattern.operator()
     # the clean normalized adjacency is nonzero exactly on the A + I
     # reconstruction targets
-    recon = ReconTargets(clean_adj) if kind in ("gae", "vgae") else None
+    recon = ReconTargets(clean_adj)
     ramp = max(1, int(round(m_cfg["kl_ramp_fraction"] * m_cfg["epochs"])))
     exempt = base_graph.tags == TAGS.index("label-augment") if cfg["graph"]["augment_exempt_from_dropout"] else None
 
@@ -326,9 +327,8 @@ def gradient_check(
     """
     X, Y, mask, adj, params, masks, eps, loss_cfg, pos_w = _check_instance(kind, loss_kind, seed, hidden, latent)
     beta = 0.7  # a nonzero KL weight, so the KL gradient is checked too
-    # no edge dropout here, so adj's pattern is the A + I target; built
-    # here, so a patched numerics.BLOCK_ROWS reaches the check
-    recon = ReconTargets(adj) if kind in ("gae", "vgae") else None
+    # no edge dropout here, so adj's pattern is the A + I target
+    recon = ReconTargets(adj)
     clamp = default_config("vgae")["model"]["logsig_clamp"]
     args = (kind, params, adj, X, Y, mask, pos_w, loss_cfg, masks, eps, recon, beta, clamp)
     _, _, analytic = objective_and_grads(*args)

@@ -41,3 +41,14 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def traced_held(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the bytes tracemalloc still traces after the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held

@@ -26,6 +26,10 @@ def dataset(tmp_path_factory):
     return {"dir": tmp, "emb": str(emb), "labels": str(lab), "table": table}
 
 
+def _no_input(*args, **kwargs):
+    raise AssertionError("an input was read")
+
+
 def write_cfg(tmp, dataset, **overrides):
     cfg = {
         "seed": 5,
@@ -87,6 +91,25 @@ class TestRun:
         assert main([command[0], "--config", cfg_path, *command[1:], "--out", ""]) == 2
         assert capsys.readouterr().err == "error: --out: must be a nonempty path\n"
         assert not os.path.exists(cfg["output_dir"])
+
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--param", "model.lr", "--values", "0.01"]], ids=["run", "sweep"]
+    )
+    def test_unusable_out_exit_2_before_input(self, dataset, tmp_path, capsys, monkeypatch, command, from_config):
+        # an existing file cannot be the output directory: the run names the
+        # field the path came from and reads no input
+        from gemi import cli
+
+        monkeypatch.setattr(cli, "_load_table", _no_input)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg_path, _ = write_cfg(tmp_path, dataset, output_dir=str(taken))
+        out = [] if from_config else ["--out", str(taken)]
+        assert main([command[0], "--config", cfg_path, *command[1:], *out]) == 2
+        field = "output_dir" if from_config else "--out"
+        # a sweep names the first run's directory under the file
+        assert capsys.readouterr().err.startswith(f"error: {field}: cannot make the output directory '{taken}")
 
     def test_byte_identical_reruns(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)
@@ -493,6 +516,20 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: graph.epsilon: ")
         assert not out.exists()  # no run started
 
+    def test_unusable_run_directory_exit_2_before_input(self, dataset, tmp_path, capsys, monkeypatch):
+        # a file where one value's run directory would go stops the sweep before any run
+        from gemi import cli
+
+        monkeypatch.setattr(cli, "_load_table", _no_input)
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "model.lr=0.02").write_text("")
+        code = main(["sweep", "--config", cfg_path, "--param", "model.lr", "--values", "0.01,0.02", "--out", str(out)])
+        assert code == 2
+        taken = str(out / "model.lr=0.02")
+        assert capsys.readouterr().err.startswith(f"error: --out: cannot make the output directory {taken!r}: ")
+
     def test_unknown_param_exit_2(self, dataset, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, dataset)
         assert main(["sweep", "--config", cfg_path, "--param", "model.nope",
@@ -554,6 +591,23 @@ class TestUsers:
         cfg_path, _ = write_cfg(tmp_path, dataset)
         assert _users(cfg_path, "") == 2
         assert capsys.readouterr().err == "error: --out: must be a nonempty path\n"
+
+    def test_unusable_out_exit_2_before_input(self, dataset, tmp_path, capsys, monkeypatch):
+        # the prefix's directory is a file: exit 2 naming --out, before any input is read
+        from gemi import cli
+
+        monkeypatch.setattr(cli, "_load_table", _no_input)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        assert _users(cfg_path, taken / "u") == 2
+        assert capsys.readouterr().err.startswith(f"error: --out: cannot make the output directory {str(taken)!r}: ")
+
+    def test_makes_the_prefix_directory(self, dataset, tmp_path):
+        cfg_path, _ = write_cfg(tmp_path, dataset)
+        prefix = tmp_path / "new" / "dir" / "u"
+        assert _users(cfg_path, prefix) == 0
+        assert all(_written(prefix))
 
     def test_all_test_labels_exit_2(self, dataset, tmp_path, capsys):
         # as `gemi run` fails on them, not on an empty sample

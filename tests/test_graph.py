@@ -18,7 +18,7 @@ from gemi.graph import (
     top_k_cosine,
 )
 from gemi.numerics import SeededRng
-from conftest import traced_peak
+from conftest import traced_held, traced_peak
 from graph_oracles import (
     attach_edges,
     brute_force_attach_edges,
@@ -251,7 +251,7 @@ class TestAugmentLabelEdges:
 
 def kept_graph(g, keep) -> ItemGraph:
     """The edges an edge-dropout keep mask keeps, with their tags."""
-    return ItemGraph(n=g.n, pairs=g.pairs[keep], tags=g.tags[keep])
+    return ItemGraph(n=g.n, keys=g.keys[keep], tags=g.tags[keep])
 
 
 def augment_exempt(g) -> np.ndarray:
@@ -275,7 +275,7 @@ class TestEdgeDropout:
         g = knn_graph_symmetric(rng.normal(size=(12, 3)), 2)
         tags = g.tags.copy()
         tags[:3] = AUGMENT
-        g = ItemGraph(n=g.n, pairs=g.pairs, tags=tags)
+        g = ItemGraph(n=g.n, keys=g.keys, tags=tags)
         out = kept_graph(g, edge_dropout(g, 1.0, rng.substream("d"), exempt=augment_exempt(g)))
         assert out.m == 3
         assert set(out.tags.tolist()) == {AUGMENT}
@@ -286,7 +286,7 @@ class TestEdgeDropout:
         g = knn_graph_symmetric(rng.normal(size=(15, 3)), 3)
         tags = g.tags.copy()
         tags[:4] = AUGMENT
-        g2 = ItemGraph(n=g.n, pairs=g.pairs, tags=tags)
+        g2 = ItemGraph(n=g.n, keys=g.keys, tags=tags)
         out_plain = kept_graph(g, edge_dropout(g, 0.5, SeededRng(12)))
         out_exempt = kept_graph(g2, edge_dropout(g2, 0.5, SeededRng(12), exempt=augment_exempt(g2)))
         plain_kept = edge_set(out_plain)
@@ -751,12 +751,22 @@ def test_builders_agree_with_the_oracle_canonicalizer(seed, n, k, eps, block_row
 
 def test_epsilon_build_cost_per_edge():
     # ε = 0 keeps about half of all pairs: 561 581 edges at n = 1500.  The
-    # stored graph is 17 B per edge; the build may add its keys (8 B) and
-    # the score block, but no re-sort of what it already emits in order
+    # stored graph is 9 B per edge; the build may add its block keys (8 B),
+    # the i < j check's quotient and remainder (16 B) and the score block,
+    # but no re-sort of what it already emits in order
     X = SeededRng(5).normal(size=(1500, 8))
     g, peak = traced_peak(epsilon_graph, X, 0.0)
     assert g.m == 561_581
     assert peak / g.m < 40, peak / g.m
+
+
+def test_graph_stores_one_key_and_tag_per_edge():
+    # the graph keeps its int64 keys and one-byte tags, 9 B per edge, and
+    # forms (i, j) pairs only when they are read
+    X = SeededRng(5).normal(size=(1500, 8))
+    g, held = traced_held(epsilon_graph, X, 0.0)
+    assert held / g.m <= 10, held / g.m
+    assert g.keys.dtype == np.int64 and g.tags.dtype == np.uint8
 
 
 def test_cosine_similarity_matches_manual(rng):

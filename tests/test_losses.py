@@ -16,7 +16,7 @@ from gemi.losses import (
 )
 from gemi.numerics import SeededRng, finite_difference_gradient, matmul
 from gemi.train import objective_and_grads
-from conftest import traced_peak
+from conftest import traced_held, traced_peak
 from graph_oracles import graph_from_pairs
 from recon_oracle import (
     dense_recon_loss_and_grad,
@@ -330,16 +330,20 @@ class TestBlockedRecon:
             assert loss == fresh_loss
             assert np.array_equal(dZ, fresh_dZ)
 
-    def test_keeps_the_block_size_it_was_built_with(self, monkeypatch):
+    def test_targets_carry_no_block_layout(self, monkeypatch):
+        # built and first called under 7-row blocks, the same object then
+        # gives the bits of a fresh one under smaller and larger blocks
         rng = SeededRng(12)
         pattern = AdjacencyPattern(_recon_graph("random", 20, rng)).operator()
         Z = rng.normal(size=(20, 3))
         targets = ReconTargets(pattern)
-        expect = recon_loss_and_grad(Z, targets)
-        monkeypatch.setattr(numerics, "BLOCK_ROWS", 3)
-        loss, dZ = recon_loss_and_grad(Z, targets)
-        assert targets.block_rows == 7 and len(targets.flat) == 3
-        assert loss == expect[0] and np.array_equal(dZ, expect[1])
+        recon_loss_and_grad(Z, targets)
+        for rows in (3, 20):
+            monkeypatch.setattr(numerics, "BLOCK_ROWS", rows)
+            loss, dZ = recon_loss_and_grad(Z, targets)
+            fresh_loss, fresh_dZ = recon_loss_and_grad(Z, ReconTargets(pattern))
+            assert loss == fresh_loss
+            assert np.array_equal(dZ, fresh_dZ)
 
     def test_rejects_z_of_another_node_count(self):
         targets = ReconTargets(AdjacencyPattern(graph_from_pairs(4, [[0, 1]], [TAGS.index("knn")])).operator())
@@ -386,6 +390,16 @@ def test_recon_holds_one_score_block():
     block = numerics.BLOCK_ROWS * 2048 * 8
     _, peak = traced_peak(recon_loss_and_grad, Z, targets)
     assert peak < 1.25 * block, peak / block
+
+
+def test_recon_targets_hold_nothing_per_edge():
+    # ε = 0 keeps about half of all pairs: 561 581 edges at n = 1500; the
+    # targets read the clean operator's index arrays and copy none of them
+    g = graph.epsilon_graph(SeededRng(5).normal(size=(1500, 8)), 0.0)
+    adj = AdjacencyPattern(g).operator()
+    targets, held = traced_held(ReconTargets, adj)
+    assert held / g.m < 1, held / g.m
+    assert targets.indices is adj.indices and targets.indptr is adj.indptr
 
 
 class TestKl:

@@ -179,9 +179,8 @@ class TestBlockMap:
 
 
 def test_only_numerics_reads_block_rows():
-    # every row-blocked loop goes through numerics.block_map; the one read
-    # elsewhere is ReconTargets freezing the block size its layout was
-    # built with, so a later change of BLOCK_ROWS cannot misalign it
+    # every row-blocked loop goes through numerics.block_map, and nothing
+    # else sizes or lays out anything by the block size
     package = Path(numerics.__file__).parent
     reads = []
     for path in sorted(package.glob("*.py")):
@@ -194,7 +193,7 @@ def test_only_numerics_reads_block_rows():
                 or isinstance(node, ast.alias) and "BLOCK_ROWS" in (node.name, node.asname)
             ):
                 reads.append((path.name, ast.unparse(node)))
-    assert reads == [("losses.py", "numerics.BLOCK_ROWS")]
+    assert reads == []
 
 
 def test_l2_normalize_rows_unit_norm(rng):
